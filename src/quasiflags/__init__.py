@@ -9,12 +9,7 @@ chains of F_q[z] lattices and counting points; verify_against_kostant
 confronts the two.
 """
 
-from .kostant import (
-    IntPolynomial,
-    fiber_poincare,
-    kostant_poly,
-    kostant_poly_via_strata,
-)
+from .kostant import IntPolynomial, fiber_poincare, kostant_poly
 from .limits import Caps, CapExceededError, DEFAULT_CAPS
 from .oracle import (
     FiberCount,
@@ -27,7 +22,6 @@ from .oracle import (
     enumerate_lattices,
     fiber_point_count,
     mu_invariants,
-    transformed,
     verify_against_kostant,
 )
 from .partitions import (
@@ -100,7 +94,6 @@ __all__ = [
     "kappa_partitions",
     "kappa_to_nu",
     "kostant_poly",
-    "kostant_poly_via_strata",
     "moduli_dim",
     "mu_invariants",
     "mu_to_kappa",
@@ -111,6 +104,5 @@ __all__ = [
     "positive_coroots",
     "smallness_report",
     "stratum_dim",
-    "transformed",
     "verify_against_kostant",
 ]

@@ -75,13 +75,6 @@ def mul(a: Poly, b: Poly, q: int) -> Poly:
     return tuple(out)
 
 
-def shift(a: Poly, d: int) -> Poly:
-    """Multiply by z**d."""
-    if not a:
-        return ZERO
-    return (0,) * d + a
-
-
 def divmod_poly(a: Poly, b: Poly, q: int) -> tuple[Poly, Poly]:
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
@@ -121,14 +114,6 @@ def div_z_power(a: Poly, d: int) -> Poly | None:
     if len(a) <= d or any(a[:d]):
         return None
     return a[d:]
-
-
-def valuation(a: Poly) -> int | None:
-    """Order of vanishing at z = 0, None for the zero polynomial."""
-    for i, c in enumerate(a):
-        if c:
-            return i
-    return None
 
 
 def is_z_power(a: Poly) -> bool:

@@ -3,19 +3,19 @@
 K_gamma(t) is the generating polynomial whose coefficient of t^j counts the
 coroot partitions kappa of gamma with |gamma| - K(kappa) = j. Evaluating at
 t = 1 recovers the plain Kostant partition count; the coefficients are also
-the stratum counts of the fiber attached to gamma, graded by dimension,
-which gives a second, independently computable route to the same polynomial
-(kostant_poly_via_strata). For a multiset Gamma of degree vectors the fiber
-polynomial is the product of the per-part polynomials.
+the stratum counts of the fiber attached to gamma, graded by dimension. For
+a multiset Gamma of degree vectors the fiber polynomial is the product of
+the per-part polynomials.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .limits import Caps, DEFAULT_CAPS
-from .partitions import GammaPartition, kappa_partitions, mu_triangles, stratum_dim
+from .limits import Caps, DEFAULT_CAPS, check_length, check_rank
+from .partitions import GammaPartition, kappa_partitions
 from .roots import GammaVec
 
 
@@ -88,23 +88,8 @@ class IntPolynomial:
 ONE = IntPolynomial((1,))
 
 
-def _dense(counts: dict[int, int]) -> IntPolynomial:
-    if not counts:
-        return IntPolynomial(())
-    out = [0] * (max(counts) + 1)
-    for j, c in counts.items():
-        out[j] = c
-    return IntPolynomial(tuple(out))
-
-
-@lru_cache(maxsize=None)
-def _kostant_coeffs(coeffs: tuple[int, ...], caps: Caps) -> tuple[int, ...]:
-    gamma = GammaVec(coeffs)
-    counts: dict[int, int] = {}
-    for kappa in kappa_partitions(gamma, caps=caps):
-        j = gamma.length - kappa.num_parts
-        counts[j] = counts.get(j, 0) + 1
-    return _dense(counts).coeffs
+# at least 972: the vectors of the largest box under DEFAULT_CAPS, (2,2,2,2,2,1,1)
+KOSTANT_CACHE_SIZE = 4096
 
 
 def kostant_poly(gamma: GammaVec, *, caps: Caps = DEFAULT_CAPS) -> IntPolynomial:
@@ -115,18 +100,18 @@ def kostant_poly(gamma: GammaVec, *, caps: Caps = DEFAULT_CAPS) -> IntPolynomial
     degree is at most |gamma| - 1, with equality exactly when gamma is
     itself a positive coroot.
     """
-    return IntPolynomial(_kostant_coeffs(gamma.coeffs, caps))
+    check_rank(gamma.n, caps)
+    check_length(gamma.length, caps)
+    return _kostant_poly(gamma.coeffs)
 
 
-def kostant_poly_via_strata(gamma: GammaVec, *, caps: Caps = DEFAULT_CAPS) -> IntPolynomial:
-    """K_gamma(t) recomputed from mu triangles: t^j counts strata of dimension j."""
-    counts: dict[int, int] = {}
-    for mu in mu_triangles(gamma, caps=caps):
-        j = stratum_dim(mu)
-        counts[j] = counts.get(j, 0) + 1
-    if not counts:
-        return IntPolynomial(())
-    return _dense(counts)
+@lru_cache(maxsize=KOSTANT_CACHE_SIZE)
+def _kostant_poly(coeffs: tuple[int, ...]) -> IntPolynomial:
+    gamma = GammaVec(coeffs)
+    # the caller checked gamma against its caps; these admit exactly gamma
+    kappas = kappa_partitions(gamma, caps=Caps(max_rank=gamma.n, max_length=gamma.length))
+    counts = Counter(gamma.length - kappa.num_parts for kappa in kappas)
+    return IntPolynomial(tuple(counts[j] for j in range(gamma.length + 1)))
 
 
 def fiber_poincare(parts: GammaPartition, *, caps: Caps = DEFAULT_CAPS) -> IntPolynomial:

@@ -38,6 +38,7 @@ q^stratum_dim is what verify_against_kostant does.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 
@@ -51,14 +52,35 @@ from .roots import GammaVec
 Column = tuple[Poly, ...]
 
 
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(q: int) -> bool:
+    """Miller-Rabin to the first 13 prime bases.
+
+    Exact for q < 3.3 * 10^24 (Sorenson and Webster, 2015); above that, a
+    composite passes only as a strong pseudoprime to all 13 bases.
+    """
+    if q < 2 or any(q % p == 0 for p in _PRIME_BASES):
+        return q in _PRIME_BASES
+    s = ((q - 1) & (1 - q)).bit_length() - 1  # q - 1 = d * 2^s with d odd
+    for a in _PRIME_BASES:
+        x = pow(a, (q - 1) >> s, q)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == q - 1:
+                break
+            x = x * x % q
+        else:
+            return False
+    return True
+
+
 def _require_prime(q: int) -> None:
-    if not isinstance(q, int) or q < 2:
+    # small primes such as the default q in {2, 3} skip the call
+    if not isinstance(q, int) or not (q in _PRIME_BASES or _is_prime(q)):
         raise ValueError(f"q must be a prime, got {q!r}")
-    d = 2
-    while d * d <= q:
-        if q % d == 0:
-            raise ValueError(f"q must be a prime, got {q}")
-        d += 1
 
 
 @dataclass(frozen=True)
@@ -104,7 +126,7 @@ class Lattice:
     @property
     def diag(self) -> tuple[int, ...]:
         """Pivot exponents (d_1, ..., d_k)."""
-        return tuple(gf.degree(col[j]) for j, col in enumerate(self.cols))
+        return _diag(self.cols)
 
     @property
     def colength(self) -> int:
@@ -121,6 +143,7 @@ class Lattice:
     @classmethod
     def from_generators(cls, rank: int, q: int, vectors) -> "Lattice":
         """Canonicalize any generating set of a full-rank z-local submodule."""
+        # checked before canonicalizing, which never ends for q = 1
         _require_prime(q)
         cols = _canonical_columns([tuple(v) for v in vectors], rank, q)
         return cls(rank, q, cols)
@@ -130,6 +153,10 @@ class Lattice:
         for i in range(self.rank):
             rows.append(" ".join(_poly_str(self.cols[j][i]) for j in range(self.rank)))
         return "; ".join(rows)
+
+
+def _diag(cols: tuple[Column, ...]) -> tuple[int, ...]:
+    return tuple(gf.degree(col[j]) for j, col in enumerate(cols))
 
 
 def _poly_str(a: Poly) -> str:
@@ -305,11 +332,15 @@ def coordinate_intersection(lat: Lattice, m: int) -> Lattice:
         raise ValueError(f"coordinate count must be in 1..{lat.rank}, got {m}")
     if m == lat.rank:
         return lat
+    return Lattice(m, lat.q, _intersection_columns(lat, m))
+
+
+def _intersection_columns(lat: Lattice, m: int) -> tuple[Column, ...]:
+    """Canonical columns of L n R^m for m < rank, with no Lattice built."""
     active = list(lat.cols)
     for row in range(lat.rank - 1, m - 1, -1):
         _, active = _pivot_row(active, row, lat.q)
-    gens = [col[:m] for col in active]
-    return Lattice.from_generators(m, lat.q, gens)
+    return _canonical_columns([col[:m] for col in active], m, lat.q)
 
 
 @dataclass(frozen=True)
@@ -360,6 +391,11 @@ def enumerate_fiber_chains(
     n: int, gamma: GammaVec, q: int, *, caps: Caps = DEFAULT_CAPS
 ) -> list[FlagChain]:
     """All flag chains over F_q with colength profile gamma, layer by layer."""
+    return [FlagChain(n=n, q=q, gamma=gamma, lattices=c) for c in _nested_chains(n, gamma, q, caps)]
+
+
+def _nested_chains(n: int, gamma: GammaVec, q: int, caps: Caps) -> list[tuple[Lattice, ...]]:
+    """enumerate_fiber_chains as bare lattice tuples, nested by construction."""
     _check_oracle_caps(n, gamma, q, caps)
     partial: list[tuple[Lattice, ...]] = [()]
     for k in range(1, n):
@@ -371,20 +407,22 @@ def enumerate_fiber_chains(
                 if prev is None or contains(lat, prev):
                     grown.append(chain + (lat,))
         partial = grown
-    return [FlagChain(n=n, q=q, gamma=gamma, lattices=chain) for chain in partial]
+    return partial
 
 
 def mu_invariants(chain: FlagChain) -> Triangle:
     """The mu triangle of a chain: mu_{pq} = colength of L_p n R^q."""
-    rows = []
-    for p in range(1, chain.n):
-        lat = chain.lattices[p - 1]
-        row = tuple(
-            lat.colength if q_ == p else coordinate_intersection(lat, q_).colength
+    return Triangle(n=chain.n, kind="mu", rows=_mu_rows(chain.lattices))
+
+
+def _mu_rows(lattices: tuple[Lattice, ...]) -> tuple[tuple[int, ...], ...]:
+    return tuple(
+        tuple(
+            lat.colength if q_ == p else sum(_diag(_intersection_columns(lat, q_)))
             for q_ in range(1, p + 1)
         )
-        rows.append(row)
-    return Triangle(n=chain.n, kind="mu", rows=tuple(rows))
+        for p, lat in enumerate(lattices, start=1)
+    )
 
 
 @dataclass
@@ -404,18 +442,12 @@ def fiber_point_count(
     that list would be a theory violation and is appended at the end rather
     than dropped, so verify_against_kostant can report it.
     """
-    chains = enumerate_fiber_chains(n, gamma, q, caps=caps)
-    raw: dict[Triangle, int] = {}
-    for chain in chains:
-        mu = mu_invariants(chain)
-        raw[mu] = raw.get(mu, 0) + 1
-    buckets: dict[Triangle, int] = {}
-    for mu in mu_triangles(gamma, caps=caps):
-        if mu in raw:
-            buckets[mu] = raw.pop(mu)
-    for mu in sorted(raw, key=lambda t: t.rows):
-        buckets[mu] = raw[mu]
-    return FiberCount(total=len(chains), buckets=buckets)
+    chains = _nested_chains(n, gamma, q, caps)
+    raw = Counter(_mu_rows(chain) for chain in chains)
+    known = [mu for mu in mu_triangles(gamma, caps=caps) if mu.rows in raw]
+    unknown = sorted(raw.keys() - {mu.rows for mu in known})
+    mus = known + [Triangle(n=n, kind="mu", rows=rows) for rows in unknown]
+    return FiberCount(total=len(chains), buckets={mu: raw[mu.rows] for mu in mus})
 
 
 @dataclass(frozen=True)
@@ -489,25 +521,3 @@ def verify_against_kostant(
         unexpected_mu=unexpected,
         buckets=checks,
     )
-
-
-def transformed(lat: Lattice, matrix) -> Lattice:
-    """Image of the lattice under a constant invertible change of coordinates.
-
-    matrix is a rank x rank array of F_q scalars acting on coordinates from
-    the left; the image basis is recanonicalized. For chain-level use the
-    matrix must preserve the coordinate flag, i.e. be upper triangular, so
-    that its leading principal blocks act consistently on every rank.
-    """
-    k, q = lat.rank, lat.q
-    gens = []
-    for col in lat.cols:
-        vec = []
-        for i in range(k):
-            acc = gf.ZERO
-            for r in range(k):
-                if matrix[i][r] % q:
-                    acc = gf.add(acc, gf.scale(col[r], matrix[i][r], q), q)
-            vec.append(acc)
-        gens.append(tuple(vec))
-    return Lattice.from_generators(k, q, gens)

@@ -21,12 +21,16 @@ member against the q-th coordinate subspace, and the quantity
 is the dimension of the corresponding fiber stratum. GammaPartition is the
 separate notion of an unordered multiset of nonzero degree vectors summing
 to alpha; the two kinds of partition never coerce into each other.
+
+Both partition recursions run on plain int tuples; caps are checked once at
+the public entry points, and only the partitions they return are built as
+validated objects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import accumulate, product
 
 from .limits import Caps, DEFAULT_CAPS, check_length, check_rank
 from .roots import GammaVec, Interval, interval_to_gamma, positive_coroots
@@ -208,60 +212,45 @@ def kappa_partitions(gamma: GammaVec, *, caps: Caps = DEFAULT_CAPS) -> list[Kapp
     check_rank(gamma.n, caps)
     check_length(gamma.length, caps)
     coroots = positive_coroots(gamma.n, caps=caps)
-    out: list[KappaPartition] = []
-    chosen: dict[Interval, int] = {}
+    return [
+        KappaPartition(gamma.n, tuple((c, m) for c, m in zip(coroots, mults) if m))
+        for mults in _coroot_multiplicities(coroots, gamma.coeffs)
+    ]
 
-    def descend(idx: int, remaining: tuple[int, ...]) -> None:
-        if idx == len(coroots):
-            if not any(remaining):
-                out.append(KappaPartition.of(gamma.n, chosen))
-            return
-        c = coroots[idx]
-        # coordinates before the current block start can never be reduced again
-        if any(remaining[k] for k in range(c.q - 1)):
-            return
-        top = min(remaining[c.q - 1 : c.p])
-        for m in range(top, -1, -1):
-            if m:
-                chosen[c] = m
-            else:
-                chosen.pop(c, None)
-            reduced = tuple(
-                r - m if c.q - 1 <= k <= c.p - 1 else r for k, r in enumerate(remaining)
-            )
-            descend(idx + 1, reduced)
-        chosen.pop(c, None)
 
-    descend(0, gamma.coeffs)
+def _coroot_multiplicities(coroots: list[Interval], remaining: tuple[int, ...]):
+    """Multiplicity vectors of the coroots summing to remaining, in kappa order."""
+    if not coroots:
+        return [] if any(remaining) else [()]
+    c = coroots[0]
+    # coordinates before the block of c can never be reduced again
+    if any(remaining[: c.q - 1]):
+        return []
+    out = []
+    for m in range(min(remaining[c.q - 1 : c.p]), -1, -1):
+        reduced = tuple(r - m if c.q - 1 <= k < c.p else r for k, r in enumerate(remaining))
+        out += [(m,) + rest for rest in _coroot_multiplicities(coroots[1:], reduced)]
     return out
 
 
 def kappa_to_nu(kappa: KappaPartition) -> Triangle:
     """Prefix sums nu_{pq} = kappa_{p1} + ... + kappa_{pq}."""
-    n = kappa.n
-    rows = []
-    for p in range(1, n):
-        running, row = 0, []
-        for q in range(1, p + 1):
-            running += kappa.multiplicity(Interval(p, q))
-            row.append(running)
-        rows.append(tuple(row))
-    return Triangle(n, "nu", tuple(rows))
+    mult = {(c.p, c.q): m for c, m in kappa.mult}
+    rows = tuple(
+        tuple(accumulate(mult.get((p, q), 0) for q in range(1, p + 1))) for p in range(1, kappa.n)
+    )
+    return Triangle(kappa.n, "nu", rows)
 
 
 def nu_to_mu(nu: Triangle) -> Triangle:
     """Suffix sums mu_{pq} = nu_{pq} + nu_{p+1,q} + ... + nu_{n-1,q}."""
     if nu.kind != "nu":
         raise ValueError(f'expected a "nu" triangle, got kind {nu.kind!r}')
-    n = nu.n
-    rows: list[tuple[int, ...]] = [()] * (n - 1)
-    below = [0] * n
-    for p in range(n - 1, 0, -1):
-        row = tuple(nu.entry(p, q) + below[q] for q in range(1, p + 1))
-        for q in range(1, p + 1):
-            below[q] = row[q - 1]
-        rows[p - 1] = row
-    return Triangle(n, "mu", tuple(rows))
+    # row p of mu is row p of nu plus the first p entries of row p + 1 of mu
+    rows = [nu.rows[-1]]
+    for row in reversed(nu.rows[:-1]):
+        rows.append(tuple(a + b for a, b in zip(row, rows[-1])))
+    return Triangle(nu.n, "mu", tuple(reversed(rows)))
 
 
 def mu_to_kappa(mu: Triangle, gamma: GammaVec) -> KappaPartition:
@@ -322,21 +311,25 @@ def gamma_partitions(alpha: GammaVec, *, caps: Caps = DEFAULT_CAPS) -> list[Gamm
     """
     check_rank(alpha.n, caps)
     check_length(alpha.length, caps)
-    ranges = [range(a, -1, -1) for a in alpha.coeffs]
-    candidates = [GammaVec(v) for v in product(*ranges) if any(v)]
-    out: list[GammaPartition] = []
-    chosen: list[GammaVec] = []
+    seqs = _part_tuples(alpha.coeffs, alpha.coeffs, {})
+    return [GammaPartition(alpha.n, tuple(map(GammaVec, seq))) for seq in seqs]
 
-    def descend(remaining: GammaVec, start: int) -> None:
-        if remaining.is_zero():
-            out.append(GammaPartition(alpha.n, tuple(chosen)))
-            return
-        for idx in range(start, len(candidates)):
-            v = candidates[idx]
-            if v.leq(remaining):
-                chosen.append(v)
-                descend(remaining - v, idx)
-                chosen.pop()
 
-    descend(alpha, 0)
-    return out
+def _part_tuples(remaining: tuple[int, ...], bound: tuple[int, ...], memo: dict):
+    """Part sequences of the partitions of remaining into parts lex <= bound.
+
+    The sequences, and the parts in each, come in decreasing lex order. One
+    memo can serve all the vectors of a box.
+    """
+    if not any(remaining):
+        return ((),)
+    # parts are componentwise, hence lexicographically, <= remaining
+    key = (remaining, min(bound, remaining))
+    if key not in memo:
+        memo[key] = tuple(
+            (v,) + tail
+            for v in product(*(range(r, -1, -1) for r in remaining))
+            if any(v) and v <= bound
+            for tail in _part_tuples(tuple(r - c for r, c in zip(remaining, v)), v, memo)
+        )
+    return memo[key]

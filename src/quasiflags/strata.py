@@ -23,7 +23,7 @@ from itertools import product
 
 from .kostant import IntPolynomial, fiber_poincare
 from .limits import Caps, DEFAULT_CAPS, check_length, check_rank
-from .partitions import GammaPartition, gamma_partitions
+from .partitions import GammaPartition, _part_tuples
 from .roots import GammaVec, flag_dim
 
 
@@ -103,11 +103,15 @@ def enumerate_strata(n: int, alpha: GammaVec, *, caps: Caps = DEFAULT_CAPS) -> l
         raise ValueError("alpha rank context does not match n")
     check_length(alpha.length, caps)
     dim_b = flag_dim(n)
+    # one memo for all defects alpha - beta; every nonzero box vector is a part of some stratum
+    memo: dict = {}
+    vecs = {v: GammaVec(v) for v in product(*(range(a + 1) for a in alpha.coeffs)) if any(v)}
     records = []
     for beta_coeffs in product(*(range(a, -1, -1) for a in alpha.coeffs)):
         beta = GammaVec(beta_coeffs)
-        defect = alpha - beta
-        for parts in gamma_partitions(defect, caps=caps):
+        defect = tuple(a - b for a, b in zip(alpha.coeffs, beta_coeffs))
+        for part_tuple in _part_tuples(defect, defect, memo):
+            parts = GammaPartition(n, tuple(vecs[v] for v in part_tuple))
             poly = fiber_poincare(parts, caps=caps)
             degree = poly.degree
             records.append(
@@ -116,7 +120,7 @@ def enumerate_strata(n: int, alpha: GammaVec, *, caps: Caps = DEFAULT_CAPS) -> l
                     parts=parts,
                     m=parts.m,
                     stratum_dim=2 * beta.length + dim_b + parts.m,
-                    codim=2 * defect.length - parts.m,
+                    codim=2 * sum(defect) - parts.m,
                     fiber_dim=degree if degree is not None else 0,
                     fiber_poincare=poly,
                 )

@@ -9,7 +9,12 @@ modules. Agreement is therefore evidence, not tautology.
 
 from itertools import combinations, product
 
+from hypothesis import strategies as st
+
 import quasiflags.gfpoly as gf
+from quasiflags.kostant import IntPolynomial
+from quasiflags.oracle import Lattice
+from quasiflags.partitions import mu_triangles, stratum_dim
 from quasiflags.roots import GammaVec, interval_to_gamma, positive_coroots
 
 
@@ -20,6 +25,13 @@ def vectors_with_length_at_most(n, bound):
         if sum(coeffs) <= bound:
             out.append(GammaVec(coeffs))
     return out
+
+
+def small_alphas(max_rank=4, max_length=5):
+    """Hypothesis strategy: degree vectors with n <= max_rank, |alpha| <= max_length."""
+    return st.integers(2, max_rank).flatmap(
+        lambda n: st.lists(st.integers(0, max_length), min_size=n - 1, max_size=n - 1)
+    ).filter(lambda coeffs: sum(coeffs) <= max_length).map(lambda coeffs: GammaVec(tuple(coeffs)))
 
 
 def brute_force_kappa_sets(n, gamma):
@@ -146,3 +158,74 @@ def lattice_memberset(lat, c):
                         acc[i][d] = (acc[i][d] + coeff) % q
         members.add(tuple(tuple(row) for row in acc))
     return frozenset(members)
+
+
+def vector_partition_count(alpha):
+    """Number of multisets of nonzero vectors summing to alpha (a tuple).
+
+    The unbounded-knapsack DP of integer_partition_count, run over the box
+    below alpha: each nonzero box vector, taken in turn, may be used any
+    number of times.
+    """
+    cells = list(product(*(range(a + 1) for a in alpha)))
+    dp = dict.fromkeys(cells, 0)
+    dp[(0,) * len(alpha)] = 1
+    for part in cells:
+        if not any(part):
+            continue
+        for cell in cells:
+            prev = tuple(c - p for c, p in zip(cell, part))
+            if min(prev) >= 0:
+                dp[cell] += dp[prev]
+    return dp[tuple(alpha)]
+
+
+# Second routes to library results, kept here for cross-checking: they
+# reuse library pieces, so they check consistency rather than give
+# independent expected values.
+
+
+def kostant_poly_via_strata(gamma):
+    """K_gamma(t) recomputed from mu triangles: t^j counts strata of dimension j."""
+    counts = {}
+    for mu in mu_triangles(gamma):
+        j = stratum_dim(mu)
+        counts[j] = counts.get(j, 0) + 1
+    return IntPolynomial(tuple(counts.get(j, 0) for j in range(max(counts) + 1)))
+
+
+def transformed(lat, matrix):
+    """Image of the lattice under a constant invertible change of coordinates.
+
+    matrix is a rank x rank array of F_q scalars acting on coordinates from
+    the left; the image basis is recanonicalized. For chain-level use the
+    matrix must preserve the coordinate flag, i.e. be upper triangular, so
+    that its leading principal blocks act consistently on every rank.
+    """
+    k, q = lat.rank, lat.q
+    gens = []
+    for col in lat.cols:
+        vec = []
+        for i in range(k):
+            acc = gf.ZERO
+            for r in range(k):
+                if matrix[i][r] % q:
+                    acc = gf.add(acc, gf.scale(col[r], matrix[i][r], q), q)
+            vec.append(acc)
+        gens.append(tuple(vec))
+    return Lattice.from_generators(k, q, gens)
+
+
+def shift(a, d):
+    """Multiply the F_q[z] polynomial a by z**d."""
+    if not a:
+        return gf.ZERO
+    return (0,) * d + a
+
+
+def valuation(a):
+    """Order of vanishing of a at z = 0, None for the zero polynomial."""
+    for i, c in enumerate(a):
+        if c:
+            return i
+    return None

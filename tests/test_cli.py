@@ -1,11 +1,21 @@
+import hashlib
 import json
+import os
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 from quasiflags.cli import ic_stalk_table_from_json, main, stratum_records_from_json
 from quasiflags.partitions import GammaPartition
 from quasiflags.roots import GammaVec
 from quasiflags.strata import enumerate_strata, ic_stalk_table
+
+
+ROOT = Path(__file__).resolve().parents[1]
+# exit code and stdout SHA-256 of every argv the benchmark runs, recorded
+# at a known-good commit
+RECORDED = json.loads((ROOT / "bench" / "cli_digests.json").read_text())
 
 
 def run_cli(capsys, *argv):
@@ -278,3 +288,36 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "1 + t\n"
+
+
+def test_oracle_q_outside_allowed_primes_is_classified_quickly(capsys):
+    argv = ("fiber-count", "--n", "3", "--gamma", "1,1", "--q")
+    assert run_cli(capsys, *argv, "4")[0] == 2
+    assert run_cli(capsys, *argv, "5")[0] == 3
+    start = time.perf_counter()
+    assert run_cli(capsys, *argv, "1000000000000000000000007")[0] == 3  # prime
+    assert run_cli(capsys, *argv, str(1000000000000000000000007 * 1000003))[0] == 2
+    assert time.perf_counter() - start < 1.0
+
+
+def test_output_matches_recorded_digests(capsys):
+    differ = []
+    for key, want in sorted(RECORDED.items()):
+        # split(" ") keeps the empty argument of `--parts ""`
+        code, out, _ = run_cli(capsys, *key.split(" "))
+        if (code, hashlib.sha256(out.encode()).hexdigest()) != (want["exit"], want["sha256"]):
+            differ.append(key)
+    assert differ == []
+
+
+def test_output_does_not_depend_on_hash_seed():
+    for argv in (
+        ["strata", "--n", "4", "--alpha", "2,1,1", "--format", "json"],
+        ["fiber-count", "--n", "3", "--gamma", "2,1", "--q", "2", "--verify", "--format", "csv"],
+    ):
+        outputs = set()
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(ROOT / "src"))
+            cmd = [sys.executable, "-m", "quasiflags", *argv]
+            outputs.add(subprocess.run(cmd, env=env, capture_output=True, check=True).stdout)
+        assert len(outputs) == 1, argv

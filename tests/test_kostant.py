@@ -1,13 +1,8 @@
 import pytest
 
 import helpers
-from quasiflags.kostant import (
-    ONE,
-    IntPolynomial,
-    fiber_poincare,
-    kostant_poly,
-    kostant_poly_via_strata,
-)
+from quasiflags.kostant import ONE, IntPolynomial, fiber_poincare, kostant_poly
+from quasiflags.limits import CapExceededError, Caps
 from quasiflags.partitions import GammaPartition, gamma_partitions
 from quasiflags.roots import GammaVec, gamma_as_coroot
 
@@ -63,13 +58,23 @@ def test_hand_values():
 
 def test_zero_vector():
     assert kostant_poly(GammaVec((0, 0))).coeffs == (1,)
-    assert kostant_poly_via_strata(GammaVec((0, 0, 0))).coeffs == (1,)
+    assert helpers.kostant_poly_via_strata(GammaVec((0, 0, 0))).coeffs == (1,)
+
+
+def test_cached_result_still_obeys_strict_caps():
+    gamma = GammaVec((3, 3, 3))
+    poly = kostant_poly(gamma, caps=Caps(max_length=9))
+    assert poly.eval_at(1) == helpers.kostant_count(4, gamma)
+    with pytest.raises(CapExceededError):
+        kostant_poly(gamma, caps=Caps(max_length=8))
+    with pytest.raises(CapExceededError):
+        kostant_poly(gamma, caps=Caps(max_rank=3))
 
 
 def test_two_paths_agree():
     for n in (2, 3, 4):
         for gamma in helpers.vectors_with_length_at_most(n, 4):
-            assert kostant_poly(gamma) == kostant_poly_via_strata(gamma), gamma
+            assert kostant_poly(gamma) == helpers.kostant_poly_via_strata(gamma), gamma
 
 
 def test_value_at_one_counts_partitions():

@@ -1,9 +1,11 @@
+import math
 from collections import Counter
 
 import pytest
 
 import helpers
 import quasiflags.gfpoly as gf
+import quasiflags.oracle as oracle
 from quasiflags.limits import CapExceededError, Caps
 from quasiflags.oracle import (
     FlagChain,
@@ -14,7 +16,6 @@ from quasiflags.oracle import (
     enumerate_lattices,
     fiber_point_count,
     mu_invariants,
-    transformed,
     verify_against_kostant,
 )
 from quasiflags.partitions import mu_triangles
@@ -47,7 +48,7 @@ def test_every_lattice_contains_scaled_ambient():
         for k in (1, 2, 3):
             for c in (0, 1, 2):
                 shifted = [
-                    tuple(gf.shift(e, c) for e in col) for col in Lattice.full(k, q).cols
+                    tuple(helpers.shift(e, c) for e in col) for col in Lattice.full(k, q).cols
                 ]
                 zc = Lattice.from_generators(k, q, shifted)
                 assert zc.diag == (c,) * k
@@ -101,6 +102,28 @@ def test_from_generators_rejects_bad_spans():
         Lattice.from_generators(1, 2, [((1, 1),)])  # ideal (1+z) is not z-local
     with pytest.raises(ValueError):
         Lattice.from_generators(2, 2, [((1,), (), ())])  # wrong vector length
+    with pytest.raises(ValueError):
+        Lattice.from_generators(2, 1, [((1,), (1,)), ((0, 1), (1, 1))])  # q = 1
+
+
+def test_prime_check_matches_trial_division():
+    def is_prime(q):
+        return q > 1 and all(q % d for d in range(2, int(q**0.5) + 1))
+
+    for q in range(-1, 3000):
+        try:
+            Lattice.full(1, q)
+        except ValueError:
+            assert not is_prime(q), q
+        else:
+            assert is_prime(q), q
+    # strong pseudoprimes to the first 4, 9 and 12 prime bases
+    for factors in ((151, 751, 28351), (149491, 747451, 34233211), (399165290221, 798330580441)):
+        assert all(is_prime(f) for f in factors)
+        with pytest.raises(ValueError):
+            Lattice.full(1, math.prod(factors))
+    for q in (2**61 - 1, 2**89 - 1):
+        assert Lattice.full(1, q).q == q
 
 
 def test_from_generators_redundant_set():
@@ -190,6 +213,17 @@ def test_mu_lands_in_expected_set():
             assert mu_invariants(chain) in expected
 
 
+def test_mu_outside_the_predicted_list_is_reported(monkeypatch):
+    gamma = GammaVec((2, 1))
+    dropped, *kept = mu_triangles(gamma)
+    monkeypatch.setattr(oracle, "mu_triangles", lambda gamma, caps: list(kept))
+    fc = fiber_point_count(3, gamma, 2)
+    assert list(fc.buckets) == kept + [dropped]
+    report = verify_against_kostant(3, gamma, 2)
+    assert report.unexpected_mu == (dropped,) and report.missing_mu == ()
+    assert not report.passed
+
+
 def test_verify_small_grid():
     cases = [(2, (1,)), (2, (3,)), (3, (1, 1)), (3, (2, 1)), (4, (1, 1, 1))]
     for q in (2, 3):
@@ -219,7 +253,7 @@ def test_flag_transform_invariance():
         moved = set()
         for chain in chains:
             lats = tuple(
-                transformed(lat, [row[: lat.rank] for row in mat[: lat.rank]])
+                helpers.transformed(lat, [row[: lat.rank] for row in mat[: lat.rank]])
                 for lat in chain.lattices
             )
             moved.add(FlagChain(n=n, q=q, gamma=gamma, lattices=lats))

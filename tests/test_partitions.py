@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings
 
 import helpers
 from quasiflags.limits import CapExceededError, Caps
@@ -237,6 +238,15 @@ def test_gamma_partitions_canonical_and_complete():
                 assert keys == sorted(keys, reverse=True)
                 assert p not in seen
                 seen.add(p)
+
+
+@settings(derandomize=True, deadline=None)
+@given(helpers.small_alphas())
+def test_gamma_partitions_count_and_order(alpha):
+    partitions = gamma_partitions(alpha)
+    assert len(partitions) == helpers.vector_partition_count(alpha.coeffs)
+    keys = [tuple(part.coeffs for part in p.parts) for p in partitions]
+    assert all(a > b for a, b in zip(keys, keys[1:]))
 
 
 def test_gamma_partition_of_normalizes():

@@ -1,6 +1,7 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
 
 import helpers
 from quasiflags.partitions import GammaPartition, gamma_partitions
@@ -94,6 +95,17 @@ def test_atlas_covers_index_set_exactly_once():
             for beta_coeffs in product(*(range(a + 1) for a in alpha.coeffs)):
                 expected += len(gamma_partitions(alpha - GammaVec(beta_coeffs)))
             assert len(recs) == expected
+
+
+@settings(derandomize=True, deadline=None)
+@given(helpers.small_alphas())
+def test_atlas_size_matches_independent_count(alpha):
+    box = product(*(range(a + 1) for a in alpha.coeffs))
+    expected = sum(
+        helpers.vector_partition_count(tuple(a - b for a, b in zip(alpha.coeffs, beta)))
+        for beta in box
+    )
+    assert len(enumerate_strata(alpha.n, alpha)) == expected
 
 
 def test_smallness_pass_with_margin():
