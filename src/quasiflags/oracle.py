@@ -15,12 +15,12 @@ killed by a power of z, i.e. all defect is concentrated at z = 0. Its
 *colength* is that length, and a colength-c lattice always contains
 z^c * R^k.
 
-Every lattice has exactly one canonical basis, stored as the columns of a
-lower-triangular k x k matrix B:
+Every lattice has exactly one canonical basis, stored as the columns of an
+upper-triangular k x k matrix B:
 
   * B[j][j] = z^(d_j), a monic power of z (the pivot of column j);
-  * B[i][j] = 0 for i < j (nothing above the pivot);
-  * for i > j the entry B[i][j] is reduced modulo the pivot of *row* i,
+  * B[i][j] = 0 for i > j (nothing below the pivot);
+  * for i < j the entry B[i][j] is reduced modulo the pivot of *row* i,
     i.e. deg B[i][j] < d_i.
 
 The colength is d_1 + ... + d_k. Existence follows from column reduction
@@ -28,19 +28,25 @@ over R; uniqueness of this exact reduction rule is proved exhaustively in
 the test suite by double enumeration against an independent linear-algebra
 enumeration of z-stable subspaces.
 
+A member of L with zero trailing k - m coordinates has zero coefficients
+on the last k - m columns (read the pivots from the bottom row up), so the
+leading m x m block is the canonical basis of L n R^m. A rank-k basis is
+thus its *lead*, the block for m = k - 1, plus a last column: a pivot z^d
+under free residues modulo the lead's pivots.
+
 A FlagChain is a sequence L_1 c L_2 c ... c L_{n-1} with L_k of rank k and
 prescribed colength c_k, where rank k sits inside rank k+1 as the first k
-coordinates. Its mu invariants are the colengths of the intersections
-L_p n R^q, computed by exact elimination (no truncation, no fraction
-field); bucketing chains by mu and comparing with the predicted counts
-q^stratum_dim is what verify_against_kostant does.
+coordinates, so L_k c L_{k+1} exactly when L_k lies in the lead of L_{k+1}.
+Its mu invariants, the colengths of L_p n R^q, are the pivot prefix sums
+d_1 + ... + d_q; bucketing chains by mu and comparing with the predicted
+counts q^stratum_dim is what verify_against_kostant does.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import product
+from itertools import accumulate, product
 
 from . import gfpoly as gf
 from .gfpoly import Poly
@@ -50,6 +56,7 @@ from .partitions import Triangle, mu_triangles, stratum_dim
 from .roots import GammaVec
 
 Column = tuple[Poly, ...]
+Basis = tuple[Column, ...]
 
 
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -85,7 +92,7 @@ def _require_prime(q: int) -> None:
 
 @dataclass(frozen=True)
 class Lattice:
-    """A finite-colength submodule of R^rank in canonical triangular form.
+    """A finite-colength submodule of R^rank in canonical upper-triangular form.
 
     cols[j][i] is the row-i entry of basis column j. The constructor insists
     on the canonical shape, so distinct Lattice values are distinct
@@ -94,7 +101,7 @@ class Lattice:
 
     rank: int
     q: int
-    cols: tuple[Column, ...]
+    cols: Basis
 
     def __post_init__(self) -> None:
         _require_prime(self.q)
@@ -111,17 +118,16 @@ class Lattice:
                     raise ValueError("polynomials must be trimmed")
         diag = []
         for j, col in enumerate(self.cols):
-            if any(col[i] for i in range(j)):
-                raise ValueError("entries above the pivot must vanish")
+            if any(col[j + 1 :]):
+                raise ValueError("entries below the pivot must vanish")
             if not gf.is_z_power(col[j]):
                 raise ValueError(f"pivot of column {j} must be a monic power of z")
-            diag.append(gf.degree(col[j]))
-        for j, col in enumerate(self.cols):
-            for i in range(j + 1, k):
+            for i in range(j):
                 if gf.degree(col[i]) >= diag[i]:
                     raise ValueError(
                         f"entry at row {i}, column {j} is not reduced modulo its row pivot"
                     )
+            diag.append(gf.degree(col[j]))
 
     @property
     def diag(self) -> tuple[int, ...]:
@@ -155,7 +161,7 @@ class Lattice:
         return "; ".join(rows)
 
 
-def _diag(cols: tuple[Column, ...]) -> tuple[int, ...]:
+def _diag(cols: Basis) -> tuple[int, ...]:
     return tuple(gf.degree(col[j]) for j, col in enumerate(cols))
 
 
@@ -206,12 +212,12 @@ def _pivot_row(columns: list[Column], row: int, q: int) -> tuple[Column | None, 
     return pivot, rest
 
 
-def _canonical_columns(gens: list[Column], k: int, q: int) -> tuple[Column, ...]:
+def _canonical_columns(gens: list[Column], k: int, q: int) -> Basis:
     if any(len(col) != k for col in gens):
         raise ValueError("generator length does not match the rank")
     work = list(gens)
-    basis: list[list[Poly]] = []
-    for row in range(k):
+    basis: list[Column] = []
+    for row in range(k - 1, -1, -1):
         pivot, work = _pivot_row(work, row, q)
         if pivot is None:
             raise ValueError("generators do not span a full-rank submodule")
@@ -219,74 +225,68 @@ def _canonical_columns(gens: list[Column], k: int, q: int) -> tuple[Column, ...]
         pivot = tuple(gf.scale(entry, pow(lead[-1], -1, q), q) for entry in pivot)
         if not gf.is_z_power(pivot[row]):
             raise ValueError("span is not z-local: a pivot ideal is not a power of z")
-        basis.append(list(pivot))
+        # reduce this row of the later columns modulo z^d; only rows above change later
+        d = gf.degree(pivot[row])
+        for j, col in enumerate(basis):
+            quo = col[row][d:]
+            if quo:
+                basis[j] = tuple(gf.sub(bc, gf.mul(quo, pc, q), q) for bc, pc in zip(col, pivot))
+        basis.insert(0, pivot)
     # whatever remains was a dependent combination and must have died
     for col in work:
         if any(col):
             raise AssertionError("leftover generator survived triangularization")
-    diag = [gf.degree(basis[j][j]) for j in range(k)]
-    # reduce below-pivot entries modulo their row pivots, top to bottom
-    for j in range(k):
-        for i in range(j + 1, k):
-            quo, _ = gf.divmod_poly(basis[j][i], gf.monomial(diag[i]), q)
-            if quo:
-                basis[j] = [
-                    gf.sub(bj, gf.mul(quo, bi, q), q) for bj, bi in zip(basis[j], basis[i])
-                ]
-    return tuple(tuple(col) for col in basis)
+    return tuple(basis)
 
 
-def _compositions(total: int, parts: int):
-    """Weak compositions in decreasing lexicographic order."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total, -1, -1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
+def _extensions(lead: Basis, d: int, q: int):
+    """Every canonical basis with leading block lead and last pivot z^d."""
+    grown = tuple(col + (gf.ZERO,) for col in lead)
+    # row i takes every residue modulo z^(d_i), in lexicographic coefficient order
+    pools = [[gf.trim(cs) for cs in product(range(q), repeat=d_i)] for d_i in _diag(lead)]
+    for above in product(*pools):
+        yield grown + (above + (gf.monomial(d),),)
 
 
-def _polys_below(d: int, q: int) -> list[Poly]:
-    """All residues modulo z^d, in lexicographic coefficient order."""
-    return [gf.trim(cs) for cs in product(range(q), repeat=d)]
+def _lattice_columns(rank: int, colength: int, q: int) -> list[Basis]:
+    """Canonical bases of every lattice, grown rank by rank from their leads."""
+    if rank == 0:
+        return [()] if colength == 0 else []
+    return [
+        cols
+        for c in range(colength, -1, -1)
+        for lead in _lattice_columns(rank - 1, c, q)
+        for cols in _extensions(lead, colength - c, q)
+    ]
+
+
+def _check_volume(rank: int, colength: int, q: int, caps: Caps) -> None:
+    # N_k(c) = sum over c' <= c of q^c' * N_(k-1)(c'): q^c' last columns per lead
+    counts = [1] + [0] * colength  # rank 0: only the empty basis
+    for _ in range(rank):
+        counts = list(accumulate(q**c * count for c, count in enumerate(counts)))
+    if counts[colength] > caps.max_lattice_volume:
+        raise CapExceededError(
+            f"{counts[colength]} candidate lattices exceed the volume cap {caps.max_lattice_volume}"
+        )
 
 
 def enumerate_lattices(rank: int, colength: int, q: int, *, caps: Caps = DEFAULT_CAPS) -> list[Lattice]:
     """Every lattice of the given rank and colength, each exactly once.
 
-    Pivot exponent vectors run in decreasing lexicographic order, and for
-    each the free below-pivot entries run through all residues modulo the
-    row pivots. Because the canonical form is unique, distinct emitted
-    matrices are distinct lattices and the list is exhaustive.
+    Lattices are grouped by the colength of their lead, largest first, the
+    leads in this order one rank down, and the free last-column entries run
+    through all residues modulo the lead's pivots in lexicographic order.
+    Because the canonical form is unique, distinct emitted matrices are
+    distinct lattices and the list is exhaustive.
     """
     _require_prime(q)
     if not isinstance(rank, int) or rank < 1:
         raise ValueError(f"rank must be a positive integer, got {rank!r}")
     if not isinstance(colength, int) or colength < 0:
         raise ValueError(f"colength must be a nonnegative integer, got {colength!r}")
-    volume = sum(
-        q ** sum(i * d for i, d in enumerate(diag))
-        for diag in _compositions(colength, rank)
-    )
-    if volume > caps.max_lattice_volume:
-        raise CapExceededError(
-            f"{volume} candidate lattices exceed the volume cap {caps.max_lattice_volume}"
-        )
-    out = []
-    for diag in _compositions(colength, rank):
-        free = [(i, j) for j in range(rank) for i in range(j + 1, rank) if diag[i] > 0]
-        pools = [_polys_below(diag[i], q) for i, _ in free]
-        for assignment in product(*pools):
-            entries = dict(zip(free, assignment))
-            cols = tuple(
-                tuple(
-                    gf.monomial(diag[j]) if i == j else entries.get((i, j), gf.ZERO)
-                    for i in range(rank)
-                )
-                for j in range(rank)
-            )
-            out.append(Lattice(rank, q, cols))
-    return out
+    _check_volume(rank, colength, q, caps)
+    return [Lattice(rank, q, cols) for cols in _lattice_columns(rank, colength, q)]
 
 
 def contains(outer: Lattice, inner: Lattice) -> bool:
@@ -294,53 +294,36 @@ def contains(outer: Lattice, inner: Lattice) -> bool:
 
     inner may have smaller rank; its vectors are read inside the outer
     module via the first-coordinates embedding. Membership is decided by
-    forward substitution against the triangular basis, where each step needs
+    back substitution against the triangular basis, where each step needs
     an exact division by the pivot z^(d_i).
     """
     if inner.q != outer.q:
         raise ValueError("lattices live over different fields")
     if inner.rank > outer.rank:
-        raise ValueError(
-            f"inner rank {inner.rank} exceeds outer rank {outer.rank}"
-        )
-    q = outer.q
-    k = outer.rank
-    diag = outer.diag
-    for col in inner.cols:
-        v = list(col) + [gf.ZERO] * (k - inner.rank)
-        for i in range(k):
+        raise ValueError(f"inner rank {inner.rank} exceeds outer rank {outer.rank}")
+    return _contains(outer.cols, inner.cols, outer.q)
+
+
+def _contains(outer: Basis, inner: Basis, q: int) -> bool:
+    k = len(outer)
+    for col in inner:
+        v = list(col) + [gf.ZERO] * (k - len(col))
+        for i in range(k - 1, -1, -1):
             if not v[i]:
                 continue
-            quo = gf.div_z_power(v[i], diag[i])
+            quo = gf.div_z_power(v[i], gf.degree(outer[i][i]))
             if quo is None:
                 return False
-            for r in range(i, k):
-                v[r] = gf.sub(v[r], gf.mul(quo, outer.cols[i][r], q), q)
+            for r in range(i + 1):
+                v[r] = gf.sub(v[r], gf.mul(quo, outer[i][r], q), q)
     return True
 
 
 def coordinate_intersection(lat: Lattice, m: int) -> Lattice:
-    """The lattice L n R^m inside the first m coordinates.
-
-    Elimination from the bottom row up concentrates each of the rows
-    m..rank-1 into one column and discards it; the surviving columns are a
-    basis of the kernel of the projection onto the trailing coordinates,
-    supported entirely in the leading m. Canonicalizing their truncations
-    gives the intersection.
-    """
+    """The lattice L n R^m inside the first m coordinates: the leading m x m block."""
     if not 1 <= m <= lat.rank:
         raise ValueError(f"coordinate count must be in 1..{lat.rank}, got {m}")
-    if m == lat.rank:
-        return lat
-    return Lattice(m, lat.q, _intersection_columns(lat, m))
-
-
-def _intersection_columns(lat: Lattice, m: int) -> tuple[Column, ...]:
-    """Canonical columns of L n R^m for m < rank, with no Lattice built."""
-    active = list(lat.cols)
-    for row in range(lat.rank - 1, m - 1, -1):
-        _, active = _pivot_row(active, row, lat.q)
-    return _canonical_columns([col[:m] for col in active], m, lat.q)
+    return Lattice(m, lat.q, tuple(col[:m] for col in lat.cols[:m]))
 
 
 @dataclass(frozen=True)
@@ -372,6 +355,11 @@ class FlagChain:
 
 
 def _check_oracle_caps(n: int, gamma: GammaVec, q: int, caps: Caps) -> None:
+    # refused before the primality test, which takes seconds at thousands of bits
+    if isinstance(q, int) and q.bit_length() > 1024 and q not in caps.oracle_primes:
+        raise CapExceededError(
+            f"q of {q.bit_length()} bits is not among the allowed primes {caps.oracle_primes}"
+        )
     _require_prime(q)
     if not isinstance(n, int) or n < 2:
         raise ValueError(f"rank parameter n must be an integer >= 2, got {n!r}")
@@ -391,38 +379,47 @@ def enumerate_fiber_chains(
     n: int, gamma: GammaVec, q: int, *, caps: Caps = DEFAULT_CAPS
 ) -> list[FlagChain]:
     """All flag chains over F_q with colength profile gamma, layer by layer."""
-    return [FlagChain(n=n, q=q, gamma=gamma, lattices=c) for c in _nested_chains(n, gamma, q, caps)]
+    return [
+        FlagChain(n, q, gamma, tuple(Lattice(k, q, cols) for k, cols in enumerate(chain, start=1)))
+        for chain in _nested_chains(n, gamma, q, caps)
+    ]
 
 
-def _nested_chains(n: int, gamma: GammaVec, q: int, caps: Caps) -> list[tuple[Lattice, ...]]:
-    """enumerate_fiber_chains as bare lattice tuples, nested by construction."""
+def _nested_chains(n: int, gamma: GammaVec, q: int, caps: Caps) -> list[tuple[Basis, ...]]:
+    """enumerate_fiber_chains as bare canonical bases, nested by construction.
+
+    L_k is an extension of a lead that contains L_(k-1); such a lead has
+    colength at most min(c_(k-1), c_k), so only those leads are tested.
+    """
     _check_oracle_caps(n, gamma, q, caps)
-    partial: list[tuple[Lattice, ...]] = [()]
+    profile = (0,) + gamma.coeffs
     for k in range(1, n):
-        layer = enumerate_lattices(k, gamma.coeff(k), q, caps=caps)
-        grown = []
-        for chain in partial:
-            prev = chain[-1] if chain else None
-            for lat in layer:
-                if prev is None or contains(lat, prev):
-                    grown.append(chain + (lat,))
-        partial = grown
+        _check_volume(k, profile[k], q, caps)
+    partial: list[tuple[Basis, ...]] = [()]
+    for k in range(1, n):
+        leads = [
+            (lead, profile[k] - c)
+            for c in range(min(profile[k - 1], profile[k]), -1, -1)
+            for lead in _lattice_columns(k - 1, c, q)
+        ]
+        partial = [
+            chain + (cols,)
+            for chain in partial
+            for lead, d in leads
+            if not chain or _contains(lead, chain[-1], q)
+            for cols in _extensions(lead, d, q)
+        ]
     return partial
 
 
 def mu_invariants(chain: FlagChain) -> Triangle:
     """The mu triangle of a chain: mu_{pq} = colength of L_p n R^q."""
-    return Triangle(n=chain.n, kind="mu", rows=_mu_rows(chain.lattices))
+    return Triangle(n=chain.n, kind="mu", rows=_mu_rows(tuple(lat.cols for lat in chain.lattices)))
 
 
-def _mu_rows(lattices: tuple[Lattice, ...]) -> tuple[tuple[int, ...], ...]:
-    return tuple(
-        tuple(
-            lat.colength if q_ == p else sum(_diag(_intersection_columns(lat, q_)))
-            for q_ in range(1, p + 1)
-        )
-        for p, lat in enumerate(lattices, start=1)
-    )
+def _mu_rows(chain: tuple[Basis, ...]) -> tuple[tuple[int, ...], ...]:
+    # L_p n R^q is the leading q x q block, of colength d_1 + ... + d_q
+    return tuple(tuple(accumulate(_diag(cols))) for cols in chain)
 
 
 @dataclass

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import quasiflags.gfpoly as gf
 from quasiflags.kostant import IntPolynomial
-from quasiflags.oracle import Lattice
+from quasiflags.oracle import Lattice, contains, enumerate_lattices
 from quasiflags.partitions import mu_triangles, stratum_dim
 from quasiflags.roots import GammaVec, interval_to_gamma, positive_coroots
 
@@ -160,6 +160,16 @@ def lattice_memberset(lat, c):
     return frozenset(members)
 
 
+def intersection_colength(lat, m, c):
+    """Colength of L n R^m, counted from the members of L modulo z^c.
+
+    For c >= colength(L) the members whose trailing rank - m blocks vanish
+    are (L n R^m) / z^c R^m, a set of q^(m*c - colength) vectors.
+    """
+    kept = sum(1 for vec in lattice_memberset(lat, c) if not any(any(b) for b in vec[m:]))
+    return m * c - next(e for e in range(m * c + 1) if lat.q**e == kept)
+
+
 def vector_partition_count(alpha):
     """Number of multisets of nonzero vectors summing to alpha (a tuple).
 
@@ -192,6 +202,21 @@ def kostant_poly_via_strata(gamma):
         j = stratum_dim(mu)
         counts[j] = counts.get(j, 0) + 1
     return IntPolynomial(tuple(counts.get(j, 0) for j in range(max(counts) + 1)))
+
+
+def product_filtered_chains(n, gamma, q):
+    """Flag chains as nested lattice tuples, by filtering the product of layers.
+
+    Every lattice of rank k and colength c_k is tested against every
+    partial chain, with no use of the leading-block structure.
+    """
+    partial = [()]
+    for k in range(1, n):
+        layer = enumerate_lattices(k, gamma.coeff(k), q)
+        partial = [
+            chain + (lat,) for chain in partial for lat in layer if not chain or contains(lat, chain[-1])
+        ]
+    return partial
 
 
 def transformed(lat, matrix):

@@ -297,6 +297,19 @@ def test_oracle_q_outside_allowed_primes_is_classified_quickly(capsys):
     start = time.perf_counter()
     assert run_cli(capsys, *argv, "1000000000000000000000007")[0] == 3  # prime
     assert run_cli(capsys, *argv, str(1000000000000000000000007 * 1000003))[0] == 2
+    assert run_cli(capsys, *argv, str(2**4423 - 1))[0] == 3  # prime, 1,332 digits
+    assert time.perf_counter() - start < 1.0
+
+
+def test_volume_cap_fires_before_any_enumeration(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys,
+        "fiber-count", "--n", "8", "--gamma", "0,0,0,0,0,0,30", "--q", "2",
+        "--cap-oracle-rank", "8", "--cap-oracle-length", "30",
+    )
+    assert code == 3 and out == ""
+    assert "exceed the volume cap 1000000" in err
     assert time.perf_counter() - start < 1.0
 
 

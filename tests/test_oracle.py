@@ -39,7 +39,7 @@ def test_rank_two_counts():
 
 def test_rank_two_colength_one_listing():
     lats = enumerate_lattices(2, 1, 2)
-    assert [lat.diag for lat in lats] == [(1, 0), (0, 1), (0, 1)]
+    assert [lat.diag for lat in lats] == [(1, 0), (1, 0), (0, 1)]
     assert len(set(lats)) == 3
 
 
@@ -81,18 +81,20 @@ def test_lattice_shape_validation():
     with pytest.raises(ValueError):
         Lattice(1, 3, (((2,),),))  # non-monic pivot
     with pytest.raises(ValueError):
-        Lattice(2, 2, ((one, ()), (one, one)))  # entry above the pivot
+        Lattice(2, 2, ((one, one), ((), one)))  # entry below the pivot
     with pytest.raises(ValueError):
-        Lattice(2, 2, ((z, z), ((), z)))  # below-pivot entry not reduced
+        Lattice(2, 2, ((z, ()), (z, z)))  # above-pivot entry not reduced
     with pytest.raises(ValueError):
         Lattice(1, 2, (((1, 0),),))  # untrimmed coefficients
     with pytest.raises(ValueError):
         Lattice(1, 4, ((one,),))  # composite q
     with pytest.raises(ValueError):
         Lattice(2, 2, ((one,),))  # not square
-    ok = Lattice(2, 2, ((z, one), ((), z)))
+    ok = Lattice(2, 2, ((z, ()), (one, z)))
     assert ok.diag == (1, 1)
     assert ok.colength == 2
+    # the same span{(z,0),(1,z)} from its lower-triangular basis
+    assert ok == Lattice.from_generators(2, 2, [(one, z), ((), (0, 0, 1))])
 
 
 def test_from_generators_rejects_bad_spans():
@@ -153,6 +155,7 @@ def test_contains_across_ranks():
     assert len(outers) == 1
     assert outers[0].diag == (0, 1)
     assert outers[0].cols[0][1] == gf.ZERO
+    assert outers[0] == Lattice.from_generators(2, 2, [((1,), ()), ((), (0, 1))])
 
 
 def test_contains_errors():
@@ -164,10 +167,12 @@ def test_contains_errors():
 
 def test_coordinate_intersection_hand_cases():
     # span{(1,1),(0,z)} meets the first coordinate line in z*R
-    lat = Lattice(2, 2, (((1,), (1,)), ((), (0, 1))))
+    lat = Lattice(2, 2, (((0, 1), ()), ((1,), (1,))))
+    assert lat == Lattice.from_generators(2, 2, [((1,), (1,)), ((), (0, 1))])
     assert coordinate_intersection(lat, 1).diag == (1,)
     # span{(1,0),(0,z)} contains the whole line
     lat0 = Lattice(2, 2, (((1,), ()), ((), (0, 1))))
+    assert lat0 == Lattice.from_generators(2, 2, [((1,), ()), ((), (0, 1))])
     assert coordinate_intersection(lat0, 1).diag == (0,)
     assert coordinate_intersection(lat, 2) == lat
     with pytest.raises(ValueError):
@@ -176,12 +181,36 @@ def test_coordinate_intersection_hand_cases():
         coordinate_intersection(lat, 3)
 
 
+def test_intersection_colength_from_members():
+    # the leading block and the mu prefix sum against a count of members
+    cases = [(k, c, 2) for k in (1, 2, 3) for c in (0, 1, 2)] + [(2, c, 3) for c in (0, 1, 2)]
+    checked = 0
+    for k, c, q in cases:
+        for lat in enumerate_lattices(k, c, q):
+            for m in range(1, k + 1):
+                want = helpers.intersection_colength(lat, m, c)
+                assert coordinate_intersection(lat, m).colength == want
+                assert sum(lat.diag[:m]) == want
+                checked += 1
+    assert checked == 190
+
+
 def test_coordinate_intersection_monotone():
     # R^m / (L n R^m) embeds in R^(m+1) / L, so colengths weakly increase
     for lat in enumerate_lattices(3, 2, 2):
         vals = [coordinate_intersection(lat, m).colength for m in (1, 2, 3)]
         assert vals[2] == lat.colength
         assert vals[0] <= vals[1] <= vals[2]
+
+
+def test_chains_match_product_filter():
+    for q in (2, 3):
+        for n in (2, 3, 4):
+            for gamma in helpers.vectors_with_length_at_most(n, 3):
+                chains = enumerate_fiber_chains(n, gamma, q)
+                filtered = helpers.product_filtered_chains(n, gamma, q)
+                assert len(chains) == len(filtered)
+                assert {chain.lattices for chain in chains} == set(filtered), (n, gamma, q)
 
 
 def test_chain_counts_match_hand_values():
@@ -290,9 +319,21 @@ def test_oracle_caps():
         enumerate_lattices(4, 4, 3, caps=Caps(max_lattice_volume=10))
 
 
+def test_volume_cap_is_exact():
+    for q in (2, 3):
+        for k in (1, 2, 3):
+            for c in range(4):
+                volume = len(enumerate_lattices(k, c, q))
+                assert len(enumerate_lattices(k, c, q, caps=Caps(max_lattice_volume=volume))) == volume
+                with pytest.raises(CapExceededError):
+                    enumerate_lattices(k, c, q, caps=Caps(max_lattice_volume=volume - 1))
+
+
 def test_canonical_entries_fit_below_row_pivots():
     for lat in enumerate_lattices(3, 2, 2):
         diag = lat.diag
         for j, col in enumerate(lat.cols):
-            for i in range(j + 1, 3):
+            for i in range(j):
                 assert gf.degree(col[i]) < diag[i] <= lat.colength
+            for i in range(j + 1, 3):
+                assert col[i] == gf.ZERO
