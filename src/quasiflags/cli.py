@@ -17,8 +17,9 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .kostant import IntPolynomial, kostant_poly
 from .limits import Caps, DEFAULT_CAPS, CapExceededError
@@ -89,29 +90,11 @@ def _parse_parts(text: str, n: int) -> GammaPartition:
     return GammaPartition.of(n, parts)
 
 
-def _caps_from(args) -> Caps:
-    caps = DEFAULT_CAPS
-    overrides = {}
-    if args.cap_rank is not None:
-        overrides["max_rank"] = args.cap_rank
-    if args.cap_length is not None:
-        overrides["max_length"] = args.cap_length
-    if args.cap_oracle_rank is not None:
-        overrides["oracle_max_rank"] = args.cap_oracle_rank
-    if args.cap_oracle_length is not None:
-        overrides["oracle_max_length"] = args.cap_oracle_length
-    if args.cap_oracle_primes is not None:
-        try:
-            overrides["oracle_primes"] = tuple(
-                int(x) for x in args.cap_oracle_primes.split(",") if x.strip()
-            )
-        except ValueError:
-            raise UsageError(
-                f"--cap-oracle-primes must be comma-separated integers, got {args.cap_oracle_primes!r}"
-            ) from None
-    if args.cap_lattice_volume is not None:
-        overrides["max_lattice_volume"] = args.cap_lattice_volume
-    return replace(caps, **overrides) if overrides else caps
+def _int_list(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(x) for x in text.split(",") if x.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not comma-separated integers: {text!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -196,22 +179,28 @@ def _render_table(headers, rows) -> str:
     return "\n".join(lines)
 
 
+def _emit(text: str) -> None:
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone; send what is left, and the flush at exit, to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _finish(cfg, command, params, result, headers, rows, prefix=(), code=0) -> int:
     if cfg.fmt == "json":
         payload = {"command": command, "params": params, "result": result}
-        print(json.dumps(payload, indent=2))
+        _emit(json.dumps(payload, indent=2) + "\n")
     elif cfg.fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(headers)
         for row in rows:
             writer.writerow([str(c) for c in row])
-        sys.stdout.write(buf.getvalue())
+        _emit(buf.getvalue())
     else:
-        for line in prefix:
-            print(line)
-        if headers is not None:
-            print(_render_table(headers, rows))
+        _emit("".join(line + "\n" for line in (*prefix, _render_table(headers, rows))))
     return code
 
 
@@ -265,7 +254,7 @@ def _cmd_kostant(args, cfg) -> int:
     gamma = _parse_vector(args.gamma, n, "gamma")
     poly = kostant_poly(gamma, caps=cfg.caps)
     if cfg.fmt == "table":
-        print(str(poly))
+        _emit(f"{poly}\n")
         return 0
     params = {"n": n, "gamma": _vec_json(gamma)}
     result = {"coefficients": _poly_json(poly), "text": str(poly)}
@@ -447,12 +436,13 @@ HANDLERS = {
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("table", "json", "csv"), default="table")
-    common.add_argument("--cap-rank", type=int, default=None, metavar="N")
-    common.add_argument("--cap-length", type=int, default=None, metavar="L")
-    common.add_argument("--cap-oracle-rank", type=int, default=None, metavar="N")
-    common.add_argument("--cap-oracle-length", type=int, default=None, metavar="L")
-    common.add_argument("--cap-oracle-primes", type=str, default=None, metavar="Q,Q")
-    common.add_argument("--cap-lattice-volume", type=int, default=None, metavar="V")
+    # each cap flag stores into the Caps field of its dest
+    common.add_argument("--cap-rank", dest="max_rank", type=int, metavar="N")
+    common.add_argument("--cap-length", dest="max_length", type=int, metavar="L")
+    common.add_argument("--cap-oracle-rank", dest="oracle_max_rank", type=int, metavar="N")
+    common.add_argument("--cap-oracle-length", dest="oracle_max_length", type=int, metavar="L")
+    common.add_argument("--cap-oracle-primes", dest="oracle_primes", type=_int_list, metavar="Q,Q")
+    common.add_argument("--cap-lattice-volume", dest="max_lattice_volume", type=int, metavar="V")
 
     parser = argparse.ArgumentParser(
         prog="quasiflags",
@@ -507,8 +497,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
+    given = {f.name: v for f in fields(Caps) if (v := getattr(args, f.name)) is not None}
+    cfg = CliConfig(fmt=args.format, caps=replace(DEFAULT_CAPS, **given))
     try:
-        cfg = CliConfig(fmt=args.format, caps=_caps_from(args))
         return HANDLERS[args.command](args, cfg)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

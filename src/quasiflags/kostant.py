@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .limits import Caps, DEFAULT_CAPS, check_length, check_rank
-from .partitions import GammaPartition, kappa_partitions
-from .roots import GammaVec
+from .partitions import GammaPartition, _coroot_multiplicities
+from .roots import GammaVec, Interval
 
 
 @dataclass(frozen=True)
@@ -107,11 +107,11 @@ def kostant_poly(gamma: GammaVec, *, caps: Caps = DEFAULT_CAPS) -> IntPolynomial
 
 @lru_cache(maxsize=KOSTANT_CACHE_SIZE)
 def _kostant_poly(coeffs: tuple[int, ...]) -> IntPolynomial:
-    gamma = GammaVec(coeffs)
-    # the caller checked gamma against its caps; these admit exactly gamma
-    kappas = kappa_partitions(gamma, caps=Caps(max_rank=gamma.n, max_length=gamma.length))
-    counts = Counter(gamma.length - kappa.num_parts for kappa in kappas)
-    return IntPolynomial(tuple(counts[j] for j in range(gamma.length + 1)))
+    # the caller checked the caps; coroots in the (q, p) order of positive_coroots
+    n, length = len(coeffs) + 1, sum(coeffs)
+    coroots = [Interval(p, q) for q in range(1, n) for p in range(q, n)]
+    counts = Counter(length - sum(mults) for mults in _coroot_multiplicities(coroots, coeffs))
+    return IntPolynomial(tuple(counts[j] for j in range(length + 1)))
 
 
 def fiber_poincare(parts: GammaPartition, *, caps: Caps = DEFAULT_CAPS) -> IntPolynomial:

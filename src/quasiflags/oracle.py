@@ -38,8 +38,9 @@ A FlagChain is a sequence L_1 c L_2 c ... c L_{n-1} with L_k of rank k and
 prescribed colength c_k, where rank k sits inside rank k+1 as the first k
 coordinates, so L_k c L_{k+1} exactly when L_k lies in the lead of L_{k+1}.
 Its mu invariants, the colengths of L_p n R^q, are the pivot prefix sums
-d_1 + ... + d_q; bucketing chains by mu and comparing with the predicted
-counts q^stratum_dim is what verify_against_kostant does.
+d_1 + ... + d_q. fiber_point_count buckets chains by mu, under the oracle
+caps alone; verify_against_kostant, the one bridge to the partition
+calculus, compares the buckets with the predicted counts q^stratum_dim.
 """
 
 from __future__ import annotations
@@ -85,6 +86,9 @@ def _is_prime(q: int) -> bool:
 
 
 def _require_prime(q: int) -> None:
+    # refused before the test, which takes seconds at thousands of bits
+    if isinstance(q, int) and q.bit_length() > 1024:
+        raise CapExceededError(f"q of {q.bit_length()} bits exceeds the 1024-bit primality limit")
     # small primes such as the default q in {2, 3} skip the call
     if not isinstance(q, int) or not (q in _PRIME_BASES or _is_prime(q)):
         raise ValueError(f"q must be a prime, got {q!r}")
@@ -355,11 +359,6 @@ class FlagChain:
 
 
 def _check_oracle_caps(n: int, gamma: GammaVec, q: int, caps: Caps) -> None:
-    # refused before the primality test, which takes seconds at thousands of bits
-    if isinstance(q, int) and q.bit_length() > 1024 and q not in caps.oracle_primes:
-        raise CapExceededError(
-            f"q of {q.bit_length()} bits is not among the allowed primes {caps.oracle_primes}"
-        )
     _require_prime(q)
     if not isinstance(n, int) or n < 2:
         raise ValueError(f"rank parameter n must be an integer >= 2, got {n!r}")
@@ -373,6 +372,8 @@ def _check_oracle_caps(n: int, gamma: GammaVec, q: int, caps: Caps) -> None:
         )
     if q not in caps.oracle_primes:
         raise CapExceededError(f"q = {q} is not among the allowed primes {caps.oracle_primes}")
+    for k, colength in enumerate(gamma.coeffs, start=1):
+        _check_volume(k, colength, q, caps)
 
 
 def enumerate_fiber_chains(
@@ -393,8 +394,6 @@ def _nested_chains(n: int, gamma: GammaVec, q: int, caps: Caps) -> list[tuple[Ba
     """
     _check_oracle_caps(n, gamma, q, caps)
     profile = (0,) + gamma.coeffs
-    for k in range(1, n):
-        _check_volume(k, profile[k], q, caps)
     partial: list[tuple[Basis, ...]] = [()]
     for k in range(1, n):
         leads = [
@@ -424,7 +423,7 @@ def _mu_rows(chain: tuple[Basis, ...]) -> tuple[tuple[int, ...], ...]:
 
 @dataclass
 class FiberCount:
-    """Chain total plus the per-mu bucket counts, in canonical mu order."""
+    """Chain total plus the per-mu bucket counts, in mu order."""
 
     total: int
     buckets: dict[Triangle, int]
@@ -433,18 +432,19 @@ class FiberCount:
 def fiber_point_count(
     n: int, gamma: GammaVec, q: int, *, caps: Caps = DEFAULT_CAPS
 ) -> FiberCount:
-    """Count chains and bucket them by mu invariant.
+    """Count chains and bucket them by mu invariant, under the oracle caps only.
 
-    Buckets follow the canonical mu_triangles order; a mu showing up outside
-    that list would be a theory violation and is appended at the end rather
-    than dropped, so verify_against_kostant can report it.
+    Buckets are sorted by the entries below the diagonal read column by
+    column, the order of mu_triangles, without calling the calculus; a mu
+    that no coroot partition predicts is sorted in among the rest, and
+    verify_against_kostant reports it.
     """
     chains = _nested_chains(n, gamma, q, caps)
     raw = Counter(_mu_rows(chain) for chain in chains)
-    known = [mu for mu in mu_triangles(gamma, caps=caps) if mu.rows in raw]
-    unknown = sorted(raw.keys() - {mu.rows for mu in known})
-    mus = known + [Triangle(n=n, kind="mu", rows=rows) for rows in unknown]
-    return FiberCount(total=len(chains), buckets={mu: raw[mu.rows] for mu in mus})
+    # the diagonal is gamma's coefficients, so the entries below it decide the order
+    order = sorted(raw, key=lambda rows: [row[j] for j in range(n - 2) for row in rows[j + 1 :]])
+    buckets = {Triangle(n=n, kind="mu", rows=rows): raw[rows] for rows in order}
+    return FiberCount(total=len(chains), buckets=buckets)
 
 
 @dataclass(frozen=True)
@@ -491,17 +491,19 @@ class OracleReport:
 def verify_against_kostant(
     n: int, gamma: GammaVec, q: int, *, caps: Caps = DEFAULT_CAPS
 ) -> OracleReport:
-    """Compare the oracle with the partition calculus on three points.
+    """Compare the oracle with the partition calculus, the one bridge between them.
 
-    (a) the chain total must equal K_gamma(q); (b) the bucket keys must be
-    exactly the mu triangles of gamma's coroot partitions; (c) each bucket
-    must hold q^stratum_dim(mu) chains. Any discrepancy lands in the report
-    with its witnesses; nothing is swallowed.
+    The oracle caps and then the calculus caps are checked before the first
+    chain. Then (a) the chain total must equal K_gamma(q); (b) the bucket keys
+    must be exactly the mu triangles of gamma's coroot partitions; (c) each
+    bucket must hold q^stratum_dim(mu) chains. Any discrepancy lands in the
+    report with its witnesses; nothing is swallowed.
     """
-    count = fiber_point_count(n, gamma, q, caps=caps)
+    _check_oracle_caps(n, gamma, q, caps)
     expected_mus = mu_triangles(gamma, caps=caps)
     expected_set = set(expected_mus)
     total_expected = kostant_poly(gamma, caps=caps).eval_at(q)
+    count = fiber_point_count(n, gamma, q, caps=caps)
     missing = tuple(mu for mu in expected_mus if mu not in count.buckets)
     unexpected = tuple(mu for mu in count.buckets if mu not in expected_set)
     checks = tuple(

@@ -286,7 +286,12 @@ def mu_to_kappa(mu: Triangle, gamma: GammaVec) -> KappaPartition:
 
 
 def mu_triangles(gamma: GammaVec, *, caps: Caps = DEFAULT_CAPS) -> list[Triangle]:
-    """The mu triangles of all coroot partitions of gamma, in kappa order."""
+    """The mu triangles of all coroot partitions of gamma, in kappa order.
+
+    That is increasing order of the entries below the diagonal read column by
+    column: multiplicities are tried largest first in (q, p) order, and with
+    the earlier ones fixed, mu_{p+1,q} is a fixed amount minus kappa_{pq}.
+    """
     return [nu_to_mu(kappa_to_nu(k)) for k in kappa_partitions(gamma, caps=caps)]
 
 

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -6,7 +8,10 @@ import sys
 import time
 from pathlib import Path
 
-from quasiflags.cli import ic_stalk_table_from_json, main, stratum_records_from_json
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from quasiflags.cli import HANDLERS, ic_stalk_table_from_json, main, stratum_records_from_json
 from quasiflags.partitions import GammaPartition
 from quasiflags.roots import GammaVec
 from quasiflags.strata import enumerate_strata, ic_stalk_table
@@ -299,6 +304,75 @@ def test_oracle_q_outside_allowed_primes_is_classified_quickly(capsys):
     assert run_cli(capsys, *argv, str(1000000000000000000000007 * 1000003))[0] == 2
     assert run_cli(capsys, *argv, str(2**4423 - 1))[0] == 3  # prime, 1,332 digits
     assert time.perf_counter() - start < 1.0
+
+
+def test_plain_fiber_count_obeys_the_oracle_caps_alone(capsys):
+    argv = ("fiber-count", "--n", "9", "--gamma", "0,0,0,0,0,0,0,1", "--q", "2")
+    argv += ("--cap-oracle-rank", "9")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out.splitlines()[0] == "total 1"
+    # --verify also checks the calculus caps, whose rank cap is 8
+    code, out, err = run_cli(capsys, *argv, "--verify")
+    assert code == 3 and out == ""
+    assert "rank cap 8" in err
+
+
+def test_broken_pipe_exits_as_an_unbroken_run():
+    argv = ["strata", "--n", "4", "--alpha", "3,3,3", "--format", "json"]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    cmd = [sys.executable, "-m", "quasiflags", *argv]
+    proc = subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(1) == b"{"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 0
+    assert b"Traceback" not in err
+
+
+def _vector(draw, n):
+    # mostly n - 1 entries in 0..2; sometimes a wrong count, a negative or garbage entry
+    size = draw(st.sampled_from([max(n - 1, 0)] * 6 + [0, 1, max(n, 0)]))
+    entry = st.sampled_from(["0", "1", "2"] * 8 + ["-1", "x", "", " ", "1.5", "+1"])
+    return ",".join(draw(st.lists(entry, min_size=size, max_size=size)))
+
+
+@st.composite
+def cli_argvs(draw):
+    command = draw(st.sampled_from(sorted(HANDLERS)))
+    n = draw(st.sampled_from([2, 3, 4] * 4 + [-1, 0, 1]))
+    argv = [command, "--n", str(n), "--format", draw(st.sampled_from(["table", "json", "csv"]))]
+    names = {
+        "kpartitions": ["gamma"], "kostant": ["gamma"], "fiber-count": ["gamma"],
+        "gamma-partitions": ["alpha"], "strata": ["alpha"], "smallness": ["alpha"],
+        "ic-stalks": ["alpha", "beta"],
+    }.get(command, [])
+    for name in names:
+        argv += [f"--{name}", _vector(draw, n)]
+    if command == "ic-stalks":
+        argv += ["--parts", ";".join(_vector(draw, n) for _ in range(draw(st.integers(0, 2))))]
+    if command == "fiber-count":
+        argv += ["--q", str(draw(st.integers(-1, 5)))]
+        if draw(st.booleans()):
+            argv.append("--verify")
+    for cap in ("rank", "length", "oracle-rank", "oracle-length", "lattice-volume"):
+        if draw(st.integers(0, 5)) == 0:
+            argv += [f"--cap-{cap}", str(draw(st.integers(-2, 0)))]
+    if draw(st.integers(0, 5)) == 0:
+        argv += ["--cap-oracle-primes", draw(st.sampled_from(["0", "-1", "", "0,-2", "x"]))]
+    if draw(st.integers(0, 9)) == 0:
+        argv.remove(draw(st.sampled_from(argv)))
+    return argv
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(cli_argvs())
+def test_fuzzed_argv_exits_0_to_3_without_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err.getvalue(), argv
 
 
 def test_volume_cap_fires_before_any_enumeration(capsys):

@@ -1,4 +1,5 @@
 import math
+import time
 from collections import Counter
 
 import pytest
@@ -246,11 +247,26 @@ def test_mu_outside_the_predicted_list_is_reported(monkeypatch):
     gamma = GammaVec((2, 1))
     dropped, *kept = mu_triangles(gamma)
     monkeypatch.setattr(oracle, "mu_triangles", lambda gamma, caps: list(kept))
+    # the count sorts its buckets itself, so the unpredicted mu keeps its place
     fc = fiber_point_count(3, gamma, 2)
-    assert list(fc.buckets) == kept + [dropped]
+    assert list(fc.buckets) == [dropped] + kept
     report = verify_against_kostant(3, gamma, 2)
     assert report.unexpected_mu == (dropped,) and report.missing_mu == ()
     assert not report.passed
+
+
+def test_verify_checks_every_cap_before_the_first_chain(monkeypatch):
+    def no_chains(*args):
+        raise AssertionError("a chain was built")
+
+    monkeypatch.setattr(oracle, "_nested_chains", no_chains)
+    gamma = GammaVec((1, 1))
+    with pytest.raises(CapExceededError, match="length cap 1"):
+        verify_against_kostant(3, gamma, 2, caps=Caps(max_length=1))
+    with pytest.raises(CapExceededError, match="rank cap 2"):
+        verify_against_kostant(3, gamma, 2, caps=Caps(max_rank=2))
+    with pytest.raises(CapExceededError, match="volume cap 2"):
+        verify_against_kostant(3, gamma, 2, caps=Caps(max_lattice_volume=2))
 
 
 def test_verify_small_grid():
@@ -327,6 +343,16 @@ def test_volume_cap_is_exact():
                 assert len(enumerate_lattices(k, c, q, caps=Caps(max_lattice_volume=volume))) == volume
                 with pytest.raises(CapExceededError):
                     enumerate_lattices(k, c, q, caps=Caps(max_lattice_volume=volume - 1))
+
+
+def test_oversized_q_is_refused_before_the_primality_test():
+    q = 2**4423 - 1  # prime
+    start = time.perf_counter()
+    with pytest.raises(CapExceededError, match="4423 bits"):
+        Lattice.full(1, q)
+    with pytest.raises(CapExceededError, match="4423 bits"):
+        enumerate_lattices(1, 0, q)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_canonical_entries_fit_below_row_pivots():

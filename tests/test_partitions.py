@@ -249,6 +249,16 @@ def test_gamma_partitions_count_and_order(alpha):
     assert all(a > b for a, b in zip(keys, keys[1:]))
 
 
+@settings(derandomize=True, deadline=None)
+@given(helpers.small_alphas())
+def test_mu_triangles_sorted_below_the_diagonal_by_column(alpha):
+    keys = [
+        [mu.entry(p, q) for q in range(1, mu.n - 1) for p in range(q + 1, mu.n)]
+        for mu in mu_triangles(alpha)
+    ]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
 def test_gamma_partition_of_normalizes():
     a = GammaVec((0, 1))
     b = GammaVec((1, 0))
