@@ -158,31 +158,9 @@ class Lattice:
         cols = _canonical_columns([tuple(v) for v in vectors], rank, q)
         return cls(rank, q, cols)
 
-    def __str__(self) -> str:
-        rows = []
-        for i in range(self.rank):
-            rows.append(" ".join(_poly_str(self.cols[j][i]) for j in range(self.rank)))
-        return "; ".join(rows)
-
 
 def _diag(cols: Basis) -> tuple[int, ...]:
     return tuple(gf.degree(col[j]) for j, col in enumerate(cols))
-
-
-def _poly_str(a: Poly) -> str:
-    if not a:
-        return "0"
-    terms = []
-    for i, c in enumerate(a):
-        if not c:
-            continue
-        if i == 0:
-            terms.append(str(c))
-        elif i == 1:
-            terms.append("z" if c == 1 else f"{c}z")
-        else:
-            terms.append(f"z^{i}" if c == 1 else f"{c}z^{i}")
-    return "+".join(terms)
 
 
 def _pivot_row(columns: list[Column], row: int, q: int) -> tuple[Column | None, list[Column]]:

@@ -1,8 +1,11 @@
 import math
 import time
 from collections import Counter
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 import quasiflags.gfpoly as gf
@@ -363,3 +366,53 @@ def test_canonical_entries_fit_below_row_pivots():
                 assert gf.degree(col[i]) < diag[i] <= lat.colength
             for i in range(j + 1, 3):
                 assert col[i] == gf.ZERO
+
+
+members = lru_cache(maxsize=None)(helpers.lattice_memberset)
+
+
+@st.composite
+def lattice_pairs(draw):
+    # same-rank pairs and rank k - 1 inside rank k, rank <= 3, colength <= 2
+    q = draw(st.sampled_from((2, 3)))
+    k = draw(st.integers(1, 3))
+    inner_rank = draw(st.sampled_from((k, k - 1))) if k > 1 else k
+    outer = draw(st.sampled_from(enumerate_lattices(k, draw(st.integers(0, 2)), q)))
+    inner = draw(st.sampled_from(enumerate_lattices(inner_rank, draw(st.integers(0, 2)), q)))
+    return outer, inner, draw(st.integers(max(outer.colength, inner.colength), 2))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(lattice_pairs())
+def test_contains_agrees_with_membership_modulo_z_power(pair):
+    # both lattices contain z^c R^k, so inclusion can be read off their members modulo z^c
+    outer, inner, c = pair
+    pad = ((0,) * c,) * (outer.rank - inner.rank)
+    embedded = {vec + pad for vec in members(inner, c)}
+    assert contains(outer, inner) == (embedded <= members(outer, c))
+
+
+@st.composite
+def lattices_with_column_operations(draw):
+    q = draw(st.sampled_from((2, 3)))
+    k = draw(st.integers(1, 3))
+    lat = draw(st.sampled_from(enumerate_lattices(k, draw(st.integers(0, 2)), q)))
+    cols = [list(col) for col in lat.cols]
+    for _ in range(draw(st.integers(0, 6))):
+        i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+        if i == j:
+            # scale a column by a nonzero constant
+            s = draw(st.integers(1, q - 1))
+            cols[i] = [gf.scale(e, s, q) for e in cols[i]]
+        else:
+            # add f * col_j to col_i with deg f <= 2
+            f = gf.trim(draw(st.lists(st.integers(0, q - 1), min_size=3, max_size=3)))
+            cols[i] = [gf.add(a, gf.mul(f, b, q), q) for a, b in zip(cols[i], cols[j])]
+    return lat, [tuple(col) for col in cols]
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(lattices_with_column_operations())
+def test_from_generators_is_invariant_under_unimodular_column_operations(case):
+    lat, cols = case
+    assert Lattice.from_generators(lat.rank, lat.q, cols) == lat
