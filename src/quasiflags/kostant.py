@@ -116,17 +116,7 @@ def _kostant_poly(coeffs: tuple[int, ...]) -> IntPolynomial:
 
 def fiber_poincare(parts: GammaPartition, *, caps: Caps = DEFAULT_CAPS) -> IntPolynomial:
     """Product of K over the parts of a degree-vector partition (1 when empty)."""
-    if not parts.parts:
-        return ONE
-    check_rank(parts.n, caps)
-    part_tuples = [part.coeffs for part in parts.parts]
-    check_length(max(map(sum, part_tuples)), caps)
-    return _fiber_poincare(part_tuples)
-
-
-def _fiber_poincare(part_tuples) -> IntPolynomial:
-    # the caller checked the caps against the rank and the largest part
     poly = ONE
-    for coeffs in part_tuples:
-        poly = poly * _kostant_poly(coeffs)
+    for part in parts.parts:
+        poly = poly * kostant_poly(part, caps=caps)
     return poly

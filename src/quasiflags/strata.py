@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .kostant import IntPolynomial, _fiber_poincare, fiber_poincare
+from .kostant import IntPolynomial, fiber_poincare
 from .limits import Caps, DEFAULT_CAPS, check_length, check_rank
 from .partitions import GammaPartition, _part_tuples
 from .roots import GammaVec, flag_dim
@@ -112,8 +112,7 @@ def enumerate_strata(n: int, alpha: GammaVec, *, caps: Caps = DEFAULT_CAPS) -> l
         defect = tuple(a - b for a, b in zip(alpha.coeffs, beta_coeffs))
         for part_tuple in _part_tuples(defect, defect, memo):
             parts = GammaPartition(n, tuple(vecs[v] for v in part_tuple))
-            # every part lies in the box of alpha, whose caps were checked above
-            poly = _fiber_poincare(part_tuple)
+            poly = fiber_poincare(parts, caps=caps)
             degree = poly.degree
             records.append(
                 StratumRecord(

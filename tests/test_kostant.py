@@ -1,12 +1,10 @@
 import pytest
 
 import helpers
-import quasiflags.kostant as kostant
 from quasiflags.kostant import ONE, IntPolynomial, fiber_poincare, kostant_poly
 from quasiflags.limits import CapExceededError, Caps
 from quasiflags.partitions import GammaPartition, gamma_partitions
 from quasiflags.roots import GammaVec, gamma_as_coroot
-from quasiflags.strata import enumerate_strata
 
 
 def test_poly_normalization():
@@ -120,19 +118,3 @@ def test_fiber_degree_is_additive():
             want = sum(kostant_poly(p).degree for p in parts.parts) if parts.parts else 0
             assert (poly.degree or 0) == want
             assert poly.coefficient(0) == 1
-
-
-def test_caps_are_checked_once_per_public_call(monkeypatch):
-    ranks = []
-    check_rank = kostant.check_rank
-    monkeypatch.setattr(kostant, "check_rank", lambda n, caps: ranks.append(n) or check_rank(n, caps))
-    # the atlas checks its caps against alpha once, not again for every part
-    enumerate_strata(3, GammaVec((2, 1)))
-    assert ranks == []
-    parts = GammaPartition.of(3, [GammaVec((1, 1)), GammaVec((1, 0))])
-    assert fiber_poincare(parts).coeffs == (1, 1)
-    assert ranks == [3]
-    with pytest.raises(CapExceededError):
-        fiber_poincare(parts, caps=Caps(max_length=1))
-    with pytest.raises(CapExceededError):
-        fiber_poincare(parts, caps=Caps(max_rank=2))
