@@ -22,9 +22,9 @@ is the dimension of the corresponding fiber stratum. GammaPartition is the
 separate notion of an unordered multiset of nonzero degree vectors summing
 to alpha; the two kinds of partition never coerce into each other.
 
-Both partition recursions run on plain int tuples; caps are checked once at
-the public entry points, and only the partitions they return are built as
-validated objects.
+Both partition recursions run on plain int tuples, with caps checked once at
+the public entry points; the sorted nonzero parts they emit are not validated
+again when built into a GammaPartition.
 """
 
 from __future__ import annotations
@@ -317,7 +317,15 @@ def gamma_partitions(alpha: GammaVec, *, caps: Caps = DEFAULT_CAPS) -> list[Gamm
     check_rank(alpha.n, caps)
     check_length(alpha.length, caps)
     seqs = _part_tuples(alpha.coeffs, alpha.coeffs, {})
-    return [GammaPartition(alpha.n, tuple(map(GammaVec, seq))) for seq in seqs]
+    return [_gamma_partition(alpha.n, tuple(map(GammaVec, seq))) for seq in seqs]
+
+
+def _gamma_partition(n: int, parts: tuple[GammaVec, ...]) -> GammaPartition:
+    """A GammaPartition of parts that are nonzero, of rank n and sorted, unchecked."""
+    partition = object.__new__(GammaPartition)
+    object.__setattr__(partition, "n", n)
+    object.__setattr__(partition, "parts", parts)
+    return partition
 
 
 def _part_tuples(remaining: tuple[int, ...], bound: tuple[int, ...], memo: dict):

@@ -21,9 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .kostant import IntPolynomial, fiber_poincare
+from . import kostant
+from .kostant import ONE, IntPolynomial, fiber_poincare
 from .limits import Caps, DEFAULT_CAPS, check_length, check_rank
-from .partitions import GammaPartition, _part_tuples
+from .partitions import GammaPartition, _gamma_partition, _part_tuples
 from .roots import GammaVec, flag_dim
 
 
@@ -97,35 +98,47 @@ def enumerate_strata(n: int, alpha: GammaVec, *, caps: Caps = DEFAULT_CAPS) -> l
     beta runs over the box 0 <= beta <= alpha in decreasing lexicographic
     order (the open stratum beta = alpha, Gamma empty comes first), and
     Gamma runs over gamma_partitions(alpha - beta) in its canonical order.
+
+    The caps are checked once, and K_v(t) is read through the public
+    kostant_poly once per nonzero box vector v <= alpha, each of which is a
+    part of some stratum. The fiber polynomial of the parts (v, *tail) is
+    K_v(t) times that of tail, which is the part tuple of the stratum at
+    beta + v and so was listed earlier (the open stratum, with no parts, is
+    first): one product per stratum.
     """
     check_rank(n, caps)
     if alpha.n != n:
         raise ValueError("alpha rank context does not match n")
     check_length(alpha.length, caps)
     dim_b = flag_dim(n)
-    # one memo for all defects alpha - beta; every nonzero box vector is a part of some stratum
+    # one memo for all defects alpha - beta
     memo: dict = {}
     vecs = {v: GammaVec(v) for v in product(*(range(a + 1) for a in alpha.coeffs)) if any(v)}
-    records = []
+    kpolys = {v: kostant.kostant_poly(vec, caps=caps) for v, vec in vecs.items()}
+    # part tuple -> its record, local so nothing outlives the call
+    by_parts: dict = {}
     for beta_coeffs in product(*(range(a, -1, -1) for a in alpha.coeffs)):
         beta = GammaVec(beta_coeffs)
         defect = tuple(a - b for a, b in zip(alpha.coeffs, beta_coeffs))
         for part_tuple in _part_tuples(defect, defect, memo):
-            parts = GammaPartition(n, tuple(vecs[v] for v in part_tuple))
-            poly = fiber_poincare(parts, caps=caps)
-            degree = poly.degree
-            records.append(
-                StratumRecord(
-                    beta=beta,
-                    parts=parts,
-                    m=parts.m,
-                    stratum_dim=2 * beta.length + dim_b + parts.m,
-                    codim=2 * sum(defect) - parts.m,
-                    fiber_dim=degree if degree is not None else 0,
-                    fiber_poincare=poly,
-                )
+            if part_tuple:
+                v, tail = part_tuple[0], by_parts[part_tuple[1:]]
+                parts = _gamma_partition(n, (vecs[v],) + tail.parts.parts)
+                poly = kpolys[v] * tail.fiber_poincare
+            else:
+                parts, poly = _gamma_partition(n, ()), ONE
+            by_parts[part_tuple] = StratumRecord(
+                beta=beta,
+                parts=parts,
+                m=parts.m,
+                stratum_dim=2 * beta.length + dim_b + parts.m,
+                codim=2 * sum(defect) - parts.m,
+                # every K_v(t) is nonzero, so poly has a degree
+                fiber_dim=poly.degree,
+                fiber_poincare=poly,
             )
-    return records
+    # each part tuple names one stratum, and dicts keep insertion order
+    return list(by_parts.values())
 
 
 def smallness_report(n: int, alpha: GammaVec, *, caps: Caps = DEFAULT_CAPS) -> SmallnessReport:

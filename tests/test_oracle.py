@@ -311,6 +311,40 @@ def test_flag_transform_invariance():
         assert before == after
 
 
+@st.composite
+def flag_coordinate_changes(draw):
+    # n <= 4, |gamma| <= 3, q in {2, 3}; an upper-triangular matrix with nonzero diagonal
+    n = draw(st.integers(2, 4))
+    coeffs = draw(
+        st.lists(st.integers(0, 3), min_size=n - 1, max_size=n - 1).filter(lambda c: sum(c) <= 3)
+    )
+    q = draw(st.sampled_from((2, 3)))
+    entry = {True: st.integers(1, q - 1), False: st.integers(0, q - 1)}
+    mat = [[draw(entry[j == i]) if j >= i else 0 for j in range(n - 1)] for i in range(n - 1)]
+    return n, GammaVec(tuple(coeffs)), q, mat
+
+
+@settings(derandomize=True, deadline=None)
+@given(flag_coordinate_changes())
+def test_mu_invariants_survive_random_flag_coordinate_changes(case):
+    n, gamma, q, mat = case
+    chains = enumerate_fiber_chains(n, gamma, q)
+    moved = [
+        FlagChain(
+            n=n,
+            q=q,
+            gamma=gamma,
+            lattices=tuple(
+                helpers.transformed(lat, [row[: lat.rank] for row in mat[: lat.rank]])
+                for lat in chain.lattices
+            ),
+        )
+        for chain in chains
+    ]
+    assert set(moved) == set(chains)
+    assert Counter(map(mu_invariants, moved)) == Counter(map(mu_invariants, chains))
+
+
 def test_chain_validation():
     chains = enumerate_fiber_chains(3, GammaVec((1, 1)), 2)
     ch = chains[0]

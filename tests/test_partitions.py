@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from quasiflags.limits import CapExceededError, Caps
@@ -121,6 +122,25 @@ def test_round_trip_exhaustive():
             for k in kappa_partitions(gamma):
                 mu = nu_to_mu(kappa_to_nu(k))
                 assert mu_to_kappa(mu, gamma) == k
+
+
+@st.composite
+def gammas_with_a_kappa(draw):
+    # n <= 6 and |gamma| <= 7, past the exhaustive grid above
+    n = draw(st.integers(2, 6))
+    coeffs = draw(
+        st.lists(st.integers(0, 7), min_size=n - 1, max_size=n - 1).filter(lambda c: sum(c) <= 7)
+    )
+    gamma = GammaVec(tuple(coeffs))
+    kappas = kappa_partitions(gamma)
+    return gamma, kappas[draw(st.integers(0, len(kappas) - 1))]
+
+
+@settings(derandomize=True, deadline=None)
+@given(gammas_with_a_kappa())
+def test_round_trip_property(case):
+    gamma, k = case
+    assert mu_to_kappa(nu_to_mu(kappa_to_nu(k)), gamma) == k
 
 
 def test_mu_triangles_bijective():

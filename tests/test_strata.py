@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 
 import helpers
+from quasiflags import kostant
+from quasiflags.kostant import IntPolynomial, fiber_poincare
 from quasiflags.partitions import GammaPartition, gamma_partitions
 from quasiflags.roots import GammaVec, gamma_as_coroot
 from quasiflags.strata import (
@@ -106,6 +108,40 @@ def test_atlas_size_matches_independent_count(alpha):
         for beta in box
     )
     assert len(enumerate_strata(alpha.n, alpha)) == expected
+
+
+@settings(derandomize=True, deadline=None)
+@given(helpers.small_alphas())
+def test_records_agree_with_the_public_fiber_route(alpha):
+    for rec in enumerate_strata(alpha.n, alpha):
+        assert rec.fiber_poincare == fiber_poincare(rec.parts)
+        validated = GammaPartition(alpha.n, rec.parts.parts)
+        assert rec.parts == validated
+        assert hash(rec.parts) == hash(validated)
+
+
+def test_kostant_poly_is_read_once_per_box_vector(monkeypatch):
+    original = kostant.kostant_poly
+    calls = []
+
+    def counted(gamma, **kwargs):
+        calls.append(gamma.coeffs)
+        return original(gamma, **kwargs)
+
+    monkeypatch.setattr(kostant, "kostant_poly", counted)
+    alpha = GammaVec((2, 1))
+    recs = enumerate_strata(3, alpha)
+    assert sorted(calls) == [(0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]
+
+    # a corrupted public kostant_poly must reach every record with parts
+    def corrupted_poly(gamma, **kwargs):
+        return IntPolynomial(original(gamma, **kwargs).coeffs + (1,))
+
+    monkeypatch.setattr(kostant, "kostant_poly", corrupted_poly)
+    corrupted = enumerate_strata(3, alpha)
+    assert [r.fiber_poincare != c.fiber_poincare for r, c in zip(recs, corrupted)] == [
+        r.m > 0 for r in recs
+    ]
 
 
 def test_smallness_pass_with_margin():
