@@ -7,102 +7,53 @@ the stratification atlas with its smallness and IC stalk reports. The
 oracle half rebuilds the same numbers from scratch by enumerating actual
 chains of F_q[z] lattices and counting points; verify_against_kostant
 confronts the two.
+
+`import quasiflags` imports no submodule. A public name or a submodule name
+is looked up in _EXPORTS each time it is read, and its module is imported
+on first use.
 """
 
-from .kostant import IntPolynomial, fiber_poincare, kostant_poly
-from .limits import Caps, CapExceededError, DEFAULT_CAPS
-from .oracle import (
-    FiberCount,
-    FlagChain,
-    Lattice,
-    OracleReport,
-    contains,
-    coordinate_intersection,
-    enumerate_fiber_chains,
-    enumerate_lattices,
-    fiber_point_count,
-    mu_invariants,
-    verify_against_kostant,
-)
-from .partitions import (
-    GammaPartition,
-    KappaPartition,
-    NotInMError,
-    Triangle,
-    gamma_partitions,
-    kappa_partitions,
-    kappa_to_nu,
-    mu_to_kappa,
-    mu_triangles,
-    nu_to_mu,
-    stratum_dim,
-)
-from .roots import (
-    GammaVec,
-    Interval,
-    flag_dim,
-    gamma_as_coroot,
-    interval_to_gamma,
-    pairing,
-    positive_coroots,
-)
-from .strata import (
-    ICStalkTable,
-    SmallnessReport,
-    StalkEntry,
-    StratumRecord,
-    enumerate_strata,
-    ic_stalk_table,
-    moduli_dim,
-    parity_check,
-    smallness_report,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Caps",
-    "CapExceededError",
-    "DEFAULT_CAPS",
-    "FiberCount",
-    "FlagChain",
-    "GammaPartition",
-    "GammaVec",
-    "ICStalkTable",
-    "IntPolynomial",
-    "Interval",
-    "KappaPartition",
-    "Lattice",
-    "NotInMError",
-    "OracleReport",
-    "SmallnessReport",
-    "StalkEntry",
-    "StratumRecord",
-    "Triangle",
-    "contains",
-    "coordinate_intersection",
-    "enumerate_fiber_chains",
-    "enumerate_lattices",
-    "enumerate_strata",
-    "fiber_point_count",
-    "fiber_poincare",
-    "flag_dim",
-    "gamma_as_coroot",
-    "gamma_partitions",
-    "ic_stalk_table",
-    "interval_to_gamma",
-    "kappa_partitions",
-    "kappa_to_nu",
-    "kostant_poly",
-    "moduli_dim",
-    "mu_invariants",
-    "mu_to_kappa",
-    "mu_triangles",
-    "nu_to_mu",
-    "pairing",
-    "parity_check",
-    "positive_coroots",
-    "smallness_report",
-    "stratum_dim",
-    "verify_against_kostant",
-]
+# submodule -> the names the package re-exports from it
+_EXPORTS = {
+    "kostant": ("IntPolynomial", "fiber_poincare", "kostant_poly"),
+    "limits": ("Caps", "CapExceededError", "DEFAULT_CAPS"),
+    "oracle": (
+        "FiberCount", "FlagChain", "Lattice", "OracleReport", "contains", "coordinate_intersection",
+        "enumerate_fiber_chains", "enumerate_lattices", "fiber_point_count", "mu_invariants",
+        "verify_against_kostant",
+    ),
+    "partitions": (
+        "GammaPartition", "KappaPartition", "NotInMError", "Triangle", "gamma_partitions",
+        "kappa_partitions", "kappa_to_nu", "mu_to_kappa", "mu_triangles", "nu_to_mu", "stratum_dim",
+    ),
+    "roots": (
+        "GammaVec", "Interval", "flag_dim", "gamma_as_coroot", "interval_to_gamma", "pairing",
+        "positive_coroots",
+    ),
+    "strata": (
+        "ICStalkTable", "SmallnessReport", "StalkEntry", "StratumRecord", "enumerate_strata",
+        "ic_stalk_table", "moduli_dim", "parity_check", "smallness_report",
+    ),
+    "gfpoly": (),
+    "cli": (),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_OWNER)
+
+
+def __getattr__(name: str):
+    # not cached in the package namespace, so a patched module attribute is what callers see
+    if name in _OWNER:
+        return getattr(importlib.import_module(f".{_OWNER[name]}", __name__), name)
+    if name in _EXPORTS:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS, *_OWNER})

@@ -18,12 +18,11 @@ error, 3 cap exceeded.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import os
 import sys
 from dataclasses import fields, replace
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 from .kostant import IntPolynomial, kostant_poly
@@ -36,7 +35,6 @@ from .partitions import (
     nu_to_mu,
     stratum_dim,
 )
-from .oracle import fiber_point_count, verify_against_kostant
 from .roots import GammaVec, interval_to_gamma, positive_coroots
 from .strata import (
     ICStalkTable,
@@ -78,11 +76,25 @@ def _parse_parts(text: str, n: int) -> GammaPartition:
     return GammaPartition.of(n, parts)
 
 
+def _cap(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        # argparse's own wording for a bad type=int value
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def _int_list(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(x) for x in text.split(",") if x.strip())
+        values = tuple(int(x) for x in text.split(",") if x.strip())
     except ValueError:
         raise argparse.ArgumentTypeError(f"not comma-separated integers: {text!r}") from None
+    if any(v < 0 for v in values):
+        raise argparse.ArgumentTypeError(f"entries must be nonnegative, got {text!r}")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -164,10 +176,44 @@ def _render_table(headers, rows) -> str:
     return "\n".join(lines)
 
 
+def _json(obj, indent: str) -> str:
+    """json.dumps(obj, indent=2), byte for byte, for dicts, lists, str, int, bool and None.
+
+    The stdlib runs its pure-Python encoder whenever indent is set; this one
+    writes a list of plain ints with a single join. Types are matched
+    exactly, so True stays true and any other type raises TypeError.
+    """
+    kind = type(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if kind is list:
+        if not obj:
+            return "[]"
+        if all(type(v) is int for v in obj):
+            return f"[\n{inner}{sep.join(map(int.__repr__, obj))}\n{indent}]"
+        return f"[\n{inner}{sep.join([_json(v, inner) for v in obj])}\n{indent}]"
+    if kind is dict:
+        if not obj:
+            return "{}"
+        items = [f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in obj.items()]
+        return f"{{\n{inner}{sep.join(items)}\n{indent}}}"
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if kind is bool:
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
 def _render(fmt: str, command: str, params: dict, out: Output) -> str:
     if fmt == "json":
-        return json.dumps({"command": command, "params": params, "result": out.result}, indent=2) + "\n"
+        return _json({"command": command, "params": params, "result": out.result}, "") + "\n"
     if fmt == "csv":
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(out.headers)
@@ -312,6 +358,8 @@ def _cmd_ic_stalks(args, caps, n, alpha, beta) -> Output:
 
 
 def _cmd_fiber_count(args, caps, n, gamma) -> Output:
+    from .oracle import fiber_point_count, verify_against_kostant
+
     params = {"q": args.q, "verify": args.verify}
     if args.verify:
         report = verify_against_kostant(n, gamma, args.q, caps=caps)
@@ -363,12 +411,12 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("table", "json", "csv"), default="table")
     # each cap flag stores into the Caps field of its dest
-    common.add_argument("--cap-rank", dest="max_rank", type=int, metavar="N")
-    common.add_argument("--cap-length", dest="max_length", type=int, metavar="L")
-    common.add_argument("--cap-oracle-rank", dest="oracle_max_rank", type=int, metavar="N")
-    common.add_argument("--cap-oracle-length", dest="oracle_max_length", type=int, metavar="L")
+    common.add_argument("--cap-rank", dest="max_rank", type=_cap, metavar="N")
+    common.add_argument("--cap-length", dest="max_length", type=_cap, metavar="L")
+    common.add_argument("--cap-oracle-rank", dest="oracle_max_rank", type=_cap, metavar="N")
+    common.add_argument("--cap-oracle-length", dest="oracle_max_length", type=_cap, metavar="L")
     common.add_argument("--cap-oracle-primes", dest="oracle_primes", type=_int_list, metavar="Q,Q")
-    common.add_argument("--cap-lattice-volume", dest="max_lattice_volume", type=int, metavar="V")
+    common.add_argument("--cap-lattice-volume", dest="max_lattice_volume", type=_cap, metavar="V")
 
     parser = argparse.ArgumentParser(
         prog="quasiflags",

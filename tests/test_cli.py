@@ -8,10 +8,11 @@ import sys
 import time
 from pathlib import Path
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quasiflags.cli import HANDLERS, ic_stalk_table_from_json, main, stratum_records_from_json
+from quasiflags.cli import HANDLERS, _json, ic_stalk_table_from_json, main, stratum_records_from_json
 from quasiflags.partitions import GammaPartition
 from quasiflags.roots import GammaVec
 from quasiflags.strata import enumerate_strata, ic_stalk_table
@@ -265,6 +266,20 @@ def test_cap_overrides(capsys):
     assert out.splitlines()[0] == "PASS, total 1"
 
 
+def test_negative_caps_are_usage_errors(capsys):
+    argv = ("fiber-count", "--n", "3", "--gamma", "1,1", "--q", "2")
+    for flag in ("rank", "length", "oracle-rank", "oracle-length", "lattice-volume"):
+        code, out, err = run_cli(capsys, *argv, f"--cap-{flag}", "-1")
+        assert (code, out) == (2, ""), flag
+        assert f"argument --cap-{flag}: must be nonnegative, got -1" in err
+    code, out, err = run_cli(capsys, *argv, "--cap-oracle-primes", "2,-3")
+    assert (code, out) == (2, "")
+    assert "entries must be nonnegative" in err
+    # zero is still a cap, which the input then exceeds
+    assert run_cli(capsys, "kpartitions", "--n", "3", "--gamma", "1,1", "--cap-length", "0")[0] == 3
+    assert run_cli(capsys, *argv, "--cap-lattice-volume", "0")[0] == 3
+
+
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
@@ -408,3 +423,57 @@ def test_output_does_not_depend_on_hash_seed():
             cmd = [sys.executable, "-m", "quasiflags", *argv]
             outputs.add(subprocess.run(cmd, env=env, capture_output=True, check=True).stdout)
         assert len(outputs) == 1, argv
+
+
+_JSON_INTS = st.integers(-10**40, 10**40)
+# escapes, control characters, non-ASCII and astral code points
+_JSON_TEXT = st.text(
+    st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\xe9\u2028\U0001d11e'), st.characters())
+)
+_JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), _JSON_INTS, _JSON_TEXT, st.lists(st.one_of(_JSON_INTS, st.booleans()))),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.dictionaries(_JSON_TEXT, inner, max_size=4)),
+    max_leaves=24,
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_JSON_VALUES)
+@example({"ints": [1, -2, 10**39], "flags": [1, True, 0, False], "empty": [[], {}], "none": None})
+@example({"caf\xe9 \"q\"\n": ["\U0001d11e\t\\"]})
+def test_json_writer_matches_json_dumps_indent_2(obj):
+    assert _json(obj, "") == json.dumps(obj, indent=2)
+
+
+def test_json_writer_refuses_other_types():
+    for obj in ((1, 2), 1.5, {"k": {1}}):
+        with pytest.raises(TypeError):
+            _json(obj, "")
+
+
+def _loaded_modules(*argv):
+    """Exit code, stdout and the modules imported by `python -m quasiflags ARGV`."""
+    # runpy runs the package as -m does; the module names are the last line on stderr
+    code = (
+        "import atexit, runpy, sys\n"
+        "atexit.register(lambda: print(*sys.modules, file=sys.stderr))\n"
+        "runpy.run_module('quasiflags', run_name='__main__', alter_sys=True)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True)
+    return proc.returncode, proc.stdout, set(proc.stderr.splitlines()[-1].split())
+
+
+def test_subcommands_load_only_the_modules_they_use():
+    unused = {"quasiflags.oracle", "quasiflags.gfpoly", "csv"}
+    code, out, loaded = _loaded_modules("kostant", "--n", "3", "--gamma", "1,1")
+    assert (code, out) == (0, "1 + t\n")
+    assert "quasiflags.kostant" in loaded and not unused & loaded
+    code, out, loaded = _loaded_modules("strata", "--n", "3", "--alpha", "1,1", "--format", "json")
+    assert code == 0 and json.loads(out)["command"] == "strata"
+    assert not unused & loaded
+    code, out, loaded = _loaded_modules("fiber-count", "--n", "3", "--gamma", "1,1", "--q", "2", "--verify")
+    assert code == 0 and out.startswith("PASS, total ")
+    assert {"quasiflags.oracle", "quasiflags.gfpoly"} <= loaded
+    code, out, loaded = _loaded_modules("roots", "--n", "3", "--format", "csv")
+    assert code == 0 and out.startswith("coroot,p,q,gamma\n") and "csv" in loaded
