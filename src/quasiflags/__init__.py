@@ -13,7 +13,7 @@ is looked up in _EXPORTS each time it is read, and its module is imported
 on first use.
 """
 
-import importlib
+import sys
 
 __version__ = "0.1.0"
 
@@ -48,11 +48,13 @@ __all__ = list(_OWNER)
 
 def __getattr__(name: str):
     # not cached in the package namespace, so a patched module attribute is what callers see
-    if name in _OWNER:
-        return getattr(importlib.import_module(f".{_OWNER[name]}", __name__), name)
-    if name in _EXPORTS:
-        return importlib.import_module(f".{name}", __name__)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _OWNER.get(name, name)
+    if module not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # the import statement's path, which -X importtime logs (importlib.import_module's is not)
+    __import__(f"{__name__}.{module}")
+    owner = sys.modules[f"{__name__}.{module}"]
+    return owner if module == name else getattr(owner, name)
 
 
 def __dir__() -> list[str]:

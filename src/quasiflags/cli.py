@@ -3,13 +3,16 @@
 Eight subcommands expose the library over stdout in three formats (aligned
 table, JSON, CSV). JSON payloads follow one schema: {"command": ...,
 "params": ..., "result": ...} with degree vectors as integer arrays,
-polynomials as coefficient arrays (index = exponent), and triangles as flat
-row-major lower-triangular arrays [a11, a21, a22, a31, ...]. Output is a
-pure function of the arguments, byte for byte.
+polynomials as coefficient arrays (index = exponent), degree-vector
+partitions as lists of those, triangles as flat row-major lower-triangular
+arrays [a11, a21, a22, a31, ...], and coroot partitions as [p, q, m] triples
+(the table _SCHEMA). Output is a pure function of the arguments, byte for byte.
 
 HANDLERS is the one subcommand table (handler, help text, degree-vector
 flags). `main` parses --n and those flags once, passes them to the handler,
 and renders its Output; params are n, the vectors, then the handler's extras.
+A handler builds its rows once, as dicts from column name to library value,
+and its result holds that list; `_render` writes table and CSV cells from it.
 
 Exit codes: 0 success (and verification PASS), 1 verification FAIL, 2 usage
 error, 3 cap exceeded.
@@ -23,12 +26,15 @@ import os
 import sys
 from dataclasses import fields, replace
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from typing import NamedTuple
 
 from .kostant import IntPolynomial, kostant_poly
 from .limits import Caps, DEFAULT_CAPS, CapExceededError
 from .partitions import (
     GammaPartition,
+    KappaPartition,
+    Triangle,
     gamma_partitions,
     kappa_partitions,
     kappa_to_nu,
@@ -101,20 +107,15 @@ def _int_list(text: str) -> tuple[int, ...]:
 # JSON serialization (the schema other tools consume)
 
 
-def _parts_json(parts: GammaPartition) -> list[list[int]]:
-    return [list(p.coeffs) for p in parts.parts]
-
-
-def _record_json(rec: StratumRecord) -> dict:
-    return {
-        "beta": list(rec.beta.coeffs),
-        "parts": _parts_json(rec.parts),
-        "m": rec.m,
-        "stratum_dim": rec.stratum_dim,
-        "codim": rec.codim,
-        "fiber_dim": rec.fiber_dim,
-        "fiber_poincare": list(rec.fiber_poincare.coeffs),
-    }
+# the JSON form of each library value: a sequence, which _json writes as a list
+_SCHEMA = {
+    GammaVec: attrgetter("coeffs"),
+    IntPolynomial: attrgetter("coeffs"),
+    # its parts, each a GammaVec
+    GammaPartition: attrgetter("parts"),
+    Triangle: Triangle.flat,
+    KappaPartition: lambda kappa: [[c.p, c.q, m] for c, m in kappa.mult],
+}
 
 
 def stratum_records_from_json(payload: dict) -> list[StratumRecord]:
@@ -153,10 +154,11 @@ def ic_stalk_table_from_json(payload: dict) -> ICStalkTable:
 
 
 class Output(NamedTuple):
-    """What a subcommand hands to the renderer; table and CSV cells go through str."""
+    """What a subcommand hands to the renderer; table and CSV cells are formatted in _render."""
 
     result: dict
     headers: tuple[str, ...]
+    # the dicts the result holds, values in header order, or tuples for a table of its own shape
     rows: list
     # table format only: lines above the table, or the whole output when not aligned
     prefix: tuple[str, ...] = ()
@@ -166,8 +168,7 @@ class Output(NamedTuple):
     params: dict = {}
 
 
-def _render_table(headers, rows) -> str:
-    cells = [[str(c) for c in row] for row in rows]
+def _render_table(headers, cells) -> str:
     widths = [max(map(len, column)) for column in zip(headers, *cells)]
     lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip()]
     lines.append("  ".join("-" * w for w in widths))
@@ -179,13 +180,16 @@ def _render_table(headers, rows) -> str:
 def _json(obj, indent: str) -> str:
     """json.dumps(obj, indent=2), byte for byte, for dicts, lists, str, int, bool and None.
 
-    The stdlib runs its pure-Python encoder whenever indent is set; this one
+    A library value in _SCHEMA is written as the list it maps to. The
+    stdlib runs its pure-Python encoder whenever indent is set; this one
     writes a list of plain ints with a single join. Types are matched
     exactly, so True stays true and any other type raises TypeError.
     """
     kind = type(obj)
     if kind is int:
         return int.__repr__(obj)
+    if kind in _SCHEMA:
+        obj, kind = _SCHEMA[kind](obj), list
     inner = indent + "  "
     sep = ",\n" + inner
     if kind is list:
@@ -211,15 +215,23 @@ def _json(obj, indent: str) -> str:
 def _render(fmt: str, command: str, params: dict, out: Output) -> str:
     if fmt == "json":
         return _json({"command": command, "params": params, "result": out.result}, "") + "\n"
+    # the one cell formatter: None as "-", a bool as "yes" or "NO", anything else through str
+    cells = [
+        [
+            "-" if c is None else ("yes" if c else "NO") if type(c) is bool else str(c)
+            for c in (row.values() if type(row) is dict else row)
+        ]
+        for row in out.rows
+    ]
     if fmt == "csv":
         import csv
 
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(out.headers)
-        writer.writerows([str(c) for c in row] for row in out.rows)
+        writer.writerows(cells)
         return buf.getvalue()
-    table = (_render_table(out.headers, out.rows),) if out.aligned else ()
+    table = (_render_table(out.headers, cells),) if out.aligned else ()
     return "".join(line + "\n" for line in (*out.prefix, *table))
 
 
@@ -240,10 +252,7 @@ def _cmd_roots(args, caps, n) -> Output:
     coroots = positive_coroots(n, caps=caps)
     expansions = [interval_to_gamma(c, n) for c in coroots]
     result = {
-        "coroots": [
-            {"p": c.p, "q": c.q, "gamma": list(g.coeffs)}
-            for c, g in zip(coroots, expansions)
-        ]
+        "coroots": [{"p": c.p, "q": c.q, "gamma": g} for c, g in zip(coroots, expansions)]
     }
     rows = [(c, c.p, c.q, g) for c, g in zip(coroots, expansions)]
     return Output(result, ("coroot", "p", "q", "gamma"), rows)
@@ -256,12 +265,7 @@ def _cmd_kpartitions(args, caps, n, gamma) -> Output:
     result = {
         "count": len(kappas),
         "partitions": [
-            {
-                "kappa": [[c.p, c.q, m] for c, m in k.mult],
-                "num_parts": num_parts,
-                "mu": mu.flat(),
-                "stratum_dim": dim,
-            }
+            {"kappa": k, "num_parts": num_parts, "mu": mu, "stratum_dim": dim}
             for k, num_parts, mu, dim in rows
         ],
     }
@@ -270,53 +274,55 @@ def _cmd_kpartitions(args, caps, n, gamma) -> Output:
 
 def _cmd_kostant(args, caps, n, gamma) -> Output:
     poly = kostant_poly(gamma, caps=caps)
-    result = {"coefficients": list(poly.coeffs), "text": str(poly)}
+    result = {"coefficients": poly, "text": str(poly)}
     rows = list(enumerate(poly.coeffs))
     return Output(result, ("exponent", "coefficient"), rows, prefix=(str(poly),), aligned=False)
 
 
 def _cmd_gamma_partitions(args, caps, n, alpha) -> Output:
     partitions = gamma_partitions(alpha, caps=caps)
-    result = {
-        "count": len(partitions),
-        "partitions": [_parts_json(p) for p in partitions],
-    }
+    result = {"count": len(partitions), "partitions": partitions}
     return Output(result, ("partition", "num_parts"), [(p, p.m) for p in partitions])
 
 
-def _cmd_strata(args, caps, n, alpha) -> Output:
-    records = enumerate_strata(n, alpha, caps=caps)
-    result = {
-        "moduli_dim": moduli_dim(n, alpha),
-        "count": len(records),
-        "strata": [_record_json(r) for r in records],
+def _stratum(r: StratumRecord) -> dict:
+    return {
+        "beta": r.beta,
+        "parts": r.parts,
+        "m": r.m,
+        "stratum_dim": r.stratum_dim,
+        "codim": r.codim,
+        "fiber_dim": r.fiber_dim,
+        "fiber_poincare": r.fiber_poincare,
     }
+
+
+def _cmd_strata(args, caps, n, alpha) -> Output:
+    rows = [_stratum(r) for r in enumerate_strata(n, alpha, caps=caps)]
+    result = {"moduli_dim": moduli_dim(n, alpha), "count": len(rows), "strata": rows}
     headers = ("beta", "parts", "m", "stratum_dim", "codim", "fiber_dim", "fiber_poincare")
-    rows = [
-        (r.beta, r.parts, r.m, r.stratum_dim, r.codim, r.fiber_dim, r.fiber_poincare)
-        for r in records
-    ]
     return Output(result, headers, rows)
 
 
 def _cmd_smallness(args, caps, n, alpha) -> Output:
     report = smallness_report(n, alpha, caps=caps)
+    rows = [
+        {
+            "beta": row.record.beta,
+            "parts": row.record.parts,
+            "codim": row.record.codim,
+            "fiber_dim": row.record.fiber_dim,
+            "margin": row.margin,
+            "ok": row.ok,
+        }
+        for row in report.rows
+    ]
     result = {
         "passed": report.passed,
         "vacuous": report.vacuous,
         "min_margin": report.min_margin,
-        "witness": _record_json(report.witness) if report.witness else None,
-        "rows": [
-            {
-                "beta": list(row.record.beta.coeffs),
-                "parts": _parts_json(row.record.parts),
-                "codim": row.record.codim,
-                "fiber_dim": row.record.fiber_dim,
-                "margin": row.margin,
-                "ok": row.ok,
-            }
-            for row in report.rows
-        ],
+        "witness": _stratum(report.witness) if report.witness else None,
+        "rows": rows,
         "aggregate": [
             {"fiber_dim": f, "min_codim": c, "ok": ok} for f, c, ok in report.aggregate
         ],
@@ -324,17 +330,6 @@ def _cmd_smallness(args, caps, n, alpha) -> Output:
     outcome = "PASS" if report.passed else "FAIL"
     verdict = "PASS (vacuous)" if report.vacuous else f"{outcome} (min margin {report.min_margin})"
     headers = ("beta", "parts", "codim", "fiber_dim", "margin", "ok")
-    rows = [
-        (
-            row.record.beta,
-            row.record.parts,
-            row.record.codim,
-            row.record.fiber_dim,
-            "-" if row.margin is None else row.margin,
-            "yes" if row.ok else "NO",
-        )
-        for row in report.rows
-    ]
     return Output(result, headers, rows, prefix=(verdict,), code=0 if report.passed else 1)
 
 
@@ -342,18 +337,14 @@ def _cmd_ic_stalks(args, caps, n, alpha, beta) -> Output:
     parts = _parse_parts(args.parts, n)
     table = ic_stalk_table(n, alpha, beta, parts, caps=caps)
     parity_ok = parity_check(table)
-    result = {
-        "entries": [
-            {"degree": e.degree, "twist": e.twist, "multiplicity": e.multiplicity}
-            for e in table.entries
-        ],
-        "parity_ok": parity_ok,
-    }
-    rows = [(e.degree, e.twist, e.multiplicity) for e in table.entries]
+    rows = [
+        {"degree": e.degree, "twist": e.twist, "multiplicity": e.multiplicity}
+        for e in table.entries
+    ]
     return Output(
-        result, ("degree", "twist", "multiplicity"), rows,
+        {"entries": rows, "parity_ok": parity_ok}, ("degree", "twist", "multiplicity"), rows,
         prefix=(f"parity {'ok' if parity_ok else 'VIOLATED'}",), code=0 if parity_ok else 1,
-        params={"parts": _parts_json(parts)},
+        params={"parts": parts},
     )
 
 
@@ -364,31 +355,28 @@ def _cmd_fiber_count(args, caps, n, gamma) -> Output:
     if args.verify:
         report = verify_against_kostant(n, gamma, args.q, caps=caps)
         verdict = "PASS" if report.passed else "FAIL"
+        rows = [
+            {"mu": b.mu, "expected": b.expected, "actual": b.actual, "ok": b.ok}
+            for b in report.buckets
+        ]
         result = {
             "total": report.total_actual,
             "verify": {
                 "passed": report.passed,
                 "total_expected": report.total_expected,
-                "missing_mu": [mu.flat() for mu in report.missing_mu],
-                "unexpected_mu": [mu.flat() for mu in report.unexpected_mu],
-                "buckets": [
-                    {"mu": b.mu.flat(), "expected": b.expected, "actual": b.actual, "ok": b.ok}
-                    for b in report.buckets
-                ],
+                "missing_mu": list(report.missing_mu),
+                "unexpected_mu": list(report.unexpected_mu),
+                "buckets": rows,
             },
         }
-        rows = [(b.mu, b.expected, b.actual, "yes" if b.ok else "NO") for b in report.buckets]
         return Output(
             result, ("mu", "expected", "actual", "ok"), rows,
             prefix=(f"{verdict}, total {report.total_actual}",),
             code=0 if report.passed else 1, params=params,
         )
     count = fiber_point_count(n, gamma, args.q, caps=caps)
-    result = {
-        "total": count.total,
-        "buckets": [{"mu": mu.flat(), "count": c} for mu, c in count.buckets.items()],
-    }
-    rows = list(count.buckets.items())
+    rows = [{"mu": mu, "count": c} for mu, c in count.buckets.items()]
+    result = {"total": count.total, "buckets": rows}
     return Output(result, ("mu", "count"), rows, prefix=(f"total {count.total}",), params=params)
 
 
@@ -453,6 +441,6 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    params = {"n": args.n, **{f: list(v.coeffs) for f, v in zip(flags, vectors)}, **out.params}
+    params = {"n": args.n, **dict(zip(flags, vectors)), **out.params}
     _emit(_render(args.format, args.command, params, out))
     return out.code

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from .limits import Caps, DEFAULT_CAPS, check_length, check_rank
 from .partitions import GammaPartition, _coroot_multiplicities
-from .roots import GammaVec, Interval
+from .roots import GammaVec, _coroots
 
 
 @dataclass(frozen=True)
@@ -107,9 +107,9 @@ def kostant_poly(gamma: GammaVec, *, caps: Caps = DEFAULT_CAPS) -> IntPolynomial
 
 @lru_cache(maxsize=KOSTANT_CACHE_SIZE)
 def _kostant_poly(coeffs: tuple[int, ...]) -> IntPolynomial:
-    # the caller checked the caps; coroots in the (q, p) order of positive_coroots
-    n, length = len(coeffs) + 1, sum(coeffs)
-    coroots = [Interval(p, q) for q in range(1, n) for p in range(q, n)]
+    # the caller checked the caps
+    length = sum(coeffs)
+    coroots = _coroots(len(coeffs) + 1)
     counts = Counter(length - sum(mults) for mults in _coroot_multiplicities(coroots, coeffs))
     return IntPolynomial(tuple(counts[j] for j in range(length + 1)))
 

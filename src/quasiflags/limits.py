@@ -33,9 +33,14 @@ class Caps:
 DEFAULT_CAPS = Caps()
 
 
-def check_rank(n: int, caps: Caps = DEFAULT_CAPS) -> None:
+def require_rank(n: int) -> None:
+    """Refuse a rank parameter n that is not an integer >= 2; no cap is checked."""
     if not isinstance(n, int) or n < 2:
         raise ValueError(f"rank parameter n must be an integer >= 2, got {n!r}")
+
+
+def check_rank(n: int, caps: Caps = DEFAULT_CAPS) -> None:
+    require_rank(n)
     if n > caps.max_rank:
         raise CapExceededError(f"n = {n} exceeds the rank cap {caps.max_rank}")
 

@@ -49,10 +49,11 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, product
 
-from . import gfpoly as gf
+# before `from . import gfpoly`, so that gfpoly loads by a path -X importtime logs
 from .gfpoly import Poly
+from . import gfpoly as gf
 from .kostant import kostant_poly
-from .limits import Caps, DEFAULT_CAPS, CapExceededError
+from .limits import Caps, DEFAULT_CAPS, CapExceededError, require_rank
 from .partitions import Triangle, mu_triangles, stratum_dim
 from .roots import GammaVec
 
@@ -338,8 +339,7 @@ class FlagChain:
 
 def _check_oracle_caps(n: int, gamma: GammaVec, q: int, caps: Caps) -> None:
     _require_prime(q)
-    if not isinstance(n, int) or n < 2:
-        raise ValueError(f"rank parameter n must be an integer >= 2, got {n!r}")
+    require_rank(n)
     if gamma.n != n:
         raise ValueError("gamma rank context does not match n")
     if n > caps.oracle_max_rank:

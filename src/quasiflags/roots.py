@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .limits import Caps, DEFAULT_CAPS, check_rank
+from .limits import Caps, DEFAULT_CAPS, check_rank, require_rank
 
 
 @dataclass(frozen=True)
@@ -103,6 +103,11 @@ class GammaVec:
 def positive_coroots(n: int, *, caps: Caps = DEFAULT_CAPS) -> list[Interval]:
     """All positive coroots of A_{n-1}, ordered lexicographically by (q, p)."""
     check_rank(n, caps)
+    return _coroots(n)
+
+
+def _coroots(n: int) -> list[Interval]:
+    # the order of positive_coroots, with n unchecked
     return [Interval(p, q) for q in range(1, n) for p in range(q, n)]
 
 
@@ -115,8 +120,7 @@ def pairing(k: int, c: Interval) -> int:
 
 def interval_to_gamma(c: Interval, n: int) -> GammaVec:
     """Expand the coroot [p, q] on the simple basis of SL(n)."""
-    if not isinstance(n, int) or n < 2:
-        raise ValueError(f"rank parameter n must be an integer >= 2, got {n!r}")
+    require_rank(n)
     if c.p > n - 1:
         raise ValueError(f"coroot {c} does not fit in rank n={n}")
     return GammaVec(tuple(1 if c.q <= k <= c.p else 0 for k in range(1, n)))
@@ -139,6 +143,5 @@ def gamma_as_coroot(gamma: GammaVec) -> Interval | None:
 
 def flag_dim(n: int) -> int:
     """Dimension n(n-1)/2 of the full flag variety of SL(n)."""
-    if not isinstance(n, int) or n < 2:
-        raise ValueError(f"rank parameter n must be an integer >= 2, got {n!r}")
+    require_rank(n)
     return n * (n - 1) // 2

@@ -21,8 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from . import kostant
+# before `from . import kostant`, so that kostant loads by a path -X importtime logs
 from .kostant import ONE, IntPolynomial, fiber_poincare
+from . import kostant
 from .limits import Caps, DEFAULT_CAPS, check_length, check_rank
 from .partitions import GammaPartition, _gamma_partition, _part_tuples
 from .roots import GammaVec, flag_dim

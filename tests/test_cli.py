@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -12,10 +13,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from quasiflags import cli, oracle
 from quasiflags.cli import HANDLERS, _json, ic_stalk_table_from_json, main, stratum_records_from_json
-from quasiflags.partitions import GammaPartition
-from quasiflags.roots import GammaVec
-from quasiflags.strata import enumerate_strata, ic_stalk_table
+from quasiflags.kostant import IntPolynomial
+from quasiflags.partitions import GammaPartition, kappa_partitions, kappa_to_nu, nu_to_mu
+from quasiflags.roots import GammaVec, Interval
+from quasiflags.strata import enumerate_strata, ic_stalk_table, smallness_report
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -445,8 +448,25 @@ def test_json_writer_matches_json_dumps_indent_2(obj):
     assert _json(obj, "") == json.dumps(obj, indent=2)
 
 
+def test_json_writer_writes_each_library_value_as_its_schema_says():
+    kappa = kappa_partitions(GammaVec((1, 1)))[0]
+    mu = nu_to_mu(kappa_to_nu(kappa))
+    parts = GammaPartition.of(3, [GammaVec((1, 0)), GammaVec((0, 1))])
+    for value, plain in (
+        (GammaVec((1, 0)), [1, 0]),
+        (IntPolynomial((1, 0, 2)), [1, 0, 2]),
+        (parts, [[1, 0], [0, 1]]),
+        (GammaPartition.of(3, []), []),
+        (mu, [1, 0, 1]),
+        (kappa, [[1, 1, 1], [2, 2, 1]]),
+        ({"v": [GammaVec((2,))]}, {"v": [[2]]}),
+    ):
+        assert _json(value, "") == json.dumps(plain, indent=2), value
+
+
 def test_json_writer_refuses_other_types():
-    for obj in ((1, 2), 1.5, {"k": {1}}):
+    record = enumerate_strata(2, GammaVec((1,)))[0]
+    for obj in ((1, 2), 1.5, {"k": {1}}, Interval(1, 1), record, [record]):
         with pytest.raises(TypeError):
             _json(obj, "")
 
@@ -477,3 +497,105 @@ def test_subcommands_load_only_the_modules_they_use():
     assert {"quasiflags.oracle", "quasiflags.gfpoly"} <= loaded
     code, out, loaded = _loaded_modules("roots", "--n", "3", "--format", "csv")
     assert code == 0 and out.startswith("coroot,p,q,gamma\n") and "csv" in loaded
+
+
+# exit 1: the library is patched to disagree with itself, which no real input does
+
+FAILING_VERIFY = ("fiber-count", "--n", "3", "--gamma", "1,1", "--q", "2", "--verify")
+
+
+def _drop_one_chain(monkeypatch):
+    original = oracle.fiber_point_count
+
+    def short_by_one(*args, **kwargs):
+        count = original(*args, **kwargs)
+        last = list(count.buckets)[-1]
+        count.buckets[last] -= 1
+        return oracle.FiberCount(total=count.total - 1, buckets=count.buckets)
+
+    monkeypatch.setattr(oracle, "fiber_point_count", short_by_one)
+
+
+def test_failed_verification_exits_1_in_every_format(capsys, monkeypatch):
+    _drop_one_chain(monkeypatch)
+    assert run_cli(capsys, *FAILING_VERIFY) == (1, (
+        "FAIL, total 2\n"
+        "mu     expected  actual  ok\n"
+        "-----  --------  ------  ---\n"
+        "1;0,1  1         1       yes\n"
+        "1;1,1  2         1       NO\n"
+    ), "")
+    assert run_cli(capsys, *FAILING_VERIFY, "--format", "csv") == (1, (
+        "mu,expected,actual,ok\n"
+        '"1;0,1",1,1,yes\n'
+        '"1;1,1",2,1,NO\n'
+    ), "")
+    code, out, err = run_cli(capsys, *FAILING_VERIFY, "--format", "json")
+    assert (code, err) == (1, "")
+    assert '"ok": false' in out
+    verify = json.loads(out)["result"]["verify"]
+    assert verify["passed"] is False and verify["total_expected"] == 3
+    assert verify["buckets"][1] == {"mu": [1, 1, 1], "expected": 2, "actual": 1, "ok": False}
+
+
+def test_failed_smallness_exits_1_in_every_format(capsys, monkeypatch):
+    def failing_report(n, alpha, *, caps):
+        report = smallness_report(n, alpha, caps=caps)
+        rows = tuple(
+            dataclasses.replace(row, margin=-1, ok=False) if row.record == report.witness else row
+            for row in report.rows
+        )
+        return dataclasses.replace(report, passed=False, min_margin=-1, rows=rows)
+
+    monkeypatch.setattr(cli, "smallness_report", failing_report)
+    argv = ("smallness", "--n", "3", "--alpha", "1,1")
+    assert run_cli(capsys, *argv) == (1, (
+        "FAIL (min margin -1)\n"
+        "beta   parts        codim  fiber_dim  margin  ok\n"
+        "-----  -----------  -----  ---------  ------  ---\n"
+        "(1,1)  -            0      0          -       yes\n"
+        "(1,0)  (0,1)        1      0          -       yes\n"
+        "(0,1)  (1,0)        1      0          -       yes\n"
+        "(0,0)  (1,1)        3      1          -1      NO\n"
+        "(0,0)  (1,0)+(0,1)  2      0          -       yes\n"
+    ), "")
+    assert run_cli(capsys, *argv, "--format", "csv") == (1, (
+        "beta,parts,codim,fiber_dim,margin,ok\n"
+        '"(1,1)",-,0,0,-,yes\n'
+        '"(1,0)","(0,1)",1,0,-,yes\n'
+        '"(0,1)","(1,0)",1,0,-,yes\n'
+        '"(0,0)","(1,1)",3,1,-1,NO\n'
+        '"(0,0)","(1,0)+(0,1)",2,0,-,yes\n'
+    ), "")
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert (code, err) == (1, "")
+    result = json.loads(out)["result"]
+    assert (result["passed"], result["min_margin"]) == (False, -1)
+    assert result["rows"][3] == {
+        "beta": [0, 0], "parts": [[1, 1]], "codim": 3, "fiber_dim": 1, "margin": -1, "ok": False,
+    }
+    assert result["rows"][0]["margin"] is None
+
+
+def test_parity_violation_exits_1_in_every_format(capsys, monkeypatch):
+    def odd_degrees(*args, **kwargs):
+        table = ic_stalk_table(*args, **kwargs)
+        entries = tuple(dataclasses.replace(e, degree=e.degree + 1) for e in table.entries)
+        return dataclasses.replace(table, entries=entries)
+
+    monkeypatch.setattr(cli, "ic_stalk_table", odd_degrees)
+    argv = ("ic-stalks", "--n", "3", "--alpha", "1,1", "--beta", "0,0", "--parts", "1,1")
+    assert run_cli(capsys, *argv) == (1, (
+        "parity VIOLATED\n"
+        "degree  twist  multiplicity\n"
+        "------  -----  ------------\n"
+        "-6      0      1\n"
+        "-4      1      1\n"
+    ), "")
+    csv = "degree,twist,multiplicity\n-6,0,1\n-4,1,1\n"
+    assert run_cli(capsys, *argv, "--format", "csv") == (1, csv, "")
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert (code, err) == (1, "")
+    result = json.loads(out)["result"]
+    assert result["parity_ok"] is False
+    assert [e["degree"] for e in result["entries"]] == [-6, -4]

@@ -54,3 +54,32 @@ def test_package_name_follows_a_patched_module_attribute(monkeypatch):
 
     monkeypatch.setattr(strata, "enumerate_strata", patched)
     assert quasiflags.enumerate_strata is patched
+
+
+def _importtime(code, *argv):
+    """The quasiflags modules that `python -X importtime` logs, and those in sys.modules at exit."""
+    code = (
+        "import atexit, sys\n"
+        "ours = lambda: [m for m in sys.modules if m.startswith('quasiflags')]\n"
+        "atexit.register(lambda: print(*ours(), file=sys.stderr))\n"
+    ) + code
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    cmd = [sys.executable, "-X", "importtime", "-c", code, *argv]
+    proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stderr.splitlines()
+    logged = {line.rsplit("|", 1)[1].strip() for line in lines if line.startswith("import time:")}
+    return {m for m in logged if m.startswith("quasiflags")}, set(lines[-1].split())
+
+
+def test_importtime_logs_every_module_loaded():
+    logged, loaded = _importtime("import quasiflags\nquasiflags.strata\n")
+    assert {"quasiflags.strata", "quasiflags.kostant"} <= loaded
+    assert logged == loaded
+    # as `python -m quasiflags fiber-count ...` runs
+    logged, loaded = _importtime(
+        "import runpy\nrunpy.run_module('quasiflags', run_name='__main__', alter_sys=True)\n",
+        "fiber-count", "--n", "3", "--gamma", "1,1", "--q", "2",
+    )
+    assert "quasiflags.gfpoly" in loaded
+    assert logged == loaded

@@ -132,3 +132,19 @@ def test_flag_dim():
     assert flag_dim(3) == 3
     assert flag_dim(4) == 6
     assert flag_dim(5) == 10
+
+
+def test_every_rank_entry_point_refuses_a_bad_rank_alike():
+    from quasiflags.oracle import enumerate_fiber_chains
+
+    for bad in (1, 0, -3, 2.0, "3", None):
+        message = f"rank parameter n must be an integer >= 2, got {bad!r}"
+        for call in (
+            lambda: positive_coroots(bad),
+            lambda: interval_to_gamma(Interval(1, 1), bad),
+            lambda: flag_dim(bad),
+            lambda: enumerate_fiber_chains(bad, GammaVec((1,)), 2),
+        ):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == message
