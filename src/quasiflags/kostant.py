@@ -6,17 +6,21 @@ t = 1 recovers the plain Kostant partition count; the coefficients are also
 the stratum counts of the fiber attached to gamma, graded by dimension. For
 a multiset Gamma of degree vectors the fiber polynomial is the product of
 the per-part polynomials.
+
+K_gamma(t) is the coefficient of x^gamma in Kostant's generating function
+prod_c 1 / (1 - t^{|c|-1} x^c) over the positive coroots c, so it is counted
+by a knapsack over the box 0 <= v <= gamma, without listing any partition;
+one count yields K_v(t) for every v in the box, and all of them are cached.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .limits import Caps, DEFAULT_CAPS, check_length, check_rank
-from .partitions import GammaPartition, _coroot_multiplicities
-from .roots import GammaVec, _coroots
+from .partitions import GammaPartition
+from .roots import GammaVec, _box, _coroots
 
 
 @dataclass(frozen=True)
@@ -60,14 +64,21 @@ class IntPolynomial:
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
         if not isinstance(other, IntPolynomial):
             return NotImplemented
-        if not self.coeffs or not other.coeffs:
+        left, right = self.coeffs, other.coeffs
+        # polynomials are immutable, so a product with 1 can be the other factor
+        if right == (1,):
+            return self
+        if left == (1,):
+            return other
+        if not left or not right:
             return IntPolynomial(())
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
+        out = [0] * (len(left) + len(right) - 1)
+        for i, a in enumerate(left):
             if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return IntPolynomial(tuple(out))
+                for j, b in enumerate(right, i):
+                    out[j] += a * b
+        # the leading coefficients multiply to a nonzero top one
+        return _int_polynomial(tuple(out))
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -85,33 +96,77 @@ class IntPolynomial:
         return " + ".join(terms)
 
 
+def _int_polynomial(coeffs: tuple[int, ...]) -> IntPolynomial:
+    """An IntPolynomial of nonnegative int coefficients with a nonzero last one, unchecked."""
+    poly = object.__new__(IntPolynomial)
+    object.__setattr__(poly, "coeffs", coeffs)
+    return poly
+
+
 ONE = IntPolynomial((1,))
 
 
 # at least 972: the vectors of the largest box under DEFAULT_CAPS, (2,2,2,2,2,1,1)
 KOSTANT_CACHE_SIZE = 4096
+# box vector -> K_v(t), oldest count first; at most KOSTANT_CACHE_SIZE entries.
+# Every access is one OrderedDict call that cannot fail on a key another
+# thread removed, so threads can share it without a lock.
+_CACHE: OrderedDict = OrderedDict()
 
 
 def kostant_poly(gamma: GammaVec, *, caps: Caps = DEFAULT_CAPS) -> IntPolynomial:
-    """The q-analogue K_gamma(t), tallied over coroot partitions.
+    """The q-analogue K_gamma(t), counted over the box below gamma.
 
-    Coefficient of t^j = number of kappa with |gamma| - K(kappa) = j. For
-    gamma = 0 the empty partition gives the constant polynomial 1. The
-    degree is at most |gamma| - 1, with equality exactly when gamma is
-    itself a positive coroot.
+    Coefficient of t^j = number of coroot partitions kappa of gamma with
+    |gamma| - K(kappa) = j. For gamma = 0 the empty partition gives the
+    constant polynomial 1. The degree is at most |gamma| - 1, with equality
+    exactly when gamma is itself a positive coroot. A call that misses the
+    cache counts K_v(t) for every v <= gamma and caches them (the last
+    KOSTANT_CACHE_SIZE of them when the box is larger), so reading
+    gamma first makes the reads of the rest of its box cache hits.
     """
     check_rank(gamma.n, caps)
     check_length(gamma.length, caps)
     return _kostant_poly(gamma.coeffs)
 
 
-@lru_cache(maxsize=KOSTANT_CACHE_SIZE)
 def _kostant_poly(coeffs: tuple[int, ...]) -> IntPolynomial:
     # the caller checked the caps
-    length = sum(coeffs)
-    coroots = _coroots(len(coeffs) + 1)
-    counts = Counter(length - sum(mults) for mults in _coroot_multiplicities(coroots, coeffs))
-    return IntPolynomial(tuple(counts[j] for j in range(length + 1)))
+    poly = _CACHE.get(coeffs)
+    if poly is None:
+        # coeffs comes last, so poly is its K even if the box overflows the cache
+        for v, poly in _box_count(coeffs):
+            # re-inserted, so that the newest count is evicted last
+            _CACHE.pop(v, None)
+            _CACHE[v] = poly
+            if len(_CACHE) > KOSTANT_CACHE_SIZE:
+                _CACHE.popitem(last=False)
+    return poly
+
+
+def _box_count(coeffs: tuple[int, ...]) -> list[tuple[tuple[int, ...], IntPolynomial]]:
+    """(v, K_v(t)) for every v in the box 0 <= v <= coeffs, in increasing lex order.
+
+    Bottom-up knapsack on prod_c 1 / (1 - t^{|c|-1} x^c): for each coroot c
+    in (q, p) order and each v in increasing order, T[v] += t^{|c|-1} T[v - c].
+    T[v - c] already counts the partitions with any number of copies of c.
+    """
+    vecs, strides = _box(coeffs)
+    table: list[list[int]] = [[] for _ in vecs]
+    table[0].append(1)
+    for c in _coroots(len(coeffs) + 1):
+        lo, hi, shift = c.q - 1, c.p, c.p - c.q
+        offset = sum(strides[lo:hi])
+        for i in range(offset, len(vecs)):
+            src = table[i - offset]
+            if src and min(vecs[i][lo:hi]):
+                dst = table[i]
+                if len(dst) < len(src) + shift:
+                    dst.extend([0] * (len(src) + shift - len(dst)))
+                for j, x in enumerate(src, shift):
+                    dst[j] += x
+    # every v is a sum of simple coroots, so no entry is zero
+    return [(v, _int_polynomial(tuple(t))) for v, t in zip(vecs, table)]
 
 
 def fiber_poincare(parts: GammaPartition, *, caps: Caps = DEFAULT_CAPS) -> IntPolynomial:

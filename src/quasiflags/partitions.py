@@ -331,8 +331,9 @@ def _gamma_partition(n: int, parts: tuple[GammaVec, ...]) -> GammaPartition:
 def _part_tuples(remaining: tuple[int, ...], bound: tuple[int, ...], memo: dict):
     """Part sequences of the partitions of remaining into parts lex <= bound.
 
-    The sequences, and the parts in each, come in decreasing lex order. One
-    memo can serve all the vectors of a box.
+    The sequences, and the parts in each, come in decreasing lex order. The
+    memo serves one call of gamma_partitions; enumerate_strata builds its
+    lists over the whole box without it.
     """
     if not any(remaining):
         return ((),)

@@ -10,6 +10,7 @@ nonnegative coefficients on i_1 .. i_{n-1}. All combinatorial indices are
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .limits import Caps, DEFAULT_CAPS, check_rank, require_rank
 
@@ -109,6 +110,20 @@ def positive_coroots(n: int, *, caps: Caps = DEFAULT_CAPS) -> list[Interval]:
 def _coroots(n: int) -> list[Interval]:
     # the order of positive_coroots, with n unchecked
     return [Interval(p, q) for q in range(1, n) for p in range(q, n)]
+
+
+def _box(coeffs: tuple[int, ...]) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The vectors 0 <= v <= coeffs in increasing lex order, and their strides.
+
+    v sits at index sum(v[k] * strides[k]) of the list, so the index order
+    is the lex order, and v - w sits at the index of v minus that of w.
+    """
+    vecs = list(product(*(range(a + 1) for a in coeffs)))
+    strides, size = [], len(vecs)
+    for a in coeffs:
+        size //= a + 1
+        strides.append(size)
+    return vecs, strides
 
 
 def pairing(k: int, c: Interval) -> int:

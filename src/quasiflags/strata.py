@@ -18,15 +18,16 @@ polynomial: coefficient j contributes a summand in cohomological degree
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import product
+from itertools import accumulate, product
 
 # before `from . import kostant`, so that kostant loads by a path -X importtime logs
 from .kostant import ONE, IntPolynomial, fiber_poincare
 from . import kostant
 from .limits import Caps, DEFAULT_CAPS, check_length, check_rank
-from .partitions import GammaPartition, _gamma_partition, _part_tuples
-from .roots import GammaVec, flag_dim
+from .partitions import GammaPartition, _gamma_partition
+from .roots import GammaVec, _box, flag_dim
 
 
 @dataclass(frozen=True)
@@ -101,45 +102,69 @@ def enumerate_strata(n: int, alpha: GammaVec, *, caps: Caps = DEFAULT_CAPS) -> l
     Gamma runs over gamma_partitions(alpha - beta) in its canonical order.
 
     The caps are checked once, and K_v(t) is read through the public
-    kostant_poly once per nonzero box vector v <= alpha, each of which is a
-    part of some stratum. The fiber polynomial of the parts (v, *tail) is
-    K_v(t) times that of tail, which is the part tuple of the stratum at
-    beta + v and so was listed earlier (the open stratum, with no parts, is
-    first): one product per stratum.
+    kostant_poly once per nonzero box vector v <= alpha, alpha first, so
+    that one count fills the cache for the whole box. The defects
+    d = alpha - beta are walked in increasing lex order, each with its
+    records in canonical order, whose leading parts do not increase. The
+    records of d with leading part v are v prepended to the records of
+    d - v with leading part lex <= v, a suffix of that earlier list found by
+    bisection, so each stratum costs one product K_v(t) * tail.
     """
     check_rank(n, caps)
     if alpha.n != n:
         raise ValueError("alpha rank context does not match n")
     check_length(alpha.length, caps)
     dim_b = flag_dim(n)
-    # one memo for all defects alpha - beta
-    memo: dict = {}
-    vecs = {v: GammaVec(v) for v in product(*(range(a + 1) for a in alpha.coeffs)) if any(v)}
-    kpolys = {v: kostant.kostant_poly(vec, caps=caps) for v, vec in vecs.items()}
-    # part tuple -> its record, local so nothing outlives the call
-    by_parts: dict = {}
-    for beta_coeffs in product(*(range(a, -1, -1) for a in alpha.coeffs)):
-        beta = GammaVec(beta_coeffs)
-        defect = tuple(a - b for a, b in zip(alpha.coeffs, beta_coeffs))
-        for part_tuple in _part_tuples(defect, defect, memo):
-            if part_tuple:
-                v, tail = part_tuple[0], by_parts[part_tuple[1:]]
-                parts = _gamma_partition(n, (vecs[v],) + tail.parts.parts)
-                poly = kpolys[v] * tail.fiber_poincare
-            else:
-                parts, poly = _gamma_partition(n, ()), ONE
-            by_parts[part_tuple] = StratumRecord(
-                beta=beta,
-                parts=parts,
-                m=parts.m,
-                stratum_dim=2 * beta.length + dim_b + parts.m,
-                codim=2 * sum(defect) - parts.m,
-                # every K_v(t) is nonzero, so poly has a degree
-                fiber_dim=poly.degree,
-                fiber_poincare=poly,
-            )
-    # each part tuple names one stratum, and dicts keep insertion order
-    return list(by_parts.values())
+    box, strides = _box(alpha.coeffs)
+    vecs = [GammaVec(v) for v in box]
+    kpolys = [ONE] * len(vecs)
+    for i in range(len(vecs) - 1, 0, -1):
+        kpolys[i] = kostant.kostant_poly(vecs[i], caps=caps)
+    open_stratum = StratumRecord(
+        beta=alpha,
+        parts=_gamma_partition(n, ()),
+        m=0,
+        stratum_dim=2 * alpha.length + dim_b,
+        codim=0,
+        fiber_dim=0,
+        fiber_poincare=ONE,
+    )
+    # per defect index: its records, and minus the box index of each one's
+    # leading part (0 for no parts), which does not decrease along the list
+    records, leads = [[open_stratum]], [[0]]
+    for d in range(1, len(vecs)):
+        # alpha - defect sits at the index of alpha minus that of defect
+        defect, beta = vecs[d], vecs[-1 - d]
+        beta_dim = 2 * beta.length + dim_b
+        defect_codim = 2 * defect.length
+        recs, keys = [], []
+        # the nonzero v <= defect, by box index, in decreasing lex order
+        for steps in product(*(range(x * s, -1, -s) for x, s in zip(defect.coeffs, strides))):
+            v = sum(steps)
+            if not v:
+                break
+            tails = records[d - v][bisect_left(leads[d - v], -v) :]
+            part, kpoly = (vecs[v],), kpolys[v]
+            for tail in tails:
+                m = tail.m + 1
+                poly = kpoly * tail.fiber_poincare
+                recs.append(
+                    StratumRecord(
+                        beta=beta,
+                        parts=_gamma_partition(n, part + tail.parts.parts),
+                        m=m,
+                        stratum_dim=beta_dim + m,
+                        codim=defect_codim - m,
+                        # every K_v(t) is nonzero, so poly has a degree
+                        fiber_dim=poly.degree,
+                        fiber_poincare=poly,
+                    )
+                )
+            keys += [-v] * len(tails)
+        records.append(recs)
+        leads.append(keys)
+    # the defects increase, so beta decreases
+    return [rec for recs in records for rec in recs]
 
 
 def smallness_report(n: int, alpha: GammaVec, *, caps: Caps = DEFAULT_CAPS) -> SmallnessReport:
@@ -150,20 +175,22 @@ def smallness_report(n: int, alpha: GammaVec, *, caps: Caps = DEFAULT_CAPS) -> S
     display. A pass with no constrained stratum at all is flagged vacuous;
     otherwise min_margin and witness report the tightest stratum.
     """
-    records = enumerate_strata(n, alpha, caps=caps)
     rows = []
-    for rec in records:
-        if rec.fiber_dim > 0:
-            margin = rec.codim - 2 * rec.fiber_dim
+    # f -> min codim over the strata with fiber_dim exactly f > 0
+    min_codim: dict[int, int] = {}
+    for rec in enumerate_strata(n, alpha, caps=caps):
+        f = rec.fiber_dim
+        if f > 0:
+            margin = rec.codim - 2 * f
             rows.append(SmallnessRow(rec, margin, margin > 0))
+            min_codim[f] = min(min_codim.get(f, rec.codim), rec.codim)
         else:
             rows.append(SmallnessRow(rec, None, True))
     constrained = [row for row in rows if row.margin is not None]
-    dims = sorted({rec.fiber_dim for rec in records if rec.fiber_dim > 0})
-    aggregate = []
-    for f in dims:
-        min_codim = min(rec.codim for rec in records if rec.fiber_dim >= f)
-        aggregate.append((f, min_codim, min_codim > 2 * f))
+    # a running minimum from the largest f down covers fiber_dim >= f
+    dims = sorted(min_codim, reverse=True)
+    running = accumulate((min_codim[f] for f in dims), min)
+    aggregate = [(f, c, c > 2 * f) for f, c in zip(dims, running)][::-1]
     passed = all(row.ok for row in rows)
     witness_row = min(constrained, key=lambda row: row.margin, default=None)
     return SmallnessReport(

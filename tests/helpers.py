@@ -56,6 +56,14 @@ def brute_force_kappa_sets(n, gamma):
     return found
 
 
+def kostant_poly_brute(n, gamma):
+    """K_gamma(t) tallied over brute_force_kappa_sets: t^(|gamma| - K(kappa)) per kappa."""
+    counts = [0] * (gamma.length + 1)
+    for kappa in brute_force_kappa_sets(n, gamma):
+        counts[gamma.length - sum(m for _, _, m in kappa)] += 1
+    return IntPolynomial(tuple(counts))
+
+
 def kostant_count(n, gamma):
     """Number of coroot partitions of gamma, by unbounded-knapsack DP."""
     cells = sorted(product(*(range(a + 1) for a in gamma.coeffs)))

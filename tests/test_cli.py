@@ -40,6 +40,12 @@ def test_kostant_table_is_bare_polynomial(capsys):
     assert err == ""
 
 
+def test_long_gamma_under_raised_caps(capsys):
+    # counted without recursion, so a length far past the default cap runs
+    code, out, err = run_cli(capsys, "kostant", "--n", "2", "--gamma", "1000", "--cap-length", "1000")
+    assert (code, out, err) == (0, "1\n", "")
+
+
 def test_kostant_json(capsys):
     code, out, _ = run_cli(capsys, "kostant", "--n", "4", "--gamma", "1,1,1", "--format", "json")
     assert code == 0

@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given, settings
 
 import helpers
+from quasiflags import kostant
 from quasiflags.kostant import ONE, IntPolynomial, fiber_poincare, kostant_poly
 from quasiflags.limits import CapExceededError, Caps
 from quasiflags.partitions import GammaPartition, gamma_partitions
@@ -75,6 +77,24 @@ def test_two_paths_agree():
     for n in (2, 3, 4):
         for gamma in helpers.vectors_with_length_at_most(n, 4):
             assert kostant_poly(gamma) == helpers.kostant_poly_via_strata(gamma), gamma
+
+
+@settings(derandomize=True, deadline=None)
+@given(helpers.small_alphas(max_rank=5, max_length=6))
+def test_graded_count_matches_the_brute_force_tally(gamma):
+    assert kostant_poly(gamma) == helpers.kostant_poly_brute(gamma.n, gamma)
+
+
+def test_box_larger_than_the_cache():
+    gamma = GammaVec((5, 5, 5, 5, 5))
+    caps = Caps(max_length=25)
+    # 7,776 box vectors: the fill evicts the oldest of them as it goes
+    assert 6**5 > kostant.KOSTANT_CACHE_SIZE
+    assert kostant_poly(gamma, caps=caps).eval_at(1) == helpers.kostant_count(6, gamma)
+    assert len(kostant._CACHE) == kostant.KOSTANT_CACHE_SIZE
+    # (4,4,4,4,4) was filled late enough to stay, (1,1,1,1,1) was evicted
+    for later in (GammaVec((4, 4, 4, 4, 4)), GammaVec((1, 1, 1, 1, 1))):
+        assert kostant_poly(later, caps=caps).eval_at(1) == helpers.kostant_count(6, later)
 
 
 def test_value_at_one_counts_partitions():

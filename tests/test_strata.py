@@ -120,6 +120,17 @@ def test_records_agree_with_the_public_fiber_route(alpha):
         assert hash(rec.parts) == hash(validated)
 
 
+@settings(derandomize=True, deadline=None)
+@given(helpers.small_alphas())
+def test_strata_follow_beta_then_gamma_partitions_order(alpha):
+    expected = [
+        (beta, parts)
+        for beta in map(GammaVec, product(*(range(a, -1, -1) for a in alpha.coeffs)))
+        for parts in gamma_partitions(alpha - beta)
+    ]
+    assert [(r.beta, r.parts) for r in enumerate_strata(alpha.n, alpha)] == expected
+
+
 def test_kostant_poly_is_read_once_per_box_vector(monkeypatch):
     original = kostant.kostant_poly
     calls = []
@@ -142,6 +153,16 @@ def test_kostant_poly_is_read_once_per_box_vector(monkeypatch):
     assert [r.fiber_poincare != c.fiber_poincare for r, c in zip(recs, corrupted)] == [
         r.m > 0 for r in recs
     ]
+
+
+@settings(derandomize=True, deadline=None)
+@given(helpers.small_alphas())
+def test_smallness_aggregate_follows_its_definition(alpha):
+    records = enumerate_strata(alpha.n, alpha)
+    dims = sorted({r.fiber_dim for r in records if r.fiber_dim > 0})
+    mins = [min(r.codim for r in records if r.fiber_dim >= f) for f in dims]
+    expected = tuple((f, c, c > 2 * f) for f, c in zip(dims, mins))
+    assert smallness_report(alpha.n, alpha).aggregate == expected
 
 
 def test_smallness_pass_with_margin():
