@@ -41,6 +41,23 @@ Its mu invariants, the colengths of L_p n R^q, are the pivot prefix sums
 d_1 + ... + d_q. fiber_point_count buckets chains by mu, under the oracle
 caps alone; verify_against_kostant, the one bridge to the partition
 calculus, compares the buckets with the predicted counts q^stratum_dim.
+
+Counting
+--------
+x -> B_M x maps R^k onto the lattice M, so the lattices inside M are the
+products B_M B_X over all lattices X, each reached once (the
+elementary-divisor picture of Macdonald, Symmetric Functions and Hall
+Polynomials, ch. II). The product is upper-triangular with pivots
+z^(diag M + diag X), so canonicalising it only reduces entries modulo the
+row pivots. Chains are therefore grown as a transfer over distinct
+lattices: the state at layer k maps each L_k to what the chains ending at
+it carry, a Counter of mu-row prefixes for fiber_point_count and the
+chains themselves for enumerate_fiber_chains. For each lead M of colength
+at most min(c_k, c_(k+1)), the states inside M are found by generating
+the products of each state diagonal above diag(M) and looking them up; no
+containment is tested. The extensions of M to L_(k+1) share one mu row,
+so they share one Counter, and at the last layer their number, q^colength(M),
+is multiplied in instead of building them.
 """
 
 from __future__ import annotations
@@ -358,45 +375,95 @@ def enumerate_fiber_chains(
     n: int, gamma: GammaVec, q: int, *, caps: Caps = DEFAULT_CAPS
 ) -> list[FlagChain]:
     """All flag chains over F_q with colength profile gamma, layer by layer."""
+    _check_oracle_caps(n, gamma, q, caps)
+    profile = (0,) + gamma.coeffs
+    bases = _diag_bases(q)
+    # each L_k with the chains that end at it
+    states: dict[Basis, list[tuple[Basis, ...]]] = {(): [()]}
+    for k in range(n - 1):
+        grown = {}
+        for lead, diag, inside in _leads_over(states, min(profile[k], profile[k + 1]), q, bases):
+            chains = [chain for cols in inside for chain in states[cols]]
+            for cols in _extensions(lead, profile[k + 1] - sum(diag), q):
+                grown[cols] = [chain + (cols,) for chain in chains]
+        states = grown
     return [
         FlagChain(n, q, gamma, tuple(Lattice(k, q, cols) for k, cols in enumerate(chain, start=1)))
-        for chain in _nested_chains(n, gamma, q, caps)
+        for chains in states.values()
+        for chain in chains
     ]
 
 
-def _nested_chains(n: int, gamma: GammaVec, q: int, caps: Caps) -> list[tuple[Basis, ...]]:
-    """enumerate_fiber_chains as bare canonical bases, nested by construction.
+def _diag_bases(q: int):
+    """Canonical bases by diagonal, grown from their leads by _extensions; memoised."""
+    memo: dict[tuple[int, ...], list[Basis]] = {(): [()]}
 
-    L_k is an extension of a lead that contains L_(k-1); such a lead has
-    colength at most min(c_(k-1), c_k), so only those leads are tested.
+    def bases(diag: tuple[int, ...]) -> list[Basis]:
+        if diag not in memo:
+            leads = bases(diag[:-1])
+            memo[diag] = [cols for lead in leads for cols in _extensions(lead, diag[-1], q)]
+        return memo[diag]
+
+    return bases
+
+
+def _sublattices(outer: Basis, diag: tuple[int, ...], q: int, bases):
+    """Canonical bases of every L in outer with diag(L) = diag, each exactly once.
+
+    x -> B_outer x maps R^k onto outer, so L runs once through the images
+    B_outer B_X of the lattices X of diagonal diag - diag(outer). The product
+    is upper-triangular with pivots z^(diag_j); canonicalising it only
+    reduces each column from the bottom row up modulo the row pivots.
     """
-    _check_oracle_caps(n, gamma, q, caps)
-    profile = (0,) + gamma.coeffs
-    partial: list[tuple[Basis, ...]] = [()]
-    for k in range(1, n):
-        leads = [
-            (lead, profile[k] - c)
-            for c in range(min(profile[k - 1], profile[k]), -1, -1)
-            for lead in _lattice_columns(k - 1, c, q)
-        ]
-        partial = [
-            chain + (cols,)
-            for chain in partial
-            for lead, d in leads
-            if not chain or _contains(lead, chain[-1], q)
-            for cols in _extensions(lead, d, q)
-        ]
-    return partial
+    shift = tuple(d - e for d, e in zip(diag, _diag(outer)))
+    for inner in bases(shift):
+        out: list[Column] = []
+        for j, xcol in enumerate(inner):
+            col = [gf.ZERO] * len(inner)
+            for i, x in enumerate(xcol[: j + 1]):
+                if x:
+                    for r, entry in enumerate(outer[i][: i + 1]):
+                        col[r] = gf.add(col[r], gf.mul(x, entry, q), q)
+            for i in range(j - 1, -1, -1):
+                quo = col[i][diag[i] :]
+                if quo:
+                    col[i] = gf.trim(col[i][: diag[i]])
+                    for r in range(i):
+                        col[r] = gf.sub(col[r], gf.mul(quo, out[i][r], q), q)
+            out.append(tuple(col))
+        yield tuple(out)
+
+
+def _leads_over(states, colength: int, q: int, bases):
+    """Each lead that contains a state, with its diagonal and the states inside it.
+
+    states is keyed by canonical bases of rank k. A lead of rank k that
+    contains one has colength at most colength and a diagonal below the
+    state's entry by entry, so the leads are read off bases() by diagonal
+    and a lead that contains no state is never built.
+    """
+    floors: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for diag in dict.fromkeys(map(_diag, states)):
+        for floor in product(*(range(d + 1) for d in diag)):
+            if sum(floor) <= colength:
+                floors.setdefault(floor, []).append(diag)
+    for floor, above in floors.items():
+        for lead in bases(floor):
+            inside = [
+                cols
+                for diag in above
+                for cols in _sublattices(lead, diag, q, bases)
+                if cols in states
+            ]
+            if inside:
+                yield lead, floor, inside
 
 
 def mu_invariants(chain: FlagChain) -> Triangle:
     """The mu triangle of a chain: mu_{pq} = colength of L_p n R^q."""
-    return Triangle(n=chain.n, kind="mu", rows=_mu_rows(tuple(lat.cols for lat in chain.lattices)))
-
-
-def _mu_rows(chain: tuple[Basis, ...]) -> tuple[tuple[int, ...], ...]:
     # L_p n R^q is the leading q x q block, of colength d_1 + ... + d_q
-    return tuple(tuple(accumulate(_diag(cols))) for cols in chain)
+    rows = tuple(tuple(accumulate(lat.diag)) for lat in chain.lattices)
+    return Triangle(n=chain.n, kind="mu", rows=rows)
 
 
 @dataclass
@@ -417,12 +484,32 @@ def fiber_point_count(
     that no coroot partition predicts is sorted in among the rest, and
     verify_against_kostant reports it.
     """
-    chains = _nested_chains(n, gamma, q, caps)
-    raw = Counter(_mu_rows(chain) for chain in chains)
+    _check_oracle_caps(n, gamma, q, caps)
+    profile = (0,) + gamma.coeffs
+    bases = _diag_bases(q)
+    # each L_k with the mu rows of the chains that end at it, counted
+    states: dict[Basis, Counter] = {(): Counter({(): 1})}
+    raw: Counter = Counter()
+    for k in range(n - 1):
+        grown = {}
+        for lead, diag, inside in _leads_over(states, min(profile[k], profile[k + 1]), q, bases):
+            rows = Counter()
+            for cols in inside:
+                rows.update(states[cols])
+            # every extension of the lead has the same diagonal, so the same mu row
+            c = sum(diag)
+            row = tuple(accumulate(diag + (profile[k + 1] - c,)))
+            extended = Counter({prefix + (row,): count for prefix, count in rows.items()})
+            if k < n - 2:
+                grown.update(dict.fromkeys(_extensions(lead, profile[k + 1] - c, q), extended))
+            else:
+                # the last layer is counted, not built: q^c last columns per lead
+                raw.update({prefix: count * q**c for prefix, count in extended.items()})
+        states = grown
     # the diagonal is gamma's coefficients, so the entries below it decide the order
     order = sorted(raw, key=lambda rows: [row[j] for j in range(n - 2) for row in rows[j + 1 :]])
     buckets = {Triangle(n=n, kind="mu", rows=rows): raw[rows] for rows in order}
-    return FiberCount(total=len(chains), buckets=buckets)
+    return FiberCount(total=sum(raw.values()), buckets=buckets)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from itertools import combinations, product
 from hypothesis import strategies as st
 
 import quasiflags.gfpoly as gf
+import quasiflags.oracle as oracle
 from quasiflags.kostant import IntPolynomial
 from quasiflags.oracle import Lattice, contains, enumerate_lattices
 from quasiflags.partitions import mu_triangles, stratum_dim
@@ -198,6 +199,37 @@ def vector_partition_count(alpha):
     return dp[tuple(alpha)]
 
 
+def min_codim_by_fiber_dim(alpha):
+    """f -> least codim over the strata of alpha with fiber_dim exactly f > 0.
+
+    A stratum (beta, Gamma) has codim 2|d| - m for the defect d = alpha - beta
+    cut into m parts v, and fiber_dim the sum of deg K_v(t), which is |v|
+    less the fewest positive coroots summing to v. Both come from DPs over
+    the box: fewest coroots by subtracting one coroot, and the (m, fiber_dim)
+    pairs of each defect by splitting off one part.
+    """
+    n = alpha.n
+    cells = sorted(product(*(range(a + 1) for a in alpha.coeffs)))
+    sups = [interval_to_gamma(c, n).coeffs for c in positive_coroots(n)]
+    fewest = {}
+    for cell in cells:
+        prevs = (tuple(a - b for a, b in zip(cell, sup)) for sup in sups)
+        fewest[cell] = min((fewest[prev] + 1 for prev in prevs if min(prev) >= 0), default=0)
+    pairs = {}
+    best = {}
+    for d in cells:
+        found = set() if any(d) else {(0, 0)}
+        for v in product(*(range(x + 1) for x in d)):
+            if any(v):
+                rest = tuple(a - b for a, b in zip(d, v))
+                found |= {(m + 1, f + sum(v) - fewest[v]) for m, f in pairs[rest]}
+        pairs[d] = found
+        for m, f in found:
+            if f > 0:
+                best[f] = min(best.get(f, 2 * sum(d) - m), 2 * sum(d) - m)
+    return best
+
+
 # Second routes to library results, kept here for cross-checking: they
 # reuse library pieces, so they check consistency rather than give
 # independent expected values.
@@ -262,3 +294,28 @@ def valuation(a):
         if c:
             return i
     return None
+
+
+def lead_tested_chains(n, gamma, q):
+    """Flag chains as nested canonical bases, by testing leads for containment.
+
+    L_k is an extension of a lead that contains L_(k-1); such a lead has
+    colength at most min(c_(k-1), c_k), so every lead of that colength is
+    tested against every partial chain.
+    """
+    profile = (0,) + gamma.coeffs
+    partial = [()]
+    for k in range(1, n):
+        leads = [
+            (lead, profile[k] - c)
+            for c in range(min(profile[k - 1], profile[k]), -1, -1)
+            for lead in oracle._lattice_columns(k - 1, c, q)
+        ]
+        partial = [
+            chain + (cols,)
+            for chain in partial
+            for lead, d in leads
+            if not chain or oracle._contains(lead, chain[-1], q)
+            for cols in oracle._extensions(lead, d, q)
+        ]
+    return partial

@@ -2,6 +2,7 @@ import math
 import time
 from collections import Counter
 from functools import lru_cache
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -207,14 +208,54 @@ def test_coordinate_intersection_monotone():
         assert vals[0] <= vals[1] <= vals[2]
 
 
+# n <= 5, |gamma| <= 6 with zero entries, q in {2, 3}
+GRID = [
+    (n, gamma, q)
+    for q in (2, 3)
+    for n in range(2, 6)
+    for gamma in helpers.vectors_with_length_at_most(n, 6)
+]
+GRID_CAPS = Caps(oracle_max_rank=5, oracle_max_length=6)
+
+
 def test_chains_match_product_filter():
-    for q in (2, 3):
-        for n in (2, 3, 4):
-            for gamma in helpers.vectors_with_length_at_most(n, 3):
-                chains = enumerate_fiber_chains(n, gamma, q)
-                filtered = helpers.product_filtered_chains(n, gamma, q)
-                assert len(chains) == len(filtered)
-                assert {chain.lattices for chain in chains} == set(filtered), (n, gamma, q)
+    # the filter lists every lattice of each layer, so past n = 4, |gamma| = 3
+    # the layers stay at colength <= 2
+    small = [
+        (n, gamma, q)
+        for q in (2, 3)
+        for n in (2, 3, 4)
+        for gamma in helpers.vectors_with_length_at_most(n, 3)
+    ]
+    wide = [case for case in GRID if max(case[1].coeffs) <= 2 and case not in small]
+    for n, gamma, q in small + wide:
+        chains = enumerate_fiber_chains(n, gamma, q, caps=GRID_CAPS)
+        filtered = helpers.product_filtered_chains(n, gamma, q)
+        assert len(chains) == len(filtered)
+        assert {chain.lattices for chain in chains} == set(filtered), (n, gamma, q)
+
+
+def test_counts_and_chains_match_the_lead_tested_route():
+    checked = 0
+    for n, gamma, q in GRID:
+        try:
+            count = fiber_point_count(n, gamma, q, caps=GRID_CAPS)
+        except CapExceededError:
+            continue
+        reference = helpers.lead_tested_chains(n, gamma, q)
+        # mu rows are the prefix sums of the pivot degrees
+        mus = Counter(
+            tuple(tuple(accumulate(gf.degree(col[j]) for j, col in enumerate(cols))) for cols in ch)
+            for ch in reference
+        )
+        assert count.total == len(reference), (n, gamma, q)
+        assert {mu.rows: c for mu, c in count.buckets.items()} == mus, (n, gamma, q)
+        chains = enumerate_fiber_chains(n, gamma, q, caps=GRID_CAPS)
+        assert len(chains) == len(reference)
+        assert {tuple(lat.cols for lat in chain.lattices) for chain in chains} == set(reference)
+        checked += 1
+    # the volume cap refuses five inputs with c_4 >= 5 at q = 3
+    assert checked == len(GRID) - 5
 
 
 def test_chain_counts_match_hand_values():
@@ -259,11 +300,15 @@ def test_mu_outside_the_predicted_list_is_reported(monkeypatch):
 
 
 def test_verify_checks_every_cap_before_the_first_chain(monkeypatch):
-    def no_chains(*args):
-        raise AssertionError("a chain was built")
+    def no_lattices(*args):
+        raise AssertionError("a lattice was built")
 
-    monkeypatch.setattr(oracle, "_nested_chains", no_chains)
+    # every canonical basis the count builds, lead, state or sublattice, comes out of these
+    for name in ("_extensions", "_sublattices"):
+        monkeypatch.setattr(oracle, name, no_lattices)
     gamma = GammaVec((1, 1))
+    with pytest.raises(AssertionError, match="a lattice was built"):
+        verify_against_kostant(3, gamma, 2)
     with pytest.raises(CapExceededError, match="length cap 1"):
         verify_against_kostant(3, gamma, 2, caps=Caps(max_length=1))
     with pytest.raises(CapExceededError, match="rank cap 2"):
@@ -450,3 +495,33 @@ def lattices_with_column_operations(draw):
 def test_from_generators_is_invariant_under_unimodular_column_operations(case):
     lat, cols = case
     assert Lattice.from_generators(lat.rank, lat.q, cols) == lat
+
+
+lattices = lru_cache(maxsize=None)(enumerate_lattices)
+
+
+@st.composite
+def leads_and_diagonals(draw):
+    # a lead of rank <= 3 and colength <= 3, and a diagonal above its own of total <= 4
+    q = draw(st.sampled_from((2, 3)))
+    k = draw(st.integers(1, 3))
+    lead = draw(st.sampled_from(lattices(k, draw(st.integers(0, 3)), q)))
+    room = 4 - lead.colength
+    extra = draw(
+        st.lists(st.integers(0, room), min_size=k, max_size=k).filter(lambda e: sum(e) <= room)
+    )
+    return lead, tuple(d + e for d, e in zip(lead.diag, extra))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(leads_and_diagonals())
+def test_sublattices_are_the_contained_lattices_of_the_diagonal(case):
+    lead, diag = case
+    generated = list(oracle._sublattices(lead.cols, diag, lead.q, oracle._diag_bases(lead.q)))
+    expected = {
+        lat.cols
+        for lat in lattices(lead.rank, sum(diag), lead.q)
+        if lat.diag == diag and contains(lead, lat)
+    }
+    assert len(generated) == len(set(generated))
+    assert set(generated) == expected

@@ -165,6 +165,22 @@ def test_smallness_aggregate_follows_its_definition(alpha):
     assert smallness_report(alpha.n, alpha).aggregate == expected
 
 
+def test_smallness_aggregate_matches_an_independent_recount():
+    # n <= 6, entries <= 3, |alpha| <= 6. The least codim at fiber_dim exactly f
+    # rises strictly with f: cutting one unit off the end of a coroot of length
+    # >= 2 in a part's fewest-coroot cover lowers codim by 2 and fiber_dim by 0
+    # or 1. So the minimum over fiber_dim >= f is the one at f, on every alpha.
+    for n in range(2, 7):
+        for alpha in helpers.vectors_with_length_at_most(n, 6):
+            if max(alpha.coeffs) > 3:
+                continue
+            best = helpers.min_codim_by_fiber_dim(alpha)
+            dims = sorted(best)
+            assert [best[f] for f in dims] == sorted(set(best.values())), alpha
+            expected = tuple((f, best[f], best[f] > 2 * f) for f in dims)
+            assert smallness_report(n, alpha).aggregate == expected, alpha
+
+
 def test_smallness_pass_with_margin():
     rep = smallness_report(3, GammaVec((1, 1)))
     assert rep.passed and not rep.vacuous
