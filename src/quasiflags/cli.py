@@ -9,10 +9,11 @@ arrays [a11, a21, a22, a31, ...], and coroot partitions as [p, q, m] triples
 (the table _SCHEMA). Output is a pure function of the arguments, byte for byte.
 
 HANDLERS is the one subcommand table (handler, help text, degree-vector
-flags). `main` parses --n and those flags once, passes them to the handler,
-and renders its Output; params are n, the vectors, then the handler's extras.
-A handler builds its rows once, as dicts from column name to library value,
-and its result holds that list; `_render` writes table and CSV cells from it.
+flags). `main` builds the flags of the subcommand its argv names, parses them,
+passes them to the handler, and renders its Output; params are n, the vectors,
+then the handler's extras. A handler builds its rows once, as dicts from
+column name to library value, and its result holds that list. `_render`
+writes it a chunk of rows at a time and formats each value once per call.
 
 Exit codes: 0 success (and verification PASS), 1 verification FAIL, 2 usage
 error, 3 cap exceeded.
@@ -21,7 +22,6 @@ error, 3 cap exceeded.
 from __future__ import annotations
 
 import argparse
-import io
 import os
 import sys
 from dataclasses import fields, replace
@@ -168,80 +168,112 @@ class Output(NamedTuple):
     params: dict = {}
 
 
-def _render_table(headers, cells) -> str:
-    widths = [max(map(len, column)) for column in zip(headers, *cells)]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip()]
-    lines.append("  ".join("-" * w for w in widths))
-    for row in cells:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
-    return "\n".join(lines)
+# list items formatted and written at a time
+_CHUNK = 256
+
+
+def _write_json(obj, indent: str, write) -> None:
+    """Write json.dumps(obj, indent=2), byte for byte, through write.
+
+    Takes dicts, lists, str, int, bool and None, and a library value in
+    _SCHEMA as the sequence it maps to. Types are matched exactly, so True
+    stays true and any other type raises TypeError. The stdlib runs its
+    pure-Python encoder whenever indent is set; this one keeps, for the call,
+    the encoded keys and the text of each degree vector and polynomial, by
+    indent and coefficients. Dicts go out key by key and longer lists _CHUNK
+    items at a time.
+    """
+    memo, keys = {}, {}
+
+    def text(obj, indent: str) -> str:
+        kind = type(obj)
+        if kind is int:
+            return int.__repr__(obj)
+        if kind is GammaVec or kind is IntPolynomial:
+            key = indent, _SCHEMA[kind](obj)
+            return memo.get(key) or memo.setdefault(key, text(list(key[1]), indent))
+        if kind in _SCHEMA:
+            return text(list(_SCHEMA[kind](obj)), indent)
+        if kind is str:
+            return encode_basestring_ascii(obj)
+        if kind is bool or obj is None:
+            return "null" if obj is None else "true" if obj else "false"
+        inner = indent + "  "
+        sep = ",\n" + inner
+        if kind is list:
+            body = [text(v, inner) for v in obj]
+            return f"[\n{inner}{sep.join(body)}\n{indent}]" if obj else "[]"
+        if kind is dict:
+            body = [
+                f"{keys.get(k) or keys.setdefault(k, encode_basestring_ascii(k))}: "
+                f"{int.__repr__(v) if type(v) is int else text(v, inner)}"
+                for k, v in obj.items()
+            ]
+            return f"{{\n{inner}{sep.join(body)}\n{indent}}}" if obj else "{}"
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+    def stream(obj, indent: str) -> None:
+        kind, inner = type(obj), indent + "  "
+        if kind is dict and obj:
+            for i, (k, v) in enumerate(obj.items()):
+                write(("," if i else "{") + "\n" + inner + encode_basestring_ascii(k) + ": ")
+                stream(v, inner)
+            write(f"\n{indent}}}")
+        elif kind is list and len(obj) > _CHUNK:
+            sep = ",\n" + inner
+            for start in range(0, len(obj), _CHUNK):
+                chunk = sep.join([text(v, inner) for v in obj[start : start + _CHUNK]])
+                write((sep if start else "[\n" + inner) + chunk)
+            write(f"\n{indent}]")
+        else:
+            write(text(obj, indent))
+
+    stream(obj, indent)
 
 
 def _json(obj, indent: str) -> str:
-    """json.dumps(obj, indent=2), byte for byte, for dicts, lists, str, int, bool and None.
-
-    A library value in _SCHEMA is written as the list it maps to. The
-    stdlib runs its pure-Python encoder whenever indent is set; this one
-    writes a list of plain ints with a single join. Types are matched
-    exactly, so True stays true and any other type raises TypeError.
-    """
-    kind = type(obj)
-    if kind is int:
-        return int.__repr__(obj)
-    if kind in _SCHEMA:
-        obj, kind = _SCHEMA[kind](obj), list
-    inner = indent + "  "
-    sep = ",\n" + inner
-    if kind is list:
-        if not obj:
-            return "[]"
-        if all(type(v) is int for v in obj):
-            return f"[\n{inner}{sep.join(map(int.__repr__, obj))}\n{indent}]"
-        return f"[\n{inner}{sep.join([_json(v, inner) for v in obj])}\n{indent}]"
-    if kind is dict:
-        if not obj:
-            return "{}"
-        items = [f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in obj.items()]
-        return f"{{\n{inner}{sep.join(items)}\n{indent}}}"
-    if kind is str:
-        return encode_basestring_ascii(obj)
-    if kind is bool:
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    """What _write_json writes, as one string."""
+    pieces = []
+    _write_json(obj, indent, pieces.append)
+    return "".join(pieces)
 
 
-def _render(fmt: str, command: str, params: dict, out: Output) -> str:
+def _render(fmt: str, command: str, params: dict, out: Output, file) -> None:
+    """Write the output in fmt to the text stream file, a chunk of rows at a time."""
     if fmt == "json":
-        return _json({"command": command, "params": params, "result": out.result}, "") + "\n"
-    # the one cell formatter: None as "-", a bool as "yes" or "NO", anything else through str
-    cells = [
-        [
-            "-" if c is None else ("yes" if c else "NO") if type(c) is bool else str(c)
-            for c in (row.values() if type(row) is dict else row)
-        ]
-        for row in out.rows
-    ]
+        _write_json({"command": command, "params": params, "result": out.result}, "", file.write)
+        file.write("\n")
+        return
+    # the one cell formatter: None as "-", a bool as "yes" or "NO", a partition from its parts'
+    # text, anything else through str. Each text is kept for the call, by type and value; a
+    # degree vector's and a polynomial's by type and coefficients, which hash faster.
+    memo = {(type(None), None): "-", (bool, True): "yes", (bool, False): "NO"}
+
+    def cell(value) -> str:
+        kind = type(value)
+        if kind is GammaPartition:
+            return "+".join(map(cell, value.parts)) if value.parts else "-"
+        key = kind, value.coeffs if kind is GammaVec or kind is IntPolynomial else value
+        return memo.get(key) or memo.setdefault(key, str(value))
+
+    rows = (map(cell, row.values() if type(row) is dict else row) for row in out.rows)
     if fmt == "csv":
         import csv
 
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
+        writer = csv.writer(file, lineterminator="\n")
         writer.writerow(out.headers)
-        writer.writerows(cells)
-        return buf.getvalue()
-    table = (_render_table(out.headers, cells),) if out.aligned else ()
-    return "".join(line + "\n" for line in (*out.prefix, *table))
-
-
-def _emit(text: str) -> None:
-    try:
-        sys.stdout.write(text)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader has gone; send what is left, and the flush at exit, to devnull
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        writer.writerows(rows)
+        return
+    file.write("".join(line + "\n" for line in out.prefix))
+    if out.aligned:
+        # two passes: the column widths, then the lines
+        cells = [tuple(out.headers), *map(tuple, rows)]
+        widths = [max(map(len, column)) for column in zip(*cells)]
+        cells.insert(1, tuple("-" * w for w in widths))
+        line = "  ".join(f"%-{w}s" for w in widths)
+        for start in range(0, len(cells), _CHUNK):
+            chunk = cells[start : start + _CHUNK]
+            file.write("".join((line % row).rstrip() + "\n" for row in chunk))
 
 
 # ---------------------------------------------------------------------------
@@ -395,36 +427,41 @@ HANDLERS = {
 _METAVARS = {"alpha": "a1,a2,..", "beta": "b1,b2,..", "gamma": "c1,c2,.."}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("table", "json", "csv"), default="table")
-    # each cap flag stores into the Caps field of its dest
-    common.add_argument("--cap-rank", dest="max_rank", type=_cap, metavar="N")
-    common.add_argument("--cap-length", dest="max_length", type=_cap, metavar="L")
-    common.add_argument("--cap-oracle-rank", dest="oracle_max_rank", type=_cap, metavar="N")
-    common.add_argument("--cap-oracle-length", dest="oracle_max_length", type=_cap, metavar="L")
-    common.add_argument("--cap-oracle-primes", dest="oracle_primes", type=_int_list, metavar="Q,Q")
-    common.add_argument("--cap-lattice-volume", dest="max_lattice_volume", type=_cap, metavar="V")
-
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """All eight subcommands; only `command`, which main takes from argv, gets its flags."""
     parser = argparse.ArgumentParser(
         prog="quasiflags",
         description="Coroot partition combinatorics and finite-field fiber counting for SL(n).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, flags) in HANDLERS.items():
-        p = sub.add_parser(name, parents=[common], help=help_text)
-        p.add_argument("--n", type=int, required=True)
-        for flag in flags:
-            p.add_argument(f"--{flag}", required=True, metavar=_METAVARS[flag])
-    sub.choices["ic-stalks"].add_argument("--parts", default="", metavar='"g;g;.."')
-    sub.choices["fiber-count"].add_argument("--q", type=int, required=True)
-    sub.choices["fiber-count"].add_argument("--verify", action="store_true")
+    for name, (_, help_text, _) in HANDLERS.items():
+        sub.add_parser(name, help=help_text)
+    if command not in HANDLERS:
+        return parser
+    p = sub.choices[command]
+    p.add_argument("--format", choices=("table", "json", "csv"), default="table")
+    # each cap flag stores into the Caps field of its dest
+    p.add_argument("--cap-rank", dest="max_rank", type=_cap, metavar="N")
+    p.add_argument("--cap-length", dest="max_length", type=_cap, metavar="L")
+    p.add_argument("--cap-oracle-rank", dest="oracle_max_rank", type=_cap, metavar="N")
+    p.add_argument("--cap-oracle-length", dest="oracle_max_length", type=_cap, metavar="L")
+    p.add_argument("--cap-oracle-primes", dest="oracle_primes", type=_int_list, metavar="Q,Q")
+    p.add_argument("--cap-lattice-volume", dest="max_lattice_volume", type=_cap, metavar="V")
+    p.add_argument("--n", type=int, required=True)
+    for flag in HANDLERS[command][2]:
+        p.add_argument(f"--{flag}", required=True, metavar=_METAVARS[flag])
+    if command == "ic-stalks":
+        p.add_argument("--parts", default="", metavar='"g;g;.."')
+    if command == "fiber-count":
+        p.add_argument("--q", type=int, required=True)
+        p.add_argument("--verify", action="store_true")
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     given = {f.name: v for f in fields(Caps) if (v := getattr(args, f.name)) is not None}
@@ -442,5 +479,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     params = {"n": args.n, **dict(zip(flags, vectors)), **out.params}
-    _emit(_render(args.format, args.command, params, out))
+    try:
+        _render(args.format, args.command, params, out, sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone; send what is left, and the flush at exit, to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return out.code

@@ -7,6 +7,9 @@ from dynamic programming, and lattices from linear algebra over truncated
 modules. Agreement is therefore evidence, not tautology.
 """
 
+import csv
+import io
+import json
 from itertools import combinations, product
 
 from hypothesis import strategies as st
@@ -15,7 +18,7 @@ import quasiflags.gfpoly as gf
 import quasiflags.oracle as oracle
 from quasiflags.kostant import IntPolynomial
 from quasiflags.oracle import Lattice, contains, enumerate_lattices
-from quasiflags.partitions import mu_triangles, stratum_dim
+from quasiflags.partitions import GammaPartition, mu_triangles, stratum_dim
 from quasiflags.roots import GammaVec, interval_to_gamma, positive_coroots
 
 
@@ -319,3 +322,42 @@ def lead_tested_chains(n, gamma, q):
             for cols in oracle._extensions(lead, d, q)
         ]
     return partial
+
+
+def _json_form(value):
+    """The JSON form of the library values that strata and smallness print."""
+    if type(value) is GammaPartition:
+        return value.parts
+    if type(value) in (GammaVec, IntPolynomial):
+        return value.coeffs
+    raise TypeError(f"no JSON form for {type(value).__name__}")
+
+
+def reference_output(fmt, command, params, out):
+    """A subcommand's whole output in fmt, built as one string from its cli Output.
+
+    JSON through json.dumps(payload, indent=2); table and CSV cells through
+    str(), with None as "-" and a bool as "yes" or "NO". The command line
+    streams its rows and keeps each value's text, and must match this route
+    byte for byte.
+    """
+    if fmt == "json":
+        payload = {"command": command, "params": params, "result": out.result}
+        return json.dumps(payload, indent=2, default=_json_form) + "\n"
+    cells = [
+        ["-" if c is None else ("yes" if c else "NO") if type(c) is bool else str(c) for c in row]
+        for row in (r.values() if type(r) is dict else r for r in out.rows)
+    ]
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(out.headers)
+        writer.writerows(cells)
+        return buf.getvalue()
+    lines = list(out.prefix)
+    if out.aligned:
+        widths = [max(map(len, column)) for column in zip(out.headers, *cells)]
+        lines.append("  ".join(h.ljust(w) for h, w in zip(out.headers, widths)).rstrip())
+        lines.append("  ".join("-" * w for w in widths))
+        lines += ["  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() for row in cells]
+    return "".join(line + "\n" for line in lines)

@@ -8,14 +8,17 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import helpers
 from quasiflags import cli, oracle
 from quasiflags.cli import HANDLERS, _json, ic_stalk_table_from_json, main, stratum_records_from_json
 from quasiflags.kostant import IntPolynomial
+from quasiflags.limits import DEFAULT_CAPS
 from quasiflags.partitions import GammaPartition, kappa_partitions, kappa_to_nu, nu_to_mu
 from quasiflags.roots import GammaVec, Interval
 from quasiflags.strata import enumerate_strata, ic_stalk_table, smallness_report
@@ -250,6 +253,15 @@ def test_unknown_command_exits_2(capsys):
     capsys.readouterr()
     assert main([]) == 2
     capsys.readouterr()
+    # only the named subcommand's flags are built, and no other subcommand's
+    for argv in (
+        ["strata", "--n", "3", "--alpha", "1,1", "--q", "2"],
+        ["kostant", "--n", "3", "--gamma", "1,1", "--parts", "1,1"],
+        ["roots", "--n", "3", "--verify"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert "unrecognized arguments" in err, argv
 
 
 def test_cap_exceeded_exit_3(capsys):
@@ -291,9 +303,16 @@ def test_negative_caps_are_usage_errors(capsys):
 
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
-    capsys.readouterr()
+    out = capsys.readouterr().out
+    assert [name for name in HANDLERS if name not in out] == []
     assert main(["kostant", "--help"]) == 0
     capsys.readouterr()
+    assert main(["strata", "--help"]) == 0
+    out = capsys.readouterr().out
+    flags = ("--n", "--alpha", "--format", "--cap-rank", "--cap-length", "--cap-oracle-rank",
+             "--cap-oracle-length", "--cap-oracle-primes", "--cap-lattice-volume")
+    assert [flag for flag in flags if flag not in out] == []
+    assert "--q" not in out and "--parts" not in out
 
 
 def test_output_is_deterministic(capsys):
@@ -343,15 +362,17 @@ def test_plain_fiber_count_obeys_the_oracle_caps_alone(capsys):
 
 
 def test_broken_pipe_exits_as_an_unbroken_run():
-    argv = ["strata", "--n", "4", "--alpha", "3,3,3", "--format", "json"]
+    # every format prints over 64 KiB here, more than a pipe holds, so the
+    # reader goes in the middle of the stream
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    cmd = [sys.executable, "-m", "quasiflags", *argv]
-    proc = subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    assert proc.stdout.read(1) == b"{"
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=60) == 0
-    assert b"Traceback" not in err
+    for fmt, head in (("table", b"beta "), ("json", b"{"), ("csv", b"beta,")):
+        cmd = [sys.executable, "-m", "quasiflags", "strata", "--n", "4", "--alpha", "3,3,3", "--format", fmt]
+        proc = subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.read(10).startswith(head), fmt
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), err) == (0, b""), fmt
 
 
 def _vector(draw, n):
@@ -451,7 +472,27 @@ _JSON_VALUES = st.recursive(
 @example({"ints": [1, -2, 10**39], "flags": [1, True, 0, False], "empty": [[], {}], "none": None})
 @example({"caf\xe9 \"q\"\n": ["\U0001d11e\t\\"]})
 def test_json_writer_matches_json_dumps_indent_2(obj):
-    assert _json(obj, "") == json.dumps(obj, indent=2)
+    want = json.dumps(obj, indent=2)
+    assert _json(obj, "") == want
+    # streamed into a text stream, in chunks small enough to split the lists drawn
+    buf = io.StringIO()
+    with mock.patch.object(cli, "_CHUNK", 1):
+        cli._write_json(obj, "", buf.write)
+    assert buf.getvalue() == want
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(helpers.small_alphas(), st.sampled_from([1, 2, cli._CHUNK]))
+def test_streamed_atlas_matches_the_one_string_reference(alpha, chunk):
+    argv = ["--n", str(alpha.n), "--alpha", ",".join(map(str, alpha.coeffs))]
+    for command in ("strata", "smallness"):
+        out = HANDLERS[command][0](None, DEFAULT_CAPS, alpha.n, alpha)
+        for fmt in ("table", "json", "csv"):
+            want = helpers.reference_output(fmt, command, {"n": alpha.n, "alpha": alpha}, out)
+            buf = io.StringIO()
+            with mock.patch.object(cli, "_CHUNK", chunk), contextlib.redirect_stdout(buf):
+                main([command, *argv, "--format", fmt])
+            assert buf.getvalue() == want, (command, fmt)
 
 
 def test_json_writer_writes_each_library_value_as_its_schema_says():
