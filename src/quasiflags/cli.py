@@ -37,8 +37,7 @@ from .partitions import (
     Triangle,
     gamma_partitions,
     kappa_partitions,
-    kappa_to_nu,
-    nu_to_mu,
+    mu_triangles,
     stratum_dim,
 )
 from .roots import GammaVec, interval_to_gamma, positive_coroots
@@ -292,7 +291,7 @@ def _cmd_roots(args, caps, n) -> Output:
 
 def _cmd_kpartitions(args, caps, n, gamma) -> Output:
     kappas = kappa_partitions(gamma, caps=caps)
-    mus = [nu_to_mu(kappa_to_nu(k)) for k in kappas]
+    mus = mu_triangles(gamma, caps=caps)
     rows = [(k, k.num_parts, mu, stratum_dim(mu)) for k, mu in zip(kappas, mus)]
     result = {
         "count": len(kappas),

@@ -22,18 +22,19 @@ is the dimension of the corresponding fiber stratum. GammaPartition is the
 separate notion of an unordered multiset of nonzero degree vectors summing
 to alpha; the two kinds of partition never coerce into each other.
 
-Both partition recursions run on plain int tuples, with caps checked once at
-the public entry points; the sorted nonzero parts they emit are not validated
-again when built into a GammaPartition.
+Both partition walks run on plain int tuples, with caps checked once at the
+public entry points; the partitions and mu triangles they yield are built
+without the constructors' checks, which the public constructors keep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, product
+from itertools import accumulate, compress, product
+from operator import add, sub
 
 from .limits import Caps, DEFAULT_CAPS, check_length, check_rank
-from .roots import GammaVec, Interval, interval_to_gamma, positive_coroots
+from .roots import GammaVec, Interval, _coroots, interval_to_gamma, positive_coroots
 
 
 class NotInMError(ValueError):
@@ -202,55 +203,74 @@ class GammaPartition:
 
 
 def kappa_partitions(gamma: GammaVec, *, caps: Caps = DEFAULT_CAPS) -> list[KappaPartition]:
-    """All partitions of gamma into positive coroots, deterministically ordered.
+    """All partitions of gamma into positive coroots, in kappa order.
 
-    Recursive descent over the coroots in (q, p) order, trying multiplicities
-    from the largest possible downward, so partitions using long coroots come
-    later and the all-simple partition (when gamma is supported everywhere)
-    comes first.
+    That is largest multiplicities first, in (q, p) order, so the all-simple
+    partition (when gamma is supported everywhere) comes first.
     """
     check_rank(gamma.n, caps)
     check_length(gamma.length, caps)
     coroots = positive_coroots(gamma.n, caps=caps)
     return [
-        KappaPartition(gamma.n, tuple((c, m) for c, m in zip(coroots, mults) if m))
-        for mults in _coroot_multiplicities(coroots, gamma.coeffs)
+        _unchecked(KappaPartition, gamma.n, tuple(zip(compress(coroots, mults), filter(None, mults))))
+        for mults in _coroot_multiplicities(gamma.coeffs, {})
     ]
 
 
-def _coroot_multiplicities(coroots: list[Interval], remaining: tuple[int, ...]):
-    """Multiplicity vectors of the coroots summing to remaining, in kappa order."""
-    if not coroots:
-        return [] if any(remaining) else [()]
-    c = coroots[0]
-    # coordinates before the block of c can never be reduced again
-    if any(remaining[: c.q - 1]):
-        return []
-    out = []
-    for m in range(min(remaining[c.q - 1 : c.p]), -1, -1):
-        reduced = tuple(r - m if c.q - 1 <= k < c.p else r for k, r in enumerate(remaining))
-        out += [(m,) + rest for rest in _coroot_multiplicities(coroots[1:], reduced)]
-    return out
+def _coroot_multiplicities(remaining: tuple[int, ...], memo: dict) -> list[tuple[int, ...]]:
+    """Multiplicity vectors of the coroots, in (q, p) order, summing to remaining.
+
+    The block of coroots [p, q] that start at q is the last to meet coordinate
+    q, so its multiplicities sum to exactly the c_q left. It is walked by its
+    suffix sums t_p (over [p, q] and longer), which take t_p from coordinate p
+    and never strand a later one; the smallest first gives kappa order.
+    """
+    if len(remaining) == 1:
+        return [remaining]
+    if remaining not in memo:
+        c, rest = remaining[0], remaining[1:]
+        memo[remaining] = [
+            tuple(map(sub, (c,) + sums, sums + (0,))) + tail
+            for sums in _block_sums(c, rest)
+            for tail in _coroot_multiplicities(tuple(map(sub, rest, sums)), memo)
+        ]
+    return memo[remaining]
+
+
+def _block_sums(bound: int, rest: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Nonincreasing tuples at most bound and rest entry by entry, in increasing lex order."""
+    if not rest:
+        return [()]
+    return [(t,) + tail for t in range(min(bound, rest[0]) + 1) for tail in _block_sums(t, rest[1:])]
 
 
 def kappa_to_nu(kappa: KappaPartition) -> Triangle:
     """Prefix sums nu_{pq} = kappa_{p1} + ... + kappa_{pq}."""
-    mult = {(c.p, c.q): m for c, m in kappa.mult}
-    rows = tuple(
-        tuple(accumulate(mult.get((p, q), 0) for q in range(1, p + 1))) for p in range(1, kappa.n)
-    )
-    return Triangle(kappa.n, "nu", rows)
+    mult = dict(kappa.mult)
+    mults = [mult.get(c, 0) for c in _coroots(kappa.n)]
+    return Triangle(kappa.n, "nu", _nu_rows(mults, _kappa_rows(kappa.n)))
 
 
 def nu_to_mu(nu: Triangle) -> Triangle:
     """Suffix sums mu_{pq} = nu_{pq} + nu_{p+1,q} + ... + nu_{n-1,q}."""
     if nu.kind != "nu":
         raise ValueError(f'expected a "nu" triangle, got kind {nu.kind!r}')
+    return Triangle(nu.n, "mu", _mu_rows(nu.rows))
+
+
+def _kappa_rows(n: int) -> list[list[int]]:
+    """Per p, where kappa_{p1}, ..., kappa_{pp} sit among multiplicities in (q, p) order."""
+    return [[(q - 1) * n - q * (q - 1) // 2 + p - q for q in range(1, p + 1)] for p in range(1, n)]
+
+
+def _nu_rows(mults, kappa_rows: list[list[int]]) -> tuple[tuple[int, ...], ...]:
+    get = mults.__getitem__
+    return tuple([tuple(accumulate(map(get, row))) for row in kappa_rows])
+
+
+def _mu_rows(nu_rows: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
     # row p of mu is row p of nu plus the first p entries of row p + 1 of mu
-    rows = [nu.rows[-1]]
-    for row in reversed(nu.rows[:-1]):
-        rows.append(tuple(a + b for a, b in zip(row, rows[-1])))
-    return Triangle(nu.n, "mu", tuple(reversed(rows)))
+    return tuple(accumulate(nu_rows[::-1], lambda below, row: tuple(map(add, row, below))))[::-1]
 
 
 def mu_to_kappa(mu: Triangle, gamma: GammaVec) -> KappaPartition:
@@ -292,7 +312,13 @@ def mu_triangles(gamma: GammaVec, *, caps: Caps = DEFAULT_CAPS) -> list[Triangle
     column: multiplicities are tried largest first in (q, p) order, and with
     the earlier ones fixed, mu_{p+1,q} is a fixed amount minus kappa_{pq}.
     """
-    return [nu_to_mu(kappa_to_nu(k)) for k in kappa_partitions(gamma, caps=caps)]
+    check_rank(gamma.n, caps)
+    check_length(gamma.length, caps)
+    kappa_rows = _kappa_rows(gamma.n)
+    return [
+        _unchecked(Triangle, gamma.n, "mu", _mu_rows(_nu_rows(mults, kappa_rows)))
+        for mults in _coroot_multiplicities(gamma.coeffs, {})
+    ]
 
 
 def stratum_dim(mu: Triangle) -> int:
@@ -303,7 +329,7 @@ def stratum_dim(mu: Triangle) -> int:
     """
     if mu.kind != "mu":
         raise ValueError(f'expected a "mu" triangle, got kind {mu.kind!r}')
-    return sum(mu.entry(k + 1, k) for k in range(1, mu.n - 1))
+    return sum(row[-2] for row in mu.rows[1:])
 
 
 def gamma_partitions(alpha: GammaVec, *, caps: Caps = DEFAULT_CAPS) -> list[GammaPartition]:
@@ -322,10 +348,19 @@ def gamma_partitions(alpha: GammaVec, *, caps: Caps = DEFAULT_CAPS) -> list[Gamm
 
 def _gamma_partition(n: int, parts: tuple[GammaVec, ...]) -> GammaPartition:
     """A GammaPartition of parts that are nonzero, of rank n and sorted, unchecked."""
+    # _unchecked spelled out, which is faster in the atlas's loop over strata
     partition = object.__new__(GammaPartition)
     object.__setattr__(partition, "n", n)
     object.__setattr__(partition, "parts", parts)
     return partition
+
+
+def _unchecked(cls, *values):
+    """An instance of the dataclass cls from field values valid by construction, unchecked."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__dataclass_fields__, values):
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def _part_tuples(remaining: tuple[int, ...], bound: tuple[int, ...], memo: dict):

@@ -148,16 +148,11 @@ def enumerate_strata(n: int, alpha: GammaVec, *, caps: Caps = DEFAULT_CAPS) -> l
             for tail in tails:
                 m = tail.m + 1
                 poly = kpoly * tail.fiber_poincare
+                # every K_v(t) is nonzero, so fiber_dim, poly's degree, is its length less one
                 recs.append(
                     StratumRecord(
-                        beta=beta,
-                        parts=_gamma_partition(n, part + tail.parts.parts),
-                        m=m,
-                        stratum_dim=beta_dim + m,
-                        codim=defect_codim - m,
-                        # every K_v(t) is nonzero, so poly has a degree
-                        fiber_dim=poly.degree,
-                        fiber_poincare=poly,
+                        beta, _gamma_partition(n, part + tail.parts.parts), m, beta_dim + m,
+                        defect_codim - m, len(poly.coeffs) - 1, poly,
                     )
                 )
             keys += [-v] * len(tails)

@@ -60,6 +60,38 @@ def brute_force_kappa_sets(n, gamma):
     return found
 
 
+def kappa_partitions_reference(n, gamma):
+    """brute_force_kappa_sets in kappa order, each as (p, q, mult) triples in (q, p) order.
+
+    Kappa order is decreasing order of the multiplicity vectors over all
+    coroots, absent ones as 0, read in (q, p) order.
+    """
+    order = [(c.p, c.q) for c in positive_coroots(n)]
+    vectors = []
+    for kappa in brute_force_kappa_sets(n, gamma):
+        mult = {(p, q): m for p, q, m in kappa}
+        vectors.append([mult.get(pq, 0) for pq in order])
+    vectors.sort(reverse=True)
+    return [tuple((p, q, m) for (p, q), m in zip(order, vector) if m) for vector in vectors]
+
+
+def mu_triangles_reference(n, gamma):
+    """Rows of the mu triangles of brute_force_kappa_sets, in kappa order.
+
+    mu_pq is the defining sum of kappa_sr over s >= p and r <= q; kappa
+    order is increasing order of the entries below the diagonal read column
+    by column.
+    """
+    mus = []
+    for kappa in brute_force_kappa_sets(n, gamma):
+        mus.append(tuple(
+            tuple(sum(m for s, r, m in kappa if s >= p and r <= q) for q in range(1, p + 1))
+            for p in range(1, n)
+        ))
+    below = [(p, q) for q in range(1, n - 1) for p in range(q + 1, n)]
+    return sorted(mus, key=lambda rows: [rows[p - 1][q - 1] for p, q in below])
+
+
 def kostant_poly_brute(n, gamma):
     """K_gamma(t) tallied over brute_force_kappa_sets: t^(|gamma| - K(kappa)) per kappa."""
     counts = [0] * (gamma.length + 1)

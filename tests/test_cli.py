@@ -552,15 +552,15 @@ FAILING_VERIFY = ("fiber-count", "--n", "3", "--gamma", "1,1", "--q", "2", "--ve
 
 
 def _drop_one_chain(monkeypatch):
-    original = oracle.fiber_point_count
+    # the count core that fiber_point_count and verify_against_kostant share
+    original = oracle._mu_row_counts
 
-    def short_by_one(*args, **kwargs):
-        count = original(*args, **kwargs)
-        last = list(count.buckets)[-1]
-        count.buckets[last] -= 1
-        return oracle.FiberCount(total=count.total - 1, buckets=count.buckets)
+    def short_by_one(*args):
+        counts = original(*args)
+        counts[list(counts)[-1]] -= 1
+        return counts
 
-    monkeypatch.setattr(oracle, "fiber_point_count", short_by_one)
+    monkeypatch.setattr(oracle, "_mu_row_counts", short_by_one)
 
 
 def test_failed_verification_exits_1_in_every_format(capsys, monkeypatch):

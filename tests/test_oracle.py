@@ -23,7 +23,7 @@ from quasiflags.oracle import (
     mu_invariants,
     verify_against_kostant,
 )
-from quasiflags.partitions import mu_triangles
+from quasiflags.partitions import Triangle, mu_triangles
 from quasiflags.roots import GammaVec
 
 
@@ -256,6 +256,18 @@ def test_counts_and_chains_match_the_lead_tested_route():
         checked += 1
     # the volume cap refuses five inputs with c_4 >= 5 at q = 3
     assert checked == len(GRID) - 5
+
+
+def test_unchecked_buckets_and_chains_equal_their_checked_construction():
+    # bucket triangles and chains skip the constructors' checks
+    for q in (2, 3):
+        for n in (2, 3, 4):
+            for gamma in helpers.vectors_with_length_at_most(n, 3):
+                for mu in fiber_point_count(n, gamma, q).buckets:
+                    assert Triangle(mu.n, mu.kind, mu.rows) == mu
+                for chain in enumerate_fiber_chains(n, gamma, q):
+                    lattices = tuple(Lattice(lat.rank, lat.q, lat.cols) for lat in chain.lattices)
+                    assert FlagChain(chain.n, chain.q, chain.gamma, lattices) == chain
 
 
 def test_chain_counts_match_hand_values():

@@ -279,6 +279,30 @@ def test_mu_triangles_sorted_below_the_diagonal_by_column(alpha):
     assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
+@settings(derandomize=True, deadline=None)
+@given(helpers.small_alphas())
+def test_mu_triangles_follow_the_reference_order(alpha):
+    assert [mu.rows for mu in mu_triangles(alpha)] == helpers.mu_triangles_reference(alpha.n, alpha)
+
+
+@settings(derandomize=True, deadline=None)
+@given(helpers.small_alphas())
+def test_kappa_partitions_follow_the_reference_order(alpha):
+    got = [tuple((c.p, c.q, m) for c, m in k.mult) for k in kappa_partitions(alpha)]
+    assert got == helpers.kappa_partitions_reference(alpha.n, alpha)
+
+
+def test_unchecked_values_equal_their_checked_construction():
+    # mu_triangles and kappa_partitions skip the constructors' checks
+    for n in (2, 3, 4, 5):
+        for gamma in helpers.vectors_with_length_at_most(n, 4):
+            for k in kappa_partitions(gamma):
+                assert KappaPartition(k.n, k.mult) == k
+            for t in mu_triangles(gamma):
+                assert Triangle(t.n, t.kind, t.rows) == t
+                assert hash(Triangle(t.n, t.kind, t.rows)) == hash(t)
+
+
 def test_gamma_partition_of_normalizes():
     a = GammaVec((0, 1))
     b = GammaVec((1, 0))
