@@ -23,7 +23,7 @@ from .partitions import GammaPartition
 from .roots import GammaVec, _box, _coroots
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntPolynomial:
     """Polynomial in t with nonnegative integer coefficients.
 

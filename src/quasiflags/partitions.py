@@ -22,26 +22,27 @@ is the dimension of the corresponding fiber stratum. GammaPartition is the
 separate notion of an unordered multiset of nonzero degree vectors summing
 to alpha; the two kinds of partition never coerce into each other.
 
-Both partition walks run on plain int tuples, with caps checked once at the
-public entry points; the partitions and mu triangles they yield are built
-without the constructors' checks, which the public constructors keep.
+Both partition walks, kappa's by coroot blocks and Gamma's by defects, run
+on int tuples with caps checked once at the public entry points; what they
+yield skips the checks that the public constructors keep.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate, compress, product
 from operator import add, sub
 
 from .limits import Caps, DEFAULT_CAPS, check_length, check_rank
-from .roots import GammaVec, Interval, _coroots, interval_to_gamma, positive_coroots
+from .roots import GammaVec, Interval, _box, _coroots, interval_to_gamma, positive_coroots
 
 
 class NotInMError(ValueError):
     """A mu triangle that is not the image of any coroot partition of gamma."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KappaPartition:
     """A partition of a degree vector into positive coroots.
 
@@ -100,7 +101,7 @@ class KappaPartition:
         return "+".join(str(c) if m == 1 else f"{m}*{c}" for c, m in self.mult)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Triangle:
     """Lower-triangular integer array a_{pq}, 1 <= q <= p <= n-1.
 
@@ -156,7 +157,7 @@ class Triangle:
         return ";".join(",".join(str(a) for a in row) for row in self.rows)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GammaPartition:
     """An unordered multiset of nonzero degree vectors, stored sorted.
 
@@ -337,13 +338,43 @@ def gamma_partitions(alpha: GammaVec, *, caps: Caps = DEFAULT_CAPS) -> list[Gamm
 
     Parts are chosen in weakly decreasing lexicographic order, so each
     multiset appears exactly once; partitions are emitted in decreasing
-    lexicographic order of their part sequences. alpha = 0 yields just the
-    empty partition.
+    lexicographic order of their part sequences, and equal parts are one
+    GammaVec. alpha = 0 yields just the empty partition.
     """
     check_rank(alpha.n, caps)
     check_length(alpha.length, caps)
-    seqs = _part_tuples(alpha.coeffs, alpha.coeffs, {})
-    return [_gamma_partition(alpha.n, tuple(map(GammaVec, seq))) for seq in seqs]
+    box, strides = _box(alpha.coeffs)
+    vecs = [GammaVec(v) for v in box]
+    seqs = [[()]]  # per defect index, the part tuples of its partitions
+    for d, segments in _defect_segments(box, strides):
+        seqs.append([(vecs[v],) + tail for v, start in segments for tail in seqs[d - v][start:]])
+    return [_gamma_partition(alpha.n, parts) for parts in seqs[-1]]
+
+
+def _defect_segments(box: list[tuple[int, ...]], strides: list[int]):
+    """(d, segments) per nonzero defect d in the box of roots._box, in increasing lex order.
+
+    Vectors are named by box index. The partitions of d in canonical order
+    are, for each (v, start) in segments, part v prepended to those of d - v
+    from position start on, whose leading parts are lex <= v; as the leading
+    parts along a list do not increase, start is found by bisection.
+    """
+    # per defect index: (minus v, start) of the run of its list led by v, for
+    # each segment's v (0 for the empty partition of 0), then (0, its length)
+    runs = [[(0, 0), (0, 1)]]
+    for d in range(1, len(box)):
+        segments, d_runs, size = [], [], 0
+        # the nonzero v <= d, by box index, in decreasing lex order
+        for v in map(sum, product(*(range(x * s, -1, -s) for x, s in zip(box[d], strides)))):
+            if not v:
+                break
+            tail_runs = runs[d - v]
+            start = tail_runs[bisect_left(tail_runs, (-v,))][1]
+            segments.append((v, start))
+            d_runs.append((-v, size))
+            size += tail_runs[-1][1] - start
+        runs.append(d_runs + [(0, size)])
+        yield d, segments
 
 
 def _gamma_partition(n: int, parts: tuple[GammaVec, ...]) -> GammaPartition:
@@ -361,24 +392,3 @@ def _unchecked(cls, *values):
     for name, value in zip(cls.__dataclass_fields__, values):
         object.__setattr__(obj, name, value)
     return obj
-
-
-def _part_tuples(remaining: tuple[int, ...], bound: tuple[int, ...], memo: dict):
-    """Part sequences of the partitions of remaining into parts lex <= bound.
-
-    The sequences, and the parts in each, come in decreasing lex order. The
-    memo serves one call of gamma_partitions; enumerate_strata builds its
-    lists over the whole box without it.
-    """
-    if not any(remaining):
-        return ((),)
-    # parts are componentwise, hence lexicographically, <= remaining
-    key = (remaining, min(bound, remaining))
-    if key not in memo:
-        memo[key] = tuple(
-            (v,) + tail
-            for v in product(*(range(r, -1, -1) for r in remaining))
-            if any(v) and v <= bound
-            for tail in _part_tuples(tuple(r - c for r, c in zip(remaining, v)), v, memo)
-        )
-    return memo[key]

@@ -15,7 +15,7 @@ from itertools import product
 from .limits import Caps, DEFAULT_CAPS, check_rank, require_rank
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Interval:
     """The positive coroot [p, q] = i_q + ... + i_p."""
 
@@ -37,7 +37,7 @@ class Interval:
         return f"[{self.p},{self.q}]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GammaVec:
     """Nonnegative coefficient vector on the simple coroots i_1 .. i_{n-1}."""
 

@@ -18,19 +18,18 @@ polynomial: coefficient j contributes a summand in cohomological degree
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate, product
+from itertools import accumulate
 
 # before `from . import kostant`, so that kostant loads by a path -X importtime logs
 from .kostant import ONE, IntPolynomial, fiber_poincare
 from . import kostant
 from .limits import Caps, DEFAULT_CAPS, check_length, check_rank
-from .partitions import GammaPartition, _gamma_partition
+from .partitions import GammaPartition, _defect_segments, _gamma_partition
 from .roots import GammaVec, _box, flag_dim
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StratumRecord:
     """One stratum of the quasimap moduli for (n, alpha), with its numerics."""
 
@@ -43,7 +42,7 @@ class StratumRecord:
     fiber_poincare: IntPolynomial
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SmallnessRow:
     """Per-stratum margin of the smallness inequality codim > 2 * fiber_dim.
 
@@ -56,7 +55,7 @@ class SmallnessRow:
     ok: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SmallnessReport:
     n: int
     alpha: GammaVec
@@ -69,14 +68,14 @@ class SmallnessReport:
     aggregate: tuple[tuple[int, int, bool], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StalkEntry:
     degree: int
     twist: int
     multiplicity: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ICStalkTable:
     """IC stalk summands over one stratum, one entry per nonzero coefficient."""
 
@@ -103,12 +102,10 @@ def enumerate_strata(n: int, alpha: GammaVec, *, caps: Caps = DEFAULT_CAPS) -> l
 
     The caps are checked once, and K_v(t) is read through the public
     kostant_poly once per nonzero box vector v <= alpha, alpha first, so
-    that one count fills the cache for the whole box. The defects
-    d = alpha - beta are walked in increasing lex order, each with its
-    records in canonical order, whose leading parts do not increase. The
-    records of d with leading part v are v prepended to the records of
-    d - v with leading part lex <= v, a suffix of that earlier list found by
-    bisection, so each stratum costs one product K_v(t) * tail.
+    that one count fills the cache for the whole box. The records of a
+    defect d = alpha - beta are those of d - v with part v prepended, over
+    the segments (v, start) of partitions._defect_segments, so each stratum
+    costs one product K_v(t) * tail.
     """
     check_rank(n, caps)
     if alpha.n != n:
@@ -129,23 +126,17 @@ def enumerate_strata(n: int, alpha: GammaVec, *, caps: Caps = DEFAULT_CAPS) -> l
         fiber_dim=0,
         fiber_poincare=ONE,
     )
-    # per defect index: its records, and minus the box index of each one's
-    # leading part (0 for no parts), which does not decrease along the list
-    records, leads = [[open_stratum]], [[0]]
-    for d in range(1, len(vecs)):
+    # per defect index, its records in canonical order
+    records = [[open_stratum]]
+    for d, segments in _defect_segments(box, strides):
         # alpha - defect sits at the index of alpha minus that of defect
         defect, beta = vecs[d], vecs[-1 - d]
         beta_dim = 2 * beta.length + dim_b
         defect_codim = 2 * defect.length
-        recs, keys = [], []
-        # the nonzero v <= defect, by box index, in decreasing lex order
-        for steps in product(*(range(x * s, -1, -s) for x, s in zip(defect.coeffs, strides))):
-            v = sum(steps)
-            if not v:
-                break
-            tails = records[d - v][bisect_left(leads[d - v], -v) :]
+        recs = []
+        for v, start in segments:
             part, kpoly = (vecs[v],), kpolys[v]
-            for tail in tails:
+            for tail in records[d - v][start:]:
                 m = tail.m + 1
                 poly = kpoly * tail.fiber_poincare
                 # every K_v(t) is nonzero, so fiber_dim, poly's degree, is its length less one
@@ -155,9 +146,7 @@ def enumerate_strata(n: int, alpha: GammaVec, *, caps: Caps = DEFAULT_CAPS) -> l
                         defect_codim - m, len(poly.coeffs) - 1, poly,
                     )
                 )
-            keys += [-v] * len(tails)
         records.append(recs)
-        leads.append(keys)
     # the defects increase, so beta decreases
     return [rec for recs in records for rec in recs]
 

@@ -267,6 +267,17 @@ def test_gamma_partitions_count_and_order(alpha):
     assert len(partitions) == helpers.vector_partition_count(alpha.coeffs)
     keys = [tuple(part.coeffs for part in p.parts) for p in partitions]
     assert all(a > b for a, b in zip(keys, keys[1:]))
+    for key in keys:
+        assert all(any(part) for part in key)
+        assert list(key) == sorted(key, reverse=True)
+        assert tuple(map(sum, zip((0,) * len(alpha.coeffs), *key))) == alpha.coeffs
+
+
+def test_gamma_partitions_share_equal_parts():
+    partitions = gamma_partitions(GammaVec((2, 2, 2, 1, 1)))
+    parts = [part for p in partitions for part in p.parts]
+    # one object per nonzero vector of the box, 3^3 * 2^2 - 1 of them
+    assert len({id(part) for part in parts}) == len(set(parts)) == 107
 
 
 @settings(derandomize=True, deadline=None)
