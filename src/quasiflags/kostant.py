@@ -99,10 +99,11 @@ class IntPolynomial:
 def _int_polynomial(coeffs: tuple[int, ...]) -> IntPolynomial:
     """An IntPolynomial of nonnegative int coefficients with a nonzero last one, unchecked."""
     poly = object.__new__(IntPolynomial)
-    object.__setattr__(poly, "coeffs", coeffs)
+    _set_coeffs(poly, coeffs)
     return poly
 
 
+_set_coeffs = IntPolynomial.coeffs.__set__
 ONE = IntPolynomial((1,))
 
 

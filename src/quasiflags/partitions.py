@@ -344,7 +344,7 @@ def gamma_partitions(alpha: GammaVec, *, caps: Caps = DEFAULT_CAPS) -> list[Gamm
     check_rank(alpha.n, caps)
     check_length(alpha.length, caps)
     box, strides = _box(alpha.coeffs)
-    vecs = [GammaVec(v) for v in box]
+    vecs = [_unchecked(GammaVec, v) for v in box]
     seqs = [[()]]  # per defect index, the part tuples of its partitions
     for d, segments in _defect_segments(box, strides):
         seqs.append([(vecs[v],) + tail for v, start in segments for tail in seqs[d - v][start:]])
@@ -377,12 +377,15 @@ def _defect_segments(box: list[tuple[int, ...]], strides: list[int]):
         yield d, segments
 
 
+_set_n, _set_parts = GammaPartition.n.__set__, GammaPartition.parts.__set__
+
+
 def _gamma_partition(n: int, parts: tuple[GammaVec, ...]) -> GammaPartition:
     """A GammaPartition of parts that are nonzero, of rank n and sorted, unchecked."""
-    # _unchecked spelled out, which is faster in the atlas's loop over strata
+    # _unchecked with its setters bound once, since the atlas builds one per stratum
     partition = object.__new__(GammaPartition)
-    object.__setattr__(partition, "n", n)
-    object.__setattr__(partition, "parts", parts)
+    _set_n(partition, n)
+    _set_parts(partition, parts)
     return partition
 
 
@@ -390,5 +393,8 @@ def _unchecked(cls, *values):
     """An instance of the dataclass cls from field values valid by construction, unchecked."""
     obj = object.__new__(cls)
     for name, value in zip(cls.__dataclass_fields__, values):
-        object.__setattr__(obj, name, value)
+        if "__slots__" in cls.__dict__:
+            getattr(cls, name).__set__(obj, value)
+        else:
+            object.__setattr__(obj, name, value)
     return obj

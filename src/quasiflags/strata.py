@@ -25,7 +25,7 @@ from itertools import accumulate
 from .kostant import ONE, IntPolynomial, fiber_poincare
 from . import kostant
 from .limits import Caps, DEFAULT_CAPS, check_length, check_rank
-from .partitions import GammaPartition, _defect_segments, _gamma_partition
+from .partitions import GammaPartition, _defect_segments, _gamma_partition, _unchecked
 from .roots import GammaVec, _box, flag_dim
 
 
@@ -86,6 +86,13 @@ class ICStalkTable:
     entries: tuple[StalkEntry, ...]
 
 
+# records built per stratum are valid by construction: slot setters, not the frozen __init__, set them
+_set_beta, _set_parts, _set_m, _set_stratum_dim, _set_codim, _set_fiber_dim, _set_fiber_poincare = (
+    getattr(StratumRecord, slot).__set__ for slot in StratumRecord.__slots__
+)
+_set_record, _set_margin, _set_ok = (getattr(SmallnessRow, slot).__set__ for slot in SmallnessRow.__slots__)
+
+
 def moduli_dim(n: int, alpha: GammaVec) -> int:
     """2|alpha| + dim B."""
     if alpha.n != n:
@@ -113,7 +120,7 @@ def enumerate_strata(n: int, alpha: GammaVec, *, caps: Caps = DEFAULT_CAPS) -> l
     check_length(alpha.length, caps)
     dim_b = flag_dim(n)
     box, strides = _box(alpha.coeffs)
-    vecs = [GammaVec(v) for v in box]
+    vecs = [_unchecked(GammaVec, v) for v in box]
     kpolys = [ONE] * len(vecs)
     for i in range(len(vecs) - 1, 0, -1):
         kpolys[i] = kostant.kostant_poly(vecs[i], caps=caps)
@@ -139,13 +146,16 @@ def enumerate_strata(n: int, alpha: GammaVec, *, caps: Caps = DEFAULT_CAPS) -> l
             for tail in records[d - v][start:]:
                 m = tail.m + 1
                 poly = kpoly * tail.fiber_poincare
+                rec = object.__new__(StratumRecord)
+                _set_beta(rec, beta)
+                _set_parts(rec, _gamma_partition(n, part + tail.parts.parts))
+                _set_m(rec, m)
+                _set_stratum_dim(rec, beta_dim + m)
+                _set_codim(rec, defect_codim - m)
                 # every K_v(t) is nonzero, so fiber_dim, poly's degree, is its length less one
-                recs.append(
-                    StratumRecord(
-                        beta, _gamma_partition(n, part + tail.parts.parts), m, beta_dim + m,
-                        defect_codim - m, len(poly.coeffs) - 1, poly,
-                    )
-                )
+                _set_fiber_dim(rec, len(poly.coeffs) - 1)
+                _set_fiber_poincare(rec, poly)
+                recs.append(rec)
         records.append(recs)
     # the defects increase, so beta decreases
     return [rec for recs in records for rec in recs]
@@ -157,33 +167,35 @@ def smallness_report(n: int, alpha: GammaVec, *, caps: Caps = DEFAULT_CAPS) -> S
     The aggregated form, min codim over strata with fiber_dim >= f above 2f
     for each f > 0, follows (codim > 2 * fiber_dim >= 2f) and is reported for
     display. A pass with no constrained stratum at all is flagged vacuous;
-    otherwise min_margin and witness report the tightest stratum.
+    otherwise min_margin and witness report the first tightest stratum.
     """
     rows = []
     # f -> min codim over the strata with fiber_dim exactly f > 0
     min_codim: dict[int, int] = {}
+    min_margin = witness = None
     for rec in enumerate_strata(n, alpha, caps=caps):
         f = rec.fiber_dim
+        margin = rec.codim - 2 * f if f > 0 else None
+        row = object.__new__(SmallnessRow)
+        _set_record(row, rec)
+        _set_margin(row, margin)
+        _set_ok(row, margin is None or margin > 0)
+        rows.append(row)
         if f > 0:
-            margin = rec.codim - 2 * f
-            rows.append(SmallnessRow(rec, margin, margin > 0))
             min_codim[f] = min(min_codim.get(f, rec.codim), rec.codim)
-        else:
-            rows.append(SmallnessRow(rec, None, True))
-    constrained = [row for row in rows if row.margin is not None]
+            if witness is None or margin < min_margin:
+                min_margin, witness = margin, rec
     # a running minimum from the largest f down covers fiber_dim >= f
     dims = sorted(min_codim, reverse=True)
     running = accumulate((min_codim[f] for f in dims), min)
     aggregate = [(f, c, c > 2 * f) for f, c in zip(dims, running)][::-1]
-    passed = all(row.ok for row in rows)
-    witness_row = min(constrained, key=lambda row: row.margin, default=None)
     return SmallnessReport(
         n=n,
         alpha=alpha,
-        passed=passed,
-        vacuous=not constrained,
-        min_margin=witness_row.margin if witness_row else None,
-        witness=witness_row.record if witness_row else None,
+        passed=witness is None or min_margin > 0,
+        vacuous=witness is None,
+        min_margin=min_margin,
+        witness=witness,
         rows=tuple(rows),
         aggregate=tuple(aggregate),
     )

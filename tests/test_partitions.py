@@ -1,8 +1,12 @@
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from quasiflags.kostant import kostant_poly
 from quasiflags.limits import CapExceededError, Caps
 from quasiflags.partitions import (
     GammaPartition,
@@ -18,6 +22,7 @@ from quasiflags.partitions import (
     stratum_dim,
 )
 from quasiflags.roots import GammaVec, Interval
+from quasiflags.strata import smallness_report
 
 
 def kappa_as_set(kappa):
@@ -312,6 +317,37 @@ def test_unchecked_values_equal_their_checked_construction():
             for t in mu_triangles(gamma):
                 assert Triangle(t.n, t.kind, t.rows) == t
                 assert hash(Triangle(t.n, t.kind, t.rows)) == hash(t)
+
+
+def _assert_like_checked(value):
+    fields = [f.name for f in dataclasses.fields(value)]
+    checked = type(value)(*(getattr(value, name) for name in fields))
+    assert checked == value
+    assert hash(checked) == hash(value)
+    assert repr(checked) == repr(value)
+    assert dataclasses.replace(value) == value
+    assert pickle.loads(pickle.dumps(value)) == value
+    for name in fields:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, getattr(value, name))
+
+
+@settings(derandomize=True, deadline=None)
+@given(helpers.small_alphas())
+def test_atlas_values_built_unchecked_behave_as_checked_ones(alpha):
+    # the atlas's records, rows, partitions, box vectors and polynomials skip the constructors;
+    # the rows hold every record of enumerate_strata
+    poly = kostant_poly(alpha)
+    values = {id(poly): poly}
+    for row in smallness_report(alpha.n, alpha).rows:
+        rec = row.record
+        for value in (row, rec, rec.beta, rec.parts, rec.fiber_poincare, *rec.parts.parts):
+            values[id(value)] = value
+    for partition in gamma_partitions(alpha):
+        for value in (partition, *partition.parts):
+            values[id(value)] = value
+    for value in values.values():
+        _assert_like_checked(value)
 
 
 def test_gamma_partition_of_normalizes():
