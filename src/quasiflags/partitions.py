@@ -393,8 +393,5 @@ def _unchecked(cls, *values):
     """An instance of the dataclass cls from field values valid by construction, unchecked."""
     obj = object.__new__(cls)
     for name, value in zip(cls.__dataclass_fields__, values):
-        if "__slots__" in cls.__dict__:
-            getattr(cls, name).__set__(obj, value)
-        else:
-            object.__setattr__(obj, name, value)
+        object.__setattr__(obj, name, value)
     return obj

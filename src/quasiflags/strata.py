@@ -87,10 +87,12 @@ class ICStalkTable:
 
 
 # records built per stratum are valid by construction: slot setters, not the frozen __init__, set them
-_set_beta, _set_parts, _set_m, _set_stratum_dim, _set_codim, _set_fiber_dim, _set_fiber_poincare = (
-    getattr(StratumRecord, slot).__set__ for slot in StratumRecord.__slots__
-)
-_set_record, _set_margin, _set_ok = (getattr(SmallnessRow, slot).__set__ for slot in SmallnessRow.__slots__)
+_set_beta, _set_parts = StratumRecord.beta.__set__, StratumRecord.parts.__set__
+_set_m, _set_stratum_dim = StratumRecord.m.__set__, StratumRecord.stratum_dim.__set__
+_set_codim, _set_fiber_dim = StratumRecord.codim.__set__, StratumRecord.fiber_dim.__set__
+_set_fiber_poincare = StratumRecord.fiber_poincare.__set__
+_set_record, _set_margin = SmallnessRow.record.__set__, SmallnessRow.margin.__set__
+_set_ok = SmallnessRow.ok.__set__
 
 
 def moduli_dim(n: int, alpha: GammaVec) -> int:
