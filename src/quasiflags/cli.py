@@ -106,7 +106,7 @@ def _int_list(text: str) -> tuple[int, ...]:
 # JSON serialization (the schema other tools consume)
 
 
-# the JSON form of each library value: a sequence, which _json writes as a list
+# the JSON form of each library value: a sequence, which _write_json writes as a list
 _SCHEMA = {
     GammaVec: attrgetter("coeffs"),
     IntPolynomial: attrgetter("coeffs"),
@@ -228,13 +228,6 @@ def _write_json(obj, indent: str, write) -> None:
             write(text(obj, indent))
 
     stream(obj, indent)
-
-
-def _json(obj, indent: str) -> str:
-    """What _write_json writes, as one string."""
-    pieces = []
-    _write_json(obj, indent, pieces.append)
-    return "".join(pieces)
 
 
 def _render(fmt: str, command: str, params: dict, out: Output, file) -> None:

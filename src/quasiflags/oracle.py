@@ -32,7 +32,11 @@ A member of L with zero trailing k - m coordinates has zero coefficients
 on the last k - m columns (read the pivots from the bottom row up), so the
 leading m x m block is the canonical basis of L n R^m. A rank-k basis is
 thus its *lead*, the block for m = k - 1, plus a last column: a pivot z^d
-under free residues modulo the lead's pivots.
+under free residues modulo the lead's pivots. One lister, _diag_bases,
+grows the bases of each pivot diagonal this way, for enumerate_lattices
+and the chain counts alike. What it lists is canonical by construction, so
+the lattices built from it, their leading blocks and the chains skip the
+checks that the public constructors keep.
 
 A FlagChain is a sequence L_1 c L_2 c ... c L_{n-1} with L_k of rank k and
 prescribed colength c_k, where rank k sits inside rank k+1 as the first k
@@ -232,10 +236,6 @@ def _canonical_columns(gens: list[Column], k: int, q: int) -> Basis:
             if quo:
                 basis[j] = tuple(gf.sub(bc, gf.mul(quo, pc, q), q) for bc, pc in zip(col, pivot))
         basis.insert(0, pivot)
-    # whatever remains was a dependent combination and must have died
-    for col in work:
-        if any(col):
-            raise AssertionError("leftover generator survived triangularization")
     return tuple(basis)
 
 
@@ -248,16 +248,11 @@ def _extensions(lead: Basis, d: int, q: int):
         yield grown + (above + (gf.monomial(d),),)
 
 
-def _lattice_columns(rank: int, colength: int, q: int) -> list[Basis]:
-    """Canonical bases of every lattice, grown rank by rank from their leads."""
+def _diagonals(rank: int, colength: int) -> list[tuple[int, ...]]:
+    """Pivot diagonals of rank and colength: the last pivot increasing, then the lead's order."""
     if rank == 0:
         return [()] if colength == 0 else []
-    return [
-        cols
-        for c in range(colength, -1, -1)
-        for lead in _lattice_columns(rank - 1, c, q)
-        for cols in _extensions(lead, colength - c, q)
-    ]
+    return [lead + (d,) for d in range(colength + 1) for lead in _diagonals(rank - 1, colength - d)]
 
 
 def _check_volume(rank: int, colength: int, q: int, caps: Caps) -> None:
@@ -278,7 +273,9 @@ def enumerate_lattices(rank: int, colength: int, q: int, *, caps: Caps = DEFAULT
     leads in this order one rank down, and the free last-column entries run
     through all residues modulo the lead's pivots in lexicographic order.
     Because the canonical form is unique, distinct emitted matrices are
-    distinct lattices and the list is exhaustive.
+    distinct lattices and the list is exhaustive. The bases come by diagonal
+    from _diag_bases, as the chain counts read them, and are built unchecked
+    once q, rank, colength and the volume cap pass.
     """
     _require_prime(q)
     if not isinstance(rank, int) or rank < 1:
@@ -286,7 +283,8 @@ def enumerate_lattices(rank: int, colength: int, q: int, *, caps: Caps = DEFAULT
     if not isinstance(colength, int) or colength < 0:
         raise ValueError(f"colength must be a nonnegative integer, got {colength!r}")
     _check_volume(rank, colength, q, caps)
-    return [Lattice(rank, q, cols) for cols in _lattice_columns(rank, colength, q)]
+    bases = _diag_bases(q)
+    return [_unchecked(Lattice, rank, q, cols) for diag in _diagonals(rank, colength) for cols in bases(diag)]
 
 
 def contains(outer: Lattice, inner: Lattice) -> bool:
@@ -323,7 +321,7 @@ def coordinate_intersection(lat: Lattice, m: int) -> Lattice:
     """The lattice L n R^m inside the first m coordinates: the leading m x m block."""
     if not 1 <= m <= lat.rank:
         raise ValueError(f"coordinate count must be in 1..{lat.rank}, got {m}")
-    return Lattice(m, lat.q, tuple(col[:m] for col in lat.cols[:m]))
+    return _unchecked(Lattice, m, lat.q, tuple(col[:m] for col in lat.cols[:m]))
 
 
 @dataclass(frozen=True)
@@ -376,7 +374,8 @@ def enumerate_fiber_chains(
 ) -> list[FlagChain]:
     """All flag chains over F_q with colength profile gamma, layer by layer.
 
-    Each distinct L_k is built as a Lattice once; the chains skip the checks.
+    Each distinct L_k is built as a Lattice once; the lattices and the chains
+    skip the checks.
     """
     _check_oracle_caps(n, gamma, q, caps)
     profile = (0,) + gamma.coeffs
@@ -388,7 +387,7 @@ def enumerate_fiber_chains(
         for lead, diag, inside in _leads_over(states, min(profile[k], profile[k + 1]), q, bases):
             chains = [chain for cols in inside for chain in states[cols]]
             for cols in _extensions(lead, profile[k + 1] - sum(diag), q):
-                lat = Lattice(k + 1, q, cols)
+                lat = _unchecked(Lattice, k + 1, q, cols)
                 grown[cols] = [chain + (lat,) for chain in chains]
         states = grown
     return [_unchecked(FlagChain, n, q, gamma, chain) for chains in states.values() for chain in chains]

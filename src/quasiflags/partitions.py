@@ -287,18 +287,14 @@ def mu_to_kappa(mu: Triangle, gamma: GammaVec) -> KappaPartition:
     n = mu.n
     if gamma.n != n:
         raise ValueError("gamma rank context does not match the triangle")
-    for q in range(1, n):
-        if mu.entry(q, q) != gamma.coeff(q):
-            raise NotInMError(
-                f"mu_{{{q}{q}}} = {mu.entry(q, q)} differs from c_{q} = {gamma.coeff(q)}"
-            )
+    for q, (row, c) in enumerate(zip(mu.rows, gamma.coeffs), start=1):
+        if row[-1] != c:
+            raise NotInMError(f"mu_{{{q}{q}}} = {row[-1]} differs from c_{q} = {c}")
     multiplicities: dict[Interval, int] = {}
-    for p in range(1, n):
-        prev_nu = 0
-        for q in range(1, p + 1):
-            nu_pq = mu.entry(p, q) - (mu.entry(p + 1, q) if p + 1 <= n - 1 else 0)
-            k_pq = nu_pq - prev_nu
-            prev_nu = nu_pq
+    for p, (row, below) in enumerate(zip(mu.rows, mu.rows[1:] + ((0,) * n,)), start=1):
+        # nu row p is mu row p minus the first p entries of mu row p + 1
+        nu = tuple(map(sub, row, below))
+        for q, k_pq in enumerate(map(sub, nu, (0,) + nu), start=1):
             if k_pq < 0:
                 raise NotInMError(f"derived kappa_{{{p}{q}}} = {k_pq} is negative")
             if k_pq:

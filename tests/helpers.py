@@ -18,8 +18,8 @@ import quasiflags.gfpoly as gf
 import quasiflags.oracle as oracle
 from quasiflags.kostant import IntPolynomial
 from quasiflags.oracle import Lattice, contains, enumerate_lattices
-from quasiflags.partitions import GammaPartition, mu_triangles, stratum_dim
-from quasiflags.roots import GammaVec, interval_to_gamma, positive_coroots
+from quasiflags.partitions import GammaPartition, KappaPartition, NotInMError, mu_triangles, stratum_dim
+from quasiflags.roots import GammaVec, Interval, interval_to_gamma, positive_coroots
 
 
 def vectors_with_length_at_most(n, bound):
@@ -279,6 +279,36 @@ def kostant_poly_via_strata(gamma):
     return IntPolynomial(tuple(counts.get(j, 0) for j in range(max(counts) + 1)))
 
 
+def mu_to_kappa_reference(mu, gamma):
+    """mu_to_kappa entry by entry: nu_pq = mu_pq - mu_(p+1)q, kappa_pq = nu_pq - nu_p(q-1).
+
+    Raises what mu_to_kappa raises, with the same message, for the first
+    violation: diagonal entries first, then kappa row by row.
+    """
+    if mu.kind != "mu":
+        raise ValueError(f'expected a "mu" triangle, got kind {mu.kind!r}')
+    n = mu.n
+    if gamma.n != n:
+        raise ValueError("gamma rank context does not match the triangle")
+    for q in range(1, n):
+        if mu.entry(q, q) != gamma.coeff(q):
+            raise NotInMError(
+                f"mu_{{{q}{q}}} = {mu.entry(q, q)} differs from c_{q} = {gamma.coeff(q)}"
+            )
+    multiplicities = {}
+    for p in range(1, n):
+        prev_nu = 0
+        for q in range(1, p + 1):
+            nu_pq = mu.entry(p, q) - (mu.entry(p + 1, q) if p + 1 <= n - 1 else 0)
+            k_pq = nu_pq - prev_nu
+            prev_nu = nu_pq
+            if k_pq < 0:
+                raise NotInMError(f"derived kappa_{{{p}{q}}} = {k_pq} is negative")
+            if k_pq:
+                multiplicities[Interval(p, q)] = k_pq
+    return KappaPartition.of(n, multiplicities)
+
+
 def product_filtered_chains(n, gamma, q):
     """Flag chains as nested lattice tuples, by filtering the product of layers.
 
@@ -331,6 +361,21 @@ def valuation(a):
     return None
 
 
+def lattice_columns_by_leads(rank, colength, q):
+    """Canonical bases of every lattice, grown rank by rank from their leads, lazily.
+
+    Grouped by the lead's colength, largest first, then the leads in this
+    order one rank down: the order enumerate_lattices promises.
+    """
+    if rank == 0:
+        if colength == 0:
+            yield ()
+        return
+    for c in range(colength, -1, -1):
+        for lead in lattice_columns_by_leads(rank - 1, c, q):
+            yield from oracle._extensions(lead, colength - c, q)
+
+
 def lead_tested_chains(n, gamma, q):
     """Flag chains as nested canonical bases, by testing leads for containment.
 
@@ -344,7 +389,7 @@ def lead_tested_chains(n, gamma, q):
         leads = [
             (lead, profile[k] - c)
             for c in range(min(profile[k - 1], profile[k]), -1, -1)
-            for lead in oracle._lattice_columns(k - 1, c, q)
+            for lead in lattice_columns_by_leads(k - 1, c, q)
         ]
         partial = [
             chain + (cols,)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import helpers
 from quasiflags import cli, oracle
-from quasiflags.cli import HANDLERS, _json, ic_stalk_table_from_json, main, stratum_records_from_json
+from quasiflags.cli import HANDLERS, ic_stalk_table_from_json, main, stratum_records_from_json
 from quasiflags.kostant import IntPolynomial
 from quasiflags.limits import DEFAULT_CAPS
 from quasiflags.partitions import GammaPartition, kappa_partitions, kappa_to_nu, nu_to_mu
@@ -467,13 +467,20 @@ _JSON_VALUES = st.recursive(
 )
 
 
+def _json(obj):
+    """What cli._write_json writes for obj, its pieces joined."""
+    pieces = []
+    cli._write_json(obj, "", pieces.append)
+    return "".join(pieces)
+
+
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(_JSON_VALUES)
 @example({"ints": [1, -2, 10**39], "flags": [1, True, 0, False], "empty": [[], {}], "none": None})
 @example({"caf\xe9 \"q\"\n": ["\U0001d11e\t\\"]})
 def test_json_writer_matches_json_dumps_indent_2(obj):
     want = json.dumps(obj, indent=2)
-    assert _json(obj, "") == want
+    assert _json(obj) == want
     # streamed into a text stream, in chunks small enough to split the lists drawn
     buf = io.StringIO()
     with mock.patch.object(cli, "_CHUNK", 1):
@@ -508,14 +515,14 @@ def test_json_writer_writes_each_library_value_as_its_schema_says():
         (kappa, [[1, 1, 1], [2, 2, 1]]),
         ({"v": [GammaVec((2,))]}, {"v": [[2]]}),
     ):
-        assert _json(value, "") == json.dumps(plain, indent=2), value
+        assert _json(value) == json.dumps(plain, indent=2), value
 
 
 def test_json_writer_refuses_other_types():
     record = enumerate_strata(2, GammaVec((1,)))[0]
     for obj in ((1, 2), 1.5, {"k": {1}}, Interval(1, 1), record, [record]):
         with pytest.raises(TypeError):
-            _json(obj, "")
+            _json(obj)
 
 
 def _loaded_modules(*argv):

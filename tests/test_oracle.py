@@ -2,7 +2,7 @@ import math
 import time
 from collections import Counter
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, zip_longest
 
 import pytest
 from hypothesis import given, settings
@@ -46,6 +46,16 @@ def test_rank_two_colength_one_listing():
     lats = enumerate_lattices(2, 1, 2)
     assert [lat.diag for lat in lats] == [(1, 0), (1, 0), (0, 1)]
     assert len(set(lats)) == 3
+
+
+def test_listing_keeps_the_lead_by_lead_order():
+    # the default volume cap admits all of these; (4, 4, 3) lists 925,771 lattices
+    for q in (2, 3):
+        for rank in range(1, 5):
+            for c in range(5):
+                reference = helpers.lattice_columns_by_leads(rank, c, q)
+                for i, (lat, cols) in enumerate(zip_longest(enumerate_lattices(rank, c, q), reference)):
+                    assert lat is not None and lat.cols == cols, (rank, c, q, i)
 
 
 def test_every_lattice_contains_scaled_ambient():
@@ -258,16 +268,44 @@ def test_counts_and_chains_match_the_lead_tested_route():
     assert checked == len(GRID) - 5
 
 
+def _checked(lat):
+    """lat rebuilt through the checked constructor, which must equal and hash like it."""
+    rebuilt = Lattice(lat.rank, lat.q, lat.cols)
+    assert rebuilt == lat and hash(rebuilt) == hash(lat)
+    return rebuilt
+
+
 def test_unchecked_buckets_and_chains_equal_their_checked_construction():
-    # bucket triangles and chains skip the constructors' checks
+    # listed lattices, leading blocks, bucket triangles and chains skip the constructors' checks
     for q in (2, 3):
+        for k in (1, 2, 3):
+            for c in range(4):
+                for lat in enumerate_lattices(k, c, q):
+                    _checked(lat)
+                    for m in range(1, k + 1):
+                        _checked(coordinate_intersection(lat, m))
         for n in (2, 3, 4):
             for gamma in helpers.vectors_with_length_at_most(n, 3):
                 for mu in fiber_point_count(n, gamma, q).buckets:
                     assert Triangle(mu.n, mu.kind, mu.rows) == mu
                 for chain in enumerate_fiber_chains(n, gamma, q):
-                    lattices = tuple(Lattice(lat.rank, lat.q, lat.cols) for lat in chain.lattices)
+                    lattices = tuple(map(_checked, chain.lattices))
                     assert FlagChain(chain.n, chain.q, chain.gamma, lattices) == chain
+
+
+def test_listing_chains_and_blocks_never_run_the_lattice_checks(monkeypatch):
+    def refuse(self):
+        raise AssertionError("Lattice.__post_init__ ran")
+
+    monkeypatch.setattr(Lattice, "__post_init__", refuse)
+    lats = enumerate_lattices(3, 2, 3)
+    blocks = [coordinate_intersection(lat, m) for lat in lats for m in (1, 2, 3)]
+    chains = enumerate_fiber_chains(4, GammaVec((1, 2, 1)), 2)
+    assert len(set(lats)) == len(lats) > 0 and len(blocks) == 3 * len(lats)
+    assert len(chains) == fiber_point_count(4, GammaVec((1, 2, 1)), 2).total > 0
+    # the patch is live: the public constructors still run the checks
+    with pytest.raises(AssertionError, match="__post_init__ ran"):
+        Lattice.full(1, 2)
 
 
 def test_chain_counts_match_hand_values():

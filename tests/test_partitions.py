@@ -130,6 +130,33 @@ def test_round_trip_exhaustive():
 
 
 @st.composite
+def triangles_and_gammas(draw):
+    # arbitrary integer entries, some "nu"; gamma is often the clipped diagonal, so kappa is checked too
+    n = draw(st.integers(2, 6))
+    size = n * (n - 1) // 2
+    entries = draw(st.lists(st.one_of(st.integers(-2, 4), st.integers()), min_size=size, max_size=size))
+    mu = Triangle.from_flat(n, "nu" if draw(st.integers(0, 9)) == 0 else "mu", entries)
+    coeffs = [max(row[-1], 0) for row in mu.rows]
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(st.integers(0, 4), min_size=n - 1, max_size=n - 1))
+    return mu, GammaVec(tuple(coeffs))
+
+
+def _outcome(inverse, mu, gamma):
+    try:
+        return inverse(mu, gamma)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(triangles_and_gammas())
+def test_mu_to_kappa_matches_the_entrywise_reference(case):
+    mu, gamma = case
+    assert _outcome(mu_to_kappa, mu, gamma) == _outcome(helpers.mu_to_kappa_reference, mu, gamma)
+
+
+@st.composite
 def gammas_with_a_kappa(draw):
     # n <= 6 and |gamma| <= 7, past the exhaustive grid above
     n = draw(st.integers(2, 6))
