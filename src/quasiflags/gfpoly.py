@@ -24,11 +24,6 @@ def trim(coeffs) -> Poly:
     return tuple(cs)
 
 
-def poly(coeffs, q: int) -> Poly:
-    """Normalize arbitrary integer coefficients into canonical form."""
-    return trim(c % q for c in coeffs)
-
-
 def monomial(d: int) -> Poly:
     """z**d."""
     return (0,) * d + (1,)

@@ -19,7 +19,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from .limits import Caps, DEFAULT_CAPS, check_length, check_rank
-from .partitions import GammaPartition
+from .partitions import GammaPartition, _maker
 from .roots import GammaVec, _box, _coroots
 
 
@@ -96,14 +96,8 @@ class IntPolynomial:
         return " + ".join(terms)
 
 
-def _int_polynomial(coeffs: tuple[int, ...]) -> IntPolynomial:
-    """An IntPolynomial of nonnegative int coefficients with a nonzero last one, unchecked."""
-    poly = object.__new__(IntPolynomial)
-    _set_coeffs(poly, coeffs)
-    return poly
-
-
-_set_coeffs = IntPolynomial.coeffs.__set__
+# for the products and counts, whose coefficients are nonnegative ints with a nonzero last one
+_int_polynomial = _maker(IntPolynomial)
 ONE = IntPolynomial((1,))
 
 

@@ -75,7 +75,7 @@ from .gfpoly import Poly
 from . import gfpoly as gf
 from .kostant import kostant_poly
 from .limits import Caps, DEFAULT_CAPS, CapExceededError, require_rank
-from .partitions import Triangle, _unchecked, mu_triangles, stratum_dim
+from .partitions import Triangle, _maker, _triangle, mu_triangles, stratum_dim
 from .roots import GammaVec
 
 Column = tuple[Poly, ...]
@@ -116,7 +116,7 @@ def _require_prime(q: int) -> None:
         raise ValueError(f"q must be a prime, got {q!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Lattice:
     """A finite-colength submodule of R^rank in canonical upper-triangular form.
 
@@ -284,7 +284,7 @@ def enumerate_lattices(rank: int, colength: int, q: int, *, caps: Caps = DEFAULT
         raise ValueError(f"colength must be a nonnegative integer, got {colength!r}")
     _check_volume(rank, colength, q, caps)
     bases = _diag_bases(q)
-    return [_unchecked(Lattice, rank, q, cols) for diag in _diagonals(rank, colength) for cols in bases(diag)]
+    return [_lattice(rank, q, cols) for diag in _diagonals(rank, colength) for cols in bases(diag)]
 
 
 def contains(outer: Lattice, inner: Lattice) -> bool:
@@ -321,10 +321,10 @@ def coordinate_intersection(lat: Lattice, m: int) -> Lattice:
     """The lattice L n R^m inside the first m coordinates: the leading m x m block."""
     if not 1 <= m <= lat.rank:
         raise ValueError(f"coordinate count must be in 1..{lat.rank}, got {m}")
-    return _unchecked(Lattice, m, lat.q, tuple(col[:m] for col in lat.cols[:m]))
+    return _lattice(m, lat.q, tuple(col[:m] for col in lat.cols[:m]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FlagChain:
     """A nested chain L_1 c ... c L_{n-1} with colength(L_k) = c_k(gamma)."""
 
@@ -350,6 +350,9 @@ class FlagChain:
         for prev, nxt in zip(self.lattices, self.lattices[1:]):
             if not contains(nxt, prev):
                 raise ValueError("chain members are not nested")
+
+
+_lattice, _chain = _maker(Lattice), _maker(FlagChain)
 
 
 def _check_oracle_caps(n: int, gamma: GammaVec, q: int, caps: Caps) -> None:
@@ -387,10 +390,10 @@ def enumerate_fiber_chains(
         for lead, diag, inside in _leads_over(states, min(profile[k], profile[k + 1]), q, bases):
             chains = [chain for cols in inside for chain in states[cols]]
             for cols in _extensions(lead, profile[k + 1] - sum(diag), q):
-                lat = _unchecked(Lattice, k + 1, q, cols)
+                lat = _lattice(k + 1, q, cols)
                 grown[cols] = [chain + (lat,) for chain in chains]
         states = grown
-    return [_unchecked(FlagChain, n, q, gamma, chain) for chains in states.values() for chain in chains]
+    return [_chain(n, q, gamma, chain) for chains in states.values() for chain in chains]
 
 
 def _diag_bases(q: int):
@@ -485,7 +488,7 @@ def fiber_point_count(
     """
     _check_oracle_caps(n, gamma, q, caps)
     counts = _mu_row_counts(n, gamma, q)
-    buckets = {_unchecked(Triangle, n, "mu", rows): count for rows, count in counts.items()}
+    buckets = {_triangle(n, "mu", rows): count for rows, count in counts.items()}
     return FiberCount(total=sum(counts.values()), buckets=buckets)
 
 
@@ -576,7 +579,7 @@ def verify_against_kostant(
     counts = _mu_row_counts(n, gamma, q)
     expected_rows = {mu.rows for mu in expected_mus}
     missing = tuple(mu for mu in expected_mus if mu.rows not in counts)
-    unexpected = tuple(_unchecked(Triangle, n, "mu", r) for r in counts if r not in expected_rows)
+    unexpected = tuple(_triangle(n, "mu", r) for r in counts if r not in expected_rows)
     checks = tuple(BucketCheck(mu, q ** stratum_dim(mu), counts.get(mu.rows, 0)) for mu in expected_mus)
     total = sum(counts.values())
     return OracleReport(n, gamma, q, total_expected, total, missing, unexpected, checks)

@@ -42,6 +42,21 @@ class NotInMError(ValueError):
     """A mu triangle that is not the image of any coroot partition of gamma."""
 
 
+def _maker(cls):
+    """A function that builds the frozen slotted dataclass cls from its field values, unchecked.
+
+    Generated once per class, the way dataclasses generates __init__, it
+    takes the fields positionally or by keyword and sets each slot through
+    its bound descriptor, so no __post_init__ runs. Only for values valid
+    by construction; the public constructors keep every check.
+    """
+    names = list(cls.__dataclass_fields__)
+    env = {"new": object.__new__, "cls": cls, **{f"set_{f}": getattr(cls, f).__set__ for f in names}}
+    body = "".join(f"\n    set_{f}(obj, {f})" for f in names)
+    exec(f"def make({', '.join(names)}):\n    obj = new(cls){body}\n    return obj", env)
+    return env["make"]
+
+
 @dataclass(frozen=True, slots=True)
 class KappaPartition:
     """A partition of a degree vector into positive coroots.
@@ -203,6 +218,10 @@ class GammaPartition:
         return "+".join(str(p) for p in self.parts) if self.parts else "-"
 
 
+_gamma_vec, _kappa_partition = _maker(GammaVec), _maker(KappaPartition)
+_triangle, _gamma_partition = _maker(Triangle), _maker(GammaPartition)
+
+
 def kappa_partitions(gamma: GammaVec, *, caps: Caps = DEFAULT_CAPS) -> list[KappaPartition]:
     """All partitions of gamma into positive coroots, in kappa order.
 
@@ -213,7 +232,7 @@ def kappa_partitions(gamma: GammaVec, *, caps: Caps = DEFAULT_CAPS) -> list[Kapp
     check_length(gamma.length, caps)
     coroots = positive_coroots(gamma.n, caps=caps)
     return [
-        _unchecked(KappaPartition, gamma.n, tuple(zip(compress(coroots, mults), filter(None, mults))))
+        _kappa_partition(gamma.n, tuple(zip(compress(coroots, mults), filter(None, mults))))
         for mults in _coroot_multiplicities(gamma.coeffs, {})
     ]
 
@@ -313,7 +332,7 @@ def mu_triangles(gamma: GammaVec, *, caps: Caps = DEFAULT_CAPS) -> list[Triangle
     check_length(gamma.length, caps)
     kappa_rows = _kappa_rows(gamma.n)
     return [
-        _unchecked(Triangle, gamma.n, "mu", _mu_rows(_nu_rows(mults, kappa_rows)))
+        _triangle(gamma.n, "mu", _mu_rows(_nu_rows(mults, kappa_rows)))
         for mults in _coroot_multiplicities(gamma.coeffs, {})
     ]
 
@@ -340,7 +359,7 @@ def gamma_partitions(alpha: GammaVec, *, caps: Caps = DEFAULT_CAPS) -> list[Gamm
     check_rank(alpha.n, caps)
     check_length(alpha.length, caps)
     box, strides = _box(alpha.coeffs)
-    vecs = [_unchecked(GammaVec, v) for v in box]
+    vecs = [_gamma_vec(v) for v in box]
     seqs = [[()]]  # per defect index, the part tuples of its partitions
     for d, segments in _defect_segments(box, strides):
         seqs.append([(vecs[v],) + tail for v, start in segments for tail in seqs[d - v][start:]])
@@ -371,23 +390,3 @@ def _defect_segments(box: list[tuple[int, ...]], strides: list[int]):
             size += tail_runs[-1][1] - start
         runs.append(d_runs + [(0, size)])
         yield d, segments
-
-
-_set_n, _set_parts = GammaPartition.n.__set__, GammaPartition.parts.__set__
-
-
-def _gamma_partition(n: int, parts: tuple[GammaVec, ...]) -> GammaPartition:
-    """A GammaPartition of parts that are nonzero, of rank n and sorted, unchecked."""
-    # _unchecked with its setters bound once, since the atlas builds one per stratum
-    partition = object.__new__(GammaPartition)
-    _set_n(partition, n)
-    _set_parts(partition, parts)
-    return partition
-
-
-def _unchecked(cls, *values):
-    """An instance of the dataclass cls from field values valid by construction, unchecked."""
-    obj = object.__new__(cls)
-    for name, value in zip(cls.__dataclass_fields__, values):
-        object.__setattr__(obj, name, value)
-    return obj

@@ -25,7 +25,7 @@ from itertools import accumulate
 from .kostant import ONE, IntPolynomial, fiber_poincare
 from . import kostant
 from .limits import Caps, DEFAULT_CAPS, check_length, check_rank
-from .partitions import GammaPartition, _defect_segments, _gamma_partition, _unchecked
+from .partitions import GammaPartition, _defect_segments, _gamma_partition, _gamma_vec, _maker
 from .roots import GammaVec, _box, flag_dim
 
 
@@ -86,13 +86,9 @@ class ICStalkTable:
     entries: tuple[StalkEntry, ...]
 
 
-# records built per stratum are valid by construction: slot setters, not the frozen __init__, set them
-_set_beta, _set_parts = StratumRecord.beta.__set__, StratumRecord.parts.__set__
-_set_m, _set_stratum_dim = StratumRecord.m.__set__, StratumRecord.stratum_dim.__set__
-_set_codim, _set_fiber_dim = StratumRecord.codim.__set__, StratumRecord.fiber_dim.__set__
-_set_fiber_poincare = StratumRecord.fiber_poincare.__set__
-_set_record, _set_margin = SmallnessRow.record.__set__, SmallnessRow.margin.__set__
-_set_ok = SmallnessRow.ok.__set__
+# records and rows built per stratum are valid by construction; they are built by
+# keyword, so that a reorder of the int fields cannot put a value in the wrong slot
+_record, _row = _maker(StratumRecord), _maker(SmallnessRow)
 
 
 def moduli_dim(n: int, alpha: GammaVec) -> int:
@@ -122,7 +118,7 @@ def enumerate_strata(n: int, alpha: GammaVec, *, caps: Caps = DEFAULT_CAPS) -> l
     check_length(alpha.length, caps)
     dim_b = flag_dim(n)
     box, strides = _box(alpha.coeffs)
-    vecs = [_unchecked(GammaVec, v) for v in box]
+    vecs = [_gamma_vec(v) for v in box]
     kpolys = [ONE] * len(vecs)
     for i in range(len(vecs) - 1, 0, -1):
         kpolys[i] = kostant.kostant_poly(vecs[i], caps=caps)
@@ -148,16 +144,16 @@ def enumerate_strata(n: int, alpha: GammaVec, *, caps: Caps = DEFAULT_CAPS) -> l
             for tail in records[d - v][start:]:
                 m = tail.m + 1
                 poly = kpoly * tail.fiber_poincare
-                rec = object.__new__(StratumRecord)
-                _set_beta(rec, beta)
-                _set_parts(rec, _gamma_partition(n, part + tail.parts.parts))
-                _set_m(rec, m)
-                _set_stratum_dim(rec, beta_dim + m)
-                _set_codim(rec, defect_codim - m)
-                # every K_v(t) is nonzero, so fiber_dim, poly's degree, is its length less one
-                _set_fiber_dim(rec, len(poly.coeffs) - 1)
-                _set_fiber_poincare(rec, poly)
-                recs.append(rec)
+                recs.append(_record(
+                    beta=beta,
+                    parts=_gamma_partition(n, part + tail.parts.parts),
+                    m=m,
+                    stratum_dim=beta_dim + m,
+                    codim=defect_codim - m,
+                    # every K_v(t) is nonzero, so fiber_dim, poly's degree, is its length less one
+                    fiber_dim=len(poly.coeffs) - 1,
+                    fiber_poincare=poly,
+                ))
         records.append(recs)
     # the defects increase, so beta decreases
     return [rec for recs in records for rec in recs]
@@ -178,11 +174,7 @@ def smallness_report(n: int, alpha: GammaVec, *, caps: Caps = DEFAULT_CAPS) -> S
     for rec in enumerate_strata(n, alpha, caps=caps):
         f = rec.fiber_dim
         margin = rec.codim - 2 * f if f > 0 else None
-        row = object.__new__(SmallnessRow)
-        _set_record(row, rec)
-        _set_margin(row, margin)
-        _set_ok(row, margin is None or margin > 0)
-        rows.append(row)
+        rows.append(_row(record=rec, margin=margin, ok=margin is None or margin > 0))
         if f > 0:
             min_codim[f] = min(min_codim.get(f, rec.codim), rec.codim)
             if witness is None or margin < min_margin:

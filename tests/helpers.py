@@ -8,10 +8,13 @@ modules. Agreement is therefore evidence, not tautology.
 """
 
 import csv
+import dataclasses
 import io
 import json
+import pickle
 from itertools import combinations, product
 
+import pytest
 from hypothesis import strategies as st
 
 import quasiflags.gfpoly as gf
@@ -399,6 +402,27 @@ def lead_tested_chains(n, gamma, q):
             for cols in oracle._extensions(lead, d, q)
         ]
     return partial
+
+
+def assert_like_checked(value):
+    """Assert that a value built unchecked behaves as its checked construction.
+
+    The checked constructor must accept its fields and give a value that
+    equals, hashes and prints the same; it must also survive replace and a
+    pickle round trip, refuse assignment to every field, and carry no
+    __dict__ beside its slots.
+    """
+    fields = [f.name for f in dataclasses.fields(value)]
+    checked = type(value)(*(getattr(value, name) for name in fields))
+    assert checked == value
+    assert hash(checked) == hash(value)
+    assert repr(checked) == repr(value)
+    assert dataclasses.replace(value) == value
+    assert pickle.loads(pickle.dumps(value)) == value
+    assert not hasattr(value, "__dict__")
+    for name in fields:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, getattr(value, name))
 
 
 def _json_form(value):

@@ -1,6 +1,6 @@
 import math
 import time
-from collections import Counter
+from collections import Counter, OrderedDict
 from functools import lru_cache
 from itertools import accumulate, zip_longest
 
@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 import helpers
 import quasiflags.gfpoly as gf
+import quasiflags.kostant as kostant
 import quasiflags.oracle as oracle
+from quasiflags.kostant import IntPolynomial
 from quasiflags.limits import CapExceededError, Caps
 from quasiflags.oracle import (
     FlagChain,
@@ -23,8 +25,16 @@ from quasiflags.oracle import (
     mu_invariants,
     verify_against_kostant,
 )
-from quasiflags.partitions import Triangle, mu_triangles
+from quasiflags.partitions import (
+    GammaPartition,
+    KappaPartition,
+    Triangle,
+    gamma_partitions,
+    kappa_partitions,
+    mu_triangles,
+)
 from quasiflags.roots import GammaVec
+from quasiflags.strata import smallness_report
 
 
 def test_rank_one_lattice_is_unique():
@@ -268,41 +278,47 @@ def test_counts_and_chains_match_the_lead_tested_route():
     assert checked == len(GRID) - 5
 
 
-def _checked(lat):
-    """lat rebuilt through the checked constructor, which must equal and hash like it."""
-    rebuilt = Lattice(lat.rank, lat.q, lat.cols)
-    assert rebuilt == lat and hash(rebuilt) == hash(lat)
-    return rebuilt
-
-
 def test_unchecked_buckets_and_chains_equal_their_checked_construction():
     # listed lattices, leading blocks, bucket triangles and chains skip the constructors' checks
     for q in (2, 3):
         for k in (1, 2, 3):
             for c in range(4):
                 for lat in enumerate_lattices(k, c, q):
-                    _checked(lat)
+                    helpers.assert_like_checked(lat)
                     for m in range(1, k + 1):
-                        _checked(coordinate_intersection(lat, m))
+                        helpers.assert_like_checked(coordinate_intersection(lat, m))
         for n in (2, 3, 4):
             for gamma in helpers.vectors_with_length_at_most(n, 3):
                 for mu in fiber_point_count(n, gamma, q).buckets:
-                    assert Triangle(mu.n, mu.kind, mu.rows) == mu
+                    helpers.assert_like_checked(mu)
                 for chain in enumerate_fiber_chains(n, gamma, q):
-                    lattices = tuple(map(_checked, chain.lattices))
-                    assert FlagChain(chain.n, chain.q, chain.gamma, lattices) == chain
+                    helpers.assert_like_checked(chain)
+                    for lat in chain.lattices:
+                        helpers.assert_like_checked(lat)
 
 
 def test_listing_chains_and_blocks_never_run_the_lattice_checks(monkeypatch):
+    # every value these routes build is valid by construction and skips its class's checks
     def refuse(self):
-        raise AssertionError("Lattice.__post_init__ ran")
+        raise AssertionError(f"{type(self).__name__}.__post_init__ ran")
 
-    monkeypatch.setattr(Lattice, "__post_init__", refuse)
+    # the inputs are built before GammaVec's checks are patched to raise
+    gammas = [GammaVec((2, 3, 1)), GammaVec((1, 2, 1))]
+    for cls in (GammaVec, GammaPartition, IntPolynomial, KappaPartition, Triangle, Lattice):
+        monkeypatch.setattr(cls, "__post_init__", refuse)
+    # a fresh cache, so that K_gamma(t) is counted and not read
+    monkeypatch.setattr(kostant, "_CACHE", OrderedDict())
+    caps = Caps(oracle_max_length=6)
+    for gamma in gammas:
+        assert smallness_report(4, gamma).rows
+        assert gamma_partitions(gamma) and kappa_partitions(gamma) and mu_triangles(gamma)
+        for q in (2, 3):
+            assert verify_against_kostant(4, gamma, q, caps=caps).passed
+            chains = enumerate_fiber_chains(4, gamma, q, caps=caps)
+            assert len(chains) == fiber_point_count(4, gamma, q, caps=caps).total > 0
     lats = enumerate_lattices(3, 2, 3)
     blocks = [coordinate_intersection(lat, m) for lat in lats for m in (1, 2, 3)]
-    chains = enumerate_fiber_chains(4, GammaVec((1, 2, 1)), 2)
     assert len(set(lats)) == len(lats) > 0 and len(blocks) == 3 * len(lats)
-    assert len(chains) == fiber_point_count(4, GammaVec((1, 2, 1)), 2).total > 0
     # the patch is live: the public constructors still run the checks
     with pytest.raises(AssertionError, match="__post_init__ ran"):
         Lattice.full(1, 2)

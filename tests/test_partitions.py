@@ -1,6 +1,3 @@
-import dataclasses
-import pickle
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -339,24 +336,8 @@ def test_unchecked_values_equal_their_checked_construction():
     # mu_triangles and kappa_partitions skip the constructors' checks
     for n in (2, 3, 4, 5):
         for gamma in helpers.vectors_with_length_at_most(n, 4):
-            for k in kappa_partitions(gamma):
-                assert KappaPartition(k.n, k.mult) == k
-            for t in mu_triangles(gamma):
-                assert Triangle(t.n, t.kind, t.rows) == t
-                assert hash(Triangle(t.n, t.kind, t.rows)) == hash(t)
-
-
-def _assert_like_checked(value):
-    fields = [f.name for f in dataclasses.fields(value)]
-    checked = type(value)(*(getattr(value, name) for name in fields))
-    assert checked == value
-    assert hash(checked) == hash(value)
-    assert repr(checked) == repr(value)
-    assert dataclasses.replace(value) == value
-    assert pickle.loads(pickle.dumps(value)) == value
-    for name in fields:
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(value, name, getattr(value, name))
+            for value in (*kappa_partitions(gamma), *mu_triangles(gamma)):
+                helpers.assert_like_checked(value)
 
 
 @settings(derandomize=True, deadline=None)
@@ -374,7 +355,7 @@ def test_atlas_values_built_unchecked_behave_as_checked_ones(alpha):
         for value in (partition, *partition.parts):
             values[id(value)] = value
     for value in values.values():
-        _assert_like_checked(value)
+        helpers.assert_like_checked(value)
 
 
 def test_gamma_partition_of_normalizes():
