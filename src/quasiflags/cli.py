@@ -413,7 +413,7 @@ HANDLERS = {
     "strata": (_cmd_strata, "the stratification atlas for (n, alpha)", ("alpha",)),
     "smallness": (_cmd_smallness, "verify codim > 2*fiber_dim per stratum", ("alpha",)),
     "ic-stalks": (_cmd_ic_stalks, "IC stalk table over one stratum", ("alpha", "beta")),
-    "fiber-count": (_cmd_fiber_count, "brute-force chain count over F_q", ("gamma",)),
+    "fiber-count": (_cmd_fiber_count, "chain count over F_q, summed by cells", ("gamma",)),
 }
 
 _METAVARS = {"alpha": "a1,a2,..", "beta": "b1,b2,..", "gamma": "c1,c2,.."}

@@ -1,10 +1,10 @@
-"""Finite-field lattice oracle: brute-force fiber counting over F_q[z].
+"""Finite-field lattice oracle: fiber chains over F_q[z], listed and counted by cells.
 
 This module is the package's independent check on the combinatorial
-calculus. It builds actual chains of modules over F_q[z] and counts them,
-while the partition/polynomial side predicts the counts; the two share no
-code beyond the Triangle container, so agreement between them is evidence,
-not tautology.
+calculus. It lists actual chains of modules over F_q[z] and counts them by
+lattice facts, while the partition/polynomial side predicts the counts; the
+two share no code beyond the Triangle container, so agreement between them
+is evidence, not tautology.
 
 Representation
 --------------
@@ -34,7 +34,7 @@ leading m x m block is the canonical basis of L n R^m. A rank-k basis is
 thus its *lead*, the block for m = k - 1, plus a last column: a pivot z^d
 under free residues modulo the lead's pivots. One lister, _diag_bases,
 grows the bases of each pivot diagonal this way, for enumerate_lattices
-and the chain counts alike. What it lists is canonical by construction, so
+and the chain listing alike. What it lists is canonical by construction, so
 the lattices built from it, their leading blocks and the chains skip the
 checks that the public constructors keep.
 
@@ -53,20 +53,23 @@ products B_M B_X over all lattices X, each reached once (the
 elementary-divisor picture of Macdonald, Symmetric Functions and Hall
 Polynomials, ch. II). The product is upper-triangular with pivots
 z^(diag M + diag X), so canonicalising it only reduces entries modulo the
-row pivots. Chains are therefore grown as a transfer over distinct
-lattices: the state at layer k maps each L_k to what the chains ending at
-it carry, a Counter of mu-row prefixes for fiber_point_count and the
-chains themselves for enumerate_fiber_chains. For each lead M of colength
-at most min(c_k, c_(k+1)), the states inside M are found by generating
-the products of each state diagonal above diag(M) and looking them up; no
-containment is tested. The extensions of M to L_(k+1) share one mu row,
-so they share one Counter, and at the last layer their number, q^colength(M),
-is multiplied in instead of building them.
+row pivots; M holds q^free(e) lattices of diagonal diag M + e, where
+free(e) = sum_i e_i (k-1-i) counts the residues of _extensions.
+enumerate_fiber_chains grows chains as a transfer over distinct lattices:
+it generates the products inside each lead of colength at most
+min(c_k, c_(k+1)) and looks them up among the states, testing no
+containment. The count builds no lattice: the chains that end at L_k
+depend on diag(L_k) alone, so each pivot-diagonal sequence
+(D_1, ..., D_(n-1)), D_k being D_(k+1)[:k] plus a composition e, is one mu
+bucket (the mu rows are the prefix sums of the D_k), a cell of q^dim chains
+with dim the sum of the free(e). _cells walks these top-down. The count
+visits no chain and shares no code with the coroot calculus; each lattice
+fact it uses is pinned by a test: canonical-form uniqueness, _sublattices
+against contains, and the grid against a lead-tested listing.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, product
 
@@ -274,7 +277,7 @@ def enumerate_lattices(rank: int, colength: int, q: int, *, caps: Caps = DEFAULT
     through all residues modulo the lead's pivots in lexicographic order.
     Because the canonical form is unique, distinct emitted matrices are
     distinct lattices and the list is exhaustive. The bases come by diagonal
-    from _diag_bases, as the chain counts read them, and are built unchecked
+    from _diag_bases, as the chain listing reads them, and are built unchecked
     once q, rank, colength and the volume cap pass.
     """
     _require_prime(q)
@@ -412,10 +415,9 @@ def _diag_bases(q: int):
 def _sublattices(outer: Basis, diag: tuple[int, ...], q: int, bases):
     """Canonical bases of every L in outer with diag(L) = diag, each exactly once.
 
-    x -> B_outer x maps R^k onto outer, so L runs once through the images
-    B_outer B_X of the lattices X of diagonal diag - diag(outer). The product
-    is upper-triangular with pivots z^(diag_j); canonicalising it only
-    reduces each column from the bottom row up modulo the row pivots.
+    L runs once through the products B_outer B_X over the lattices X of
+    diagonal diag - diag(outer) (see Counting), each column reduced from the
+    bottom row up modulo the row pivots.
     """
     shift = tuple(d - e for d, e in zip(diag, _diag(outer)))
     for inner in bases(shift):
@@ -494,30 +496,27 @@ def fiber_point_count(
 
 def _mu_row_counts(n: int, gamma: GammaVec, q: int) -> dict:
     """The number of chains with each mu, by its rows, in mu order; caps unchecked."""
-    profile = (0,) + gamma.coeffs
-    bases = _diag_bases(q)
-    # each L_k with the mu rows of the chains that end at it, counted
-    states: dict[Basis, Counter] = {(): Counter({(): 1})}
-    raw: Counter = Counter()
-    for k in range(n - 1):
-        grown = {}
-        for lead, diag, inside in _leads_over(states, min(profile[k], profile[k + 1]), q, bases):
-            rows = Counter()
-            for cols in inside:
-                rows.update(states[cols])
-            # every extension of the lead has the same diagonal, so the same mu row
-            c = sum(diag)
-            row = tuple(accumulate(diag + (profile[k + 1] - c,)))
-            extended = Counter({prefix + (row,): count for prefix, count in rows.items()})
-            if k < n - 2:
-                grown.update(dict.fromkeys(_extensions(lead, profile[k + 1] - c, q), extended))
-            else:
-                # the last layer is counted, not built: q^c last columns per lead
-                raw.update({prefix: count * q**c for prefix, count in extended.items()})
-        states = grown
+    dims = dict(_cells(gamma.coeffs))
     # the diagonal is gamma's coefficients, so the entries below it decide the order
-    order = sorted(raw, key=lambda rows: [row[j] for j in range(n - 2) for row in rows[j + 1 :]])
-    return {rows: raw[rows] for rows in order}
+    order = sorted(dims, key=lambda rows: [row[j] for j in range(n - 2) for row in rows[j + 1 :]])
+    return {rows: q ** dims[rows] for rows in order}
+
+
+def _cells(coeffs: tuple[int, ...]):
+    """Each pivot-diagonal sequence of colengths coeffs, top-down, as (mu rows, cell dim)."""
+
+    def down(k: int, over: tuple[int, ...], rows: tuple, dim: int):
+        # D_k is over = D_(k+1)[:k] plus a composition e of the rest of c_k
+        if k == 0:
+            yield rows, dim
+            return
+        for e in _diagonals(k, coeffs[k - 1] - sum(over)):
+            diag = tuple(o + x for o, x in zip(over, e))
+            free = sum(x * (k - 1 - i) for i, x in enumerate(e))
+            yield from down(k - 1, diag[:-1], (tuple(accumulate(diag)),) + rows, dim + free)
+
+    # L_(n-1) may be any lattice of R^(n-1), whose diagonal is 0
+    return down(len(coeffs), (0,) * len(coeffs), (), 0)
 
 
 @dataclass(frozen=True)
@@ -533,7 +532,7 @@ class BucketCheck:
 
 @dataclass(frozen=True)
 class OracleReport:
-    """Outcome of checking brute-force counts against the predicted values."""
+    """Outcome of checking the cell counts (see the oracle docstring) against the predicted values."""
 
     n: int
     gamma: GammaVec

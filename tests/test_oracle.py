@@ -32,6 +32,7 @@ from quasiflags.partitions import (
     gamma_partitions,
     kappa_partitions,
     mu_triangles,
+    stratum_dim,
 )
 from quasiflags.roots import GammaVec
 from quasiflags.strata import smallness_report
@@ -278,6 +279,17 @@ def test_counts_and_chains_match_the_lead_tested_route():
     assert checked == len(GRID) - 5
 
 
+def test_cell_count_matches_the_listed_chains_at_the_heavy_anchor():
+    # 82,432 chains, each built through _leads_over and _sublattices; mu rows are pivot prefix sums
+    n, gamma, q = 5, GammaVec((3, 3, 3, 3)), 3
+    caps = Caps(oracle_max_rank=5, oracle_max_length=12)
+    count = fiber_point_count(n, gamma, q, caps=caps)
+    chains = enumerate_fiber_chains(n, gamma, q, caps=caps)
+    listed = Counter(tuple(tuple(accumulate(lat.diag)) for lat in chain.lattices) for chain in chains)
+    assert count.total == len(chains) == 82_432
+    assert {mu.rows: c for mu, c in count.buckets.items()} == listed
+
+
 def test_unchecked_buckets_and_chains_equal_their_checked_construction():
     # listed lattices, leading blocks, bucket triangles and chains skip the constructors' checks
     for q in (2, 3):
@@ -369,11 +381,20 @@ def test_verify_checks_every_cap_before_the_first_chain(monkeypatch):
     def no_lattices(*args):
         raise AssertionError("a lattice was built")
 
-    # every canonical basis the count builds, lead, state or sublattice, comes out of these
-    for name in ("_extensions", "_sublattices"):
+    # the count sums cells: no lattice, lead, state or sublattice is built for it
+    for name in ("_diag_bases", "_extensions", "_sublattices", "_leads_over"):
         monkeypatch.setattr(oracle, name, no_lattices)
     gamma = GammaVec((1, 1))
-    with pytest.raises(AssertionError, match="a lattice was built"):
+    assert verify_against_kostant(3, gamma, 2).passed
+    assert fiber_point_count(3, gamma, 2).total == 3
+    wide = Caps(oracle_max_rank=5, oracle_max_length=8)
+    assert verify_against_kostant(5, GammaVec((2, 2, 2, 2)), 3, caps=wide).passed
+
+    def no_cells(coeffs):
+        raise AssertionError("a cell was counted")
+
+    monkeypatch.setattr(oracle, "_cells", no_cells)
+    with pytest.raises(AssertionError, match="a cell was counted"):
         verify_against_kostant(3, gamma, 2)
     with pytest.raises(CapExceededError, match="length cap 1"):
         verify_against_kostant(3, gamma, 2, caps=Caps(max_length=1))
@@ -381,6 +402,26 @@ def test_verify_checks_every_cap_before_the_first_chain(monkeypatch):
         verify_against_kostant(3, gamma, 2, caps=Caps(max_rank=2))
     with pytest.raises(CapExceededError, match="volume cap 2"):
         verify_against_kostant(3, gamma, 2, caps=Caps(max_lattice_volume=2))
+
+
+@st.composite
+def calculus_inputs(draw):
+    # n <= 8, |gamma| <= 12 and q in {2, 3}: each drawn index adds 1 to one coefficient
+    n = draw(st.integers(2, 8))
+    hits = draw(st.lists(st.integers(0, n - 2), max_size=12))
+    return n, GammaVec(tuple(hits.count(k) for k in range(n - 1))), draw(st.sampled_from((2, 3)))
+
+
+CALCULUS_CAPS = Caps(oracle_max_rank=8, oracle_max_length=12, max_lattice_volume=10**40)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(calculus_inputs())
+def test_cell_counts_agree_with_the_calculus_on_its_whole_domain(case):
+    n, gamma, q = case
+    report = verify_against_kostant(n, gamma, q, caps=CALCULUS_CAPS)
+    assert report.passed, case
+    assert all(b.actual == q ** stratum_dim(b.mu) for b in report.buckets)
 
 
 def test_verify_small_grid():
