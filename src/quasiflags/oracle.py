@@ -33,10 +33,10 @@ on the last k - m columns (read the pivots from the bottom row up), so the
 leading m x m block is the canonical basis of L n R^m. A rank-k basis is
 thus its *lead*, the block for m = k - 1, plus a last column: a pivot z^d
 under free residues modulo the lead's pivots. One lister, _diag_bases,
-grows the bases of each pivot diagonal this way, for enumerate_lattices
-and the chain listing alike. What it lists is canonical by construction, so
-the lattices built from it, their leading blocks and the chains skip the
-checks that the public constructors keep.
+grows the bases of each pivot diagonal this way, for enumerate_lattices and
+the chain listing's products alike. What it lists is canonical by
+construction, so the lattices built from it, their leading blocks and the
+chains skip the checks that the public constructors keep.
 
 A FlagChain is a sequence L_1 c L_2 c ... c L_{n-1} with L_k of rank k and
 prescribed colength c_k, where rank k sits inside rank k+1 as the first k
@@ -55,17 +55,18 @@ Polynomials, ch. II). The product is upper-triangular with pivots
 z^(diag M + diag X), so canonicalising it only reduces entries modulo the
 row pivots; M holds q^free(e) lattices of diagonal diag M + e, where
 free(e) = sum_i e_i (k-1-i) counts the residues of _extensions.
-enumerate_fiber_chains grows chains as a transfer over distinct lattices:
-it generates the products inside each lead of colength at most
-min(c_k, c_(k+1)) and looks them up among the states, testing no
-containment. The count builds no lattice: the chains that end at L_k
-depend on diag(L_k) alone, so each pivot-diagonal sequence
-(D_1, ..., D_(n-1)), D_k being D_(k+1)[:k] plus a composition e, is one mu
-bucket (the mu rows are the prefix sums of the D_k), a cell of q^dim chains
-with dim the sum of the free(e). _cells walks these top-down. The count
-visits no chain and shares no code with the coroot calculus; each lattice
-fact it uses is pinned by a test: canonical-form uniqueness, _sublattices
-against contains, and the grid against a lead-tested listing.
+A chain thus runs top-down through pivot diagonals (D_1, ..., D_(n-1)),
+D_k >= D_(k+1)[:k] entry by entry and of sum c_k, so d_1 + ... + d_j <= c_j
+for j < k; _diagonals lists the D_k under these bounds, none a dead end.
+The count builds no lattice: each sequence is one mu bucket (its rows are
+the prefix sums of the D_k), a cell of q^dim chains, dim the sum of the
+free(D_k - D_(k+1)[:k]); _cells walks these. enumerate_fiber_chains
+descends the same cells: L_k runs over the products of each D_k inside the
+lead of L_(k+1), and the chains below it are listed once per lead, testing
+no containment. The count visits no chain and shares no code with the
+coroot calculus; each lattice fact it uses is pinned by a test:
+canonical-form uniqueness, _sublattices against contains, and the grid
+against a lead-tested listing.
 """
 
 from __future__ import annotations
@@ -251,11 +252,20 @@ def _extensions(lead: Basis, d: int, q: int):
         yield grown + (above + (gf.monomial(d),),)
 
 
-def _diagonals(rank: int, colength: int) -> list[tuple[int, ...]]:
-    """Pivot diagonals of rank and colength: the last pivot increasing, then the lead's order."""
-    if rank == 0:
-        return [()] if colength == 0 else []
-    return [lead + (d,) for d in range(colength + 1) for lead in _diagonals(rank - 1, colength - d)]
+def _diagonals(total: int, floor: tuple[int, ...], bounds: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Diagonals D >= floor of sum total with d_1 + ... + d_j <= bounds[j-1] for j < rank.
+
+    The last pivot increases, then the lead's order. A floor within the bounds
+    can put what is left on the last pivot, so no branch comes back empty.
+    """
+    k = len(floor)
+    if k == 1:
+        return [(total,)] if total >= floor[0] else []
+    return [
+        lead + (total - s,)
+        for s in range(min(total - floor[-1], bounds[k - 2]), sum(floor[:-1]) - 1, -1)
+        for lead in _diagonals(s, floor[:-1], bounds)
+    ]
 
 
 def _check_volume(rank: int, colength: int, q: int, caps: Caps) -> None:
@@ -287,7 +297,8 @@ def enumerate_lattices(rank: int, colength: int, q: int, *, caps: Caps = DEFAULT
         raise ValueError(f"colength must be a nonnegative integer, got {colength!r}")
     _check_volume(rank, colength, q, caps)
     bases = _diag_bases(q)
-    return [_lattice(rank, q, cols) for diag in _diagonals(rank, colength) for cols in bases(diag)]
+    diags = _diagonals(colength, (0,) * rank, (colength,) * rank)
+    return [_lattice(rank, q, cols) for diag in diags for cols in bases(diag)]
 
 
 def contains(outer: Lattice, inner: Lattice) -> bool:
@@ -378,25 +389,36 @@ def _check_oracle_caps(n: int, gamma: GammaVec, q: int, caps: Caps) -> None:
 def enumerate_fiber_chains(
     n: int, gamma: GammaVec, q: int, *, caps: Caps = DEFAULT_CAPS
 ) -> list[FlagChain]:
-    """All flag chains over F_q with colength profile gamma, layer by layer.
+    """All flag chains over F_q with colength profile gamma, top-down through the cells.
 
     Each distinct L_k is built as a Lattice once; the lattices and the chains
     skip the checks.
     """
     _check_oracle_caps(n, gamma, q, caps)
-    profile = (0,) + gamma.coeffs
+    coeffs = gamma.coeffs
     bases = _diag_bases(q)
-    # each L_k with the chains that end at it
-    states: dict[Basis, list[tuple[Lattice, ...]]] = {(): [()]}
-    for k in range(n - 1):
-        grown = {}
-        for lead, diag, inside in _leads_over(states, min(profile[k], profile[k + 1]), q, bases):
-            chains = [chain for cols in inside for chain in states[cols]]
-            for cols in _extensions(lead, profile[k + 1] - sum(diag), q):
-                lat = _lattice(k + 1, q, cols)
-                grown[cols] = [chain + (lat,) for chain in chains]
-        states = grown
-    return [_chain(n, q, gamma, chain) for chains in states.values() for chain in chains]
+    made: dict[Basis, Lattice] = {}
+    memo: dict[Basis, list[tuple[Lattice, ...]]] = {(): [()]}
+
+    def inside(outer: Basis) -> list[tuple[Lattice, ...]]:
+        # the chains L_1 c ... c L_k inside the rank-k basis outer
+        if outer not in memo:
+            k = len(outer)
+            found = memo[outer] = []
+            for diag in _diagonals(coeffs[k - 1], _diag(outer), coeffs):
+                # R^(n-1) holds bases(diag) itself: its sublattices built as
+                # products with 1 made the listing 2.5 times slower
+                members = bases(diag) if k == n - 1 else _sublattices(outer, diag, q, bases)
+                for cols in members:
+                    lat = made.get(cols)
+                    if lat is None:
+                        lat = made[cols] = _lattice(k, q, cols)
+                    lead = tuple([col[:-1] for col in cols[:-1]])
+                    found += [below + (lat,) for below in inside(lead)]
+        return memo[outer]
+
+    top = tuple(tuple(gf.ONE if i == j else gf.ZERO for i in range(n - 1)) for j in range(n - 1))
+    return [_chain(n, q, gamma, chain) for chain in inside(top)]
 
 
 def _diag_bases(q: int):
@@ -417,7 +439,7 @@ def _sublattices(outer: Basis, diag: tuple[int, ...], q: int, bases):
 
     L runs once through the products B_outer B_X over the lattices X of
     diagonal diag - diag(outer) (see Counting), each column reduced from the
-    bottom row up modulo the row pivots.
+    bottom row up modulo the row pivots: one layer of the chain listing's descent.
     """
     shift = tuple(d - e for d, e in zip(diag, _diag(outer)))
     for inner in bases(shift):
@@ -436,31 +458,6 @@ def _sublattices(outer: Basis, diag: tuple[int, ...], q: int, bases):
                         col[r] = gf.sub(col[r], gf.mul(quo, out[i][r], q), q)
             out.append(tuple(col))
         yield tuple(out)
-
-
-def _leads_over(states, colength: int, q: int, bases):
-    """Each lead that contains a state, with its diagonal and the states inside it.
-
-    states is keyed by canonical bases of rank k. A lead of rank k that
-    contains one has colength at most colength and a diagonal below the
-    state's entry by entry, so the leads are read off bases() by diagonal
-    and a lead that contains no state is never built.
-    """
-    floors: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for diag in dict.fromkeys(map(_diag, states)):
-        for floor in product(*(range(d + 1) for d in diag)):
-            if sum(floor) <= colength:
-                floors.setdefault(floor, []).append(diag)
-    for floor, above in floors.items():
-        for lead in bases(floor):
-            inside = [
-                cols
-                for diag in above
-                for cols in _sublattices(lead, diag, q, bases)
-                if cols in states
-            ]
-            if inside:
-                yield lead, floor, inside
 
 
 def mu_invariants(chain: FlagChain) -> Triangle:
@@ -506,13 +503,12 @@ def _cells(coeffs: tuple[int, ...]):
     """Each pivot-diagonal sequence of colengths coeffs, top-down, as (mu rows, cell dim)."""
 
     def down(k: int, over: tuple[int, ...], rows: tuple, dim: int):
-        # D_k is over = D_(k+1)[:k] plus a composition e of the rest of c_k
+        # D_k lies over D_(k+1)[:k], and q^free(D_k - over) lattices of M have diagonal D_k
         if k == 0:
             yield rows, dim
             return
-        for e in _diagonals(k, coeffs[k - 1] - sum(over)):
-            diag = tuple(o + x for o, x in zip(over, e))
-            free = sum(x * (k - 1 - i) for i, x in enumerate(e))
+        for diag in _diagonals(coeffs[k - 1], over, coeffs):
+            free = sum((d - o) * (k - 1 - i) for i, (d, o) in enumerate(zip(diag, over)))
             yield from down(k - 1, diag[:-1], (tuple(accumulate(diag)),) + rows, dim + free)
 
     # L_(n-1) may be any lattice of R^(n-1), whose diagonal is 0

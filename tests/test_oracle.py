@@ -2,7 +2,7 @@ import math
 import time
 from collections import Counter, OrderedDict
 from functools import lru_cache
-from itertools import accumulate, zip_longest
+from itertools import accumulate, product, zip_longest
 
 import pytest
 from hypothesis import given, settings
@@ -280,7 +280,7 @@ def test_counts_and_chains_match_the_lead_tested_route():
 
 
 def test_cell_count_matches_the_listed_chains_at_the_heavy_anchor():
-    # 82,432 chains, each built through _leads_over and _sublattices; mu rows are pivot prefix sums
+    # 82,432 chains, listed top-down through the cells by _sublattices; mu rows are pivot prefix sums
     n, gamma, q = 5, GammaVec((3, 3, 3, 3)), 3
     caps = Caps(oracle_max_rank=5, oracle_max_length=12)
     count = fiber_point_count(n, gamma, q, caps=caps)
@@ -288,6 +288,29 @@ def test_cell_count_matches_the_listed_chains_at_the_heavy_anchor():
     listed = Counter(tuple(tuple(accumulate(lat.diag)) for lat in chain.lattices) for chain in chains)
     assert count.total == len(chains) == 82_432
     assert {mu.rows: c for mu, c in count.buckets.items()} == listed
+
+
+def test_top_heavy_count_lists_only_diagonals_a_chain_continues_from(monkeypatch):
+    # one cell: L_1 .. L_6 are R^1 .. R^6, so only R^7's diagonals over a zero lead count
+    listed = []
+    walk = oracle._diagonals
+
+    def counted(total, floor, bounds):
+        diags = walk(total, floor, bounds)
+        listed.append(len(diags))
+        return diags
+
+    monkeypatch.setattr(oracle, "_diagonals", counted)
+    report = verify_against_kostant(8, GammaVec((0, 0, 0, 0, 0, 0, 12)), 3, caps=CALCULUS_CAPS)
+    assert report.passed and report.total_actual == 1
+    # an unbounded walk lists all 18,564 compositions of 12 into 7 parts at the top
+    assert sum(listed) < 50
+
+
+def test_listed_chains_share_one_object_per_lattice():
+    chains = enumerate_fiber_chains(5, GammaVec((2, 2, 2, 2)), 3, caps=Caps(oracle_max_rank=5, oracle_max_length=8))
+    members = [lat for chain in chains for lat in chain.lattices]
+    assert len({id(lat) for lat in members}) == len(set(members)) < len(members)
 
 
 def test_unchecked_buckets_and_chains_equal_their_checked_construction():
@@ -316,7 +339,7 @@ def test_listing_chains_and_blocks_never_run_the_lattice_checks(monkeypatch):
 
     # the inputs are built before GammaVec's checks are patched to raise
     gammas = [GammaVec((2, 3, 1)), GammaVec((1, 2, 1))]
-    for cls in (GammaVec, GammaPartition, IntPolynomial, KappaPartition, Triangle, Lattice):
+    for cls in (GammaVec, GammaPartition, IntPolynomial, KappaPartition, Triangle, Lattice, FlagChain):
         monkeypatch.setattr(cls, "__post_init__", refuse)
     # a fresh cache, so that K_gamma(t) is counted and not read
     monkeypatch.setattr(kostant, "_CACHE", OrderedDict())
@@ -381,8 +404,8 @@ def test_verify_checks_every_cap_before_the_first_chain(monkeypatch):
     def no_lattices(*args):
         raise AssertionError("a lattice was built")
 
-    # the count sums cells: no lattice, lead, state or sublattice is built for it
-    for name in ("_diag_bases", "_extensions", "_sublattices", "_leads_over"):
+    # the count sums cells: no lattice, lead or sublattice is built for it
+    for name in ("_diag_bases", "_extensions", "_sublattices"):
         monkeypatch.setattr(oracle, name, no_lattices)
     gamma = GammaVec((1, 1))
     assert verify_against_kostant(3, gamma, 2).passed
@@ -632,3 +655,46 @@ def test_sublattices_are_the_contained_lattices_of_the_diagonal(case):
     }
     assert len(generated) == len(set(generated))
     assert set(generated) == expected
+
+
+@st.composite
+def floors_within_bounds(draw):
+    # rank <= 5, total <= 8, and a floor whose prefix sums stay inside the bounds
+    k = draw(st.integers(1, 5))
+    bounds = tuple(draw(st.lists(st.integers(0, 8), min_size=k - 1, max_size=k - 1)))
+    floor = []
+    for j in range(k):
+        # prefix sums only grow, so the j-th must stay under every later bound
+        cap = min(bounds[j:], default=8)
+        floor.append(draw(st.integers(0, cap - sum(floor))))
+    # one total below the floor's sum, whose list is empty
+    return draw(st.integers(max(sum(floor) - 1, 0), 8)), tuple(floor), bounds
+
+
+def brute_diagonals(total, floor, bounds):
+    k = len(floor)
+    return sorted(
+        (
+            diag
+            for diag in product(range(total + 1), repeat=k)
+            if sum(diag) == total
+            and all(d >= f for d, f in zip(diag, floor))
+            and all(sum(diag[:j]) <= bounds[j - 1] for j in range(1, k))
+        ),
+        key=lambda diag: diag[::-1],
+    )
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(floors_within_bounds())
+def test_bounded_diagonal_walk_lists_what_a_filter_keeps_and_no_dead_branch(case):
+    total, floor, bounds = case
+    k = len(floor)
+    diags = oracle._diagonals(total, floor, bounds)
+    assert diags == brute_diagonals(total, floor, bounds)
+    if k >= 2:
+        # the next layer down, of total bounds[k-2] over D's lead, is never empty
+        assert all(oracle._diagonals(bounds[k - 2], diag[:-1], bounds) for diag in diags)
+    compositions = oracle._diagonals(total, (0,) * k, (total,) * k)
+    assert compositions == brute_diagonals(total, (0,) * k, (total,) * k)
+    assert len(compositions) == math.comb(total + k - 1, k - 1)
