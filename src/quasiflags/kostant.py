@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .limits import Caps, DEFAULT_CAPS, check_length, check_rank
 from .partitions import GammaPartition, _maker
-from .roots import GammaVec, _box, _coroots
+from .roots import GammaVec, _box, _coroots, require_type
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,6 +120,7 @@ def kostant_poly(gamma: GammaVec, *, caps: Caps = DEFAULT_CAPS) -> IntPolynomial
     KOSTANT_CACHE_SIZE of them when the box is larger), so reading
     gamma first makes the reads of the rest of its box cache hits.
     """
+    require_type("gamma", gamma, GammaVec)
     check_rank(gamma.n, caps)
     check_length(gamma.length, caps)
     return _kostant_poly(gamma.coeffs)
@@ -166,6 +167,7 @@ def _box_count(coeffs: tuple[int, ...]) -> list[tuple[tuple[int, ...], IntPolyno
 
 def fiber_poincare(parts: GammaPartition, *, caps: Caps = DEFAULT_CAPS) -> IntPolynomial:
     """Product of K over the parts of a degree-vector partition (1 when empty)."""
+    require_type("parts", parts, GammaPartition)
     poly = ONE
     for part in parts.parts:
         poly = poly * kostant_poly(part, caps=caps)

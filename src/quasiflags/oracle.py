@@ -80,7 +80,7 @@ from . import gfpoly as gf
 from .kostant import kostant_poly
 from .limits import Caps, DEFAULT_CAPS, CapExceededError, require_rank
 from .partitions import Triangle, _maker, _triangle, mu_triangles, stratum_dim
-from .roots import GammaVec
+from .roots import GammaVec, require_type
 
 Column = tuple[Poly, ...]
 Basis = tuple[Column, ...]
@@ -370,6 +370,7 @@ _lattice, _chain = _maker(Lattice), _maker(FlagChain)
 
 
 def _check_oracle_caps(n: int, gamma: GammaVec, q: int, caps: Caps) -> None:
+    require_type("gamma", gamma, GammaVec)
     _require_prime(q)
     require_rank(n)
     if gamma.n != n:

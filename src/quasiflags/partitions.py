@@ -35,7 +35,7 @@ from itertools import accumulate, compress, product
 from operator import add, sub
 
 from .limits import Caps, DEFAULT_CAPS, check_length, check_rank
-from .roots import GammaVec, Interval, _box, _coroots, interval_to_gamma, positive_coroots
+from .roots import GammaVec, Interval, _box, _coroots, interval_to_gamma, positive_coroots, require_type
 
 
 class NotInMError(ValueError):
@@ -228,6 +228,7 @@ def kappa_partitions(gamma: GammaVec, *, caps: Caps = DEFAULT_CAPS) -> list[Kapp
     That is largest multiplicities first, in (q, p) order, so the all-simple
     partition (when gamma is supported everywhere) comes first.
     """
+    require_type("gamma", gamma, GammaVec)
     check_rank(gamma.n, caps)
     check_length(gamma.length, caps)
     coroots = positive_coroots(gamma.n, caps=caps)
@@ -328,6 +329,7 @@ def mu_triangles(gamma: GammaVec, *, caps: Caps = DEFAULT_CAPS) -> list[Triangle
     column: multiplicities are tried largest first in (q, p) order, and with
     the earlier ones fixed, mu_{p+1,q} is a fixed amount minus kappa_{pq}.
     """
+    require_type("gamma", gamma, GammaVec)
     check_rank(gamma.n, caps)
     check_length(gamma.length, caps)
     kappa_rows = _kappa_rows(gamma.n)
@@ -356,6 +358,7 @@ def gamma_partitions(alpha: GammaVec, *, caps: Caps = DEFAULT_CAPS) -> list[Gamm
     lexicographic order of their part sequences, and equal parts are one
     GammaVec. alpha = 0 yields just the empty partition.
     """
+    require_type("alpha", alpha, GammaVec)
     check_rank(alpha.n, caps)
     check_length(alpha.length, caps)
     box, strides = _box(alpha.coeffs)

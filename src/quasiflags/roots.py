@@ -101,6 +101,16 @@ class GammaVec:
         return "(" + ",".join(str(c) for c in self.coeffs) + ")"
 
 
+def require_type(name: str, value: object, cls: type) -> None:
+    """Refuse an argument that is not a cls, such as a plain tuple for a GammaVec.
+
+    The public entry points call it first, so that the wrong type fails with
+    a TypeError naming the class to pass, not with an AttributeError.
+    """
+    if not isinstance(value, cls):
+        raise TypeError(f"{name} must be a {cls.__name__}, got {type(value).__name__} {value!r}")
+
+
 def positive_coroots(n: int, *, caps: Caps = DEFAULT_CAPS) -> list[Interval]:
     """All positive coroots of A_{n-1}, ordered lexicographically by (q, p)."""
     check_rank(n, caps)

@@ -20,13 +20,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import sub
 
 # before `from . import kostant`, so that kostant loads by a path -X importtime logs
 from .kostant import ONE, IntPolynomial, fiber_poincare
 from . import kostant
 from .limits import Caps, DEFAULT_CAPS, check_length, check_rank
 from .partitions import GammaPartition, _defect_segments, _gamma_partition, _gamma_vec, _maker
-from .roots import GammaVec, _box, flag_dim
+from .roots import GammaVec, _box, flag_dim, require_type
 
 
 @dataclass(frozen=True, slots=True)
@@ -86,13 +87,15 @@ class ICStalkTable:
     entries: tuple[StalkEntry, ...]
 
 
-# records and rows built per stratum are valid by construction; they are built by
+# records, rows, stalk entries and tables are valid by construction; they are built by
 # keyword, so that a reorder of the int fields cannot put a value in the wrong slot
 _record, _row = _maker(StratumRecord), _maker(SmallnessRow)
+_entry, _table = _maker(StalkEntry), _maker(ICStalkTable)
 
 
 def moduli_dim(n: int, alpha: GammaVec) -> int:
     """2|alpha| + dim B."""
+    require_type("alpha", alpha, GammaVec)
     if alpha.n != n:
         raise ValueError("alpha rank context does not match n")
     return 2 * alpha.length + flag_dim(n)
@@ -112,6 +115,7 @@ def enumerate_strata(n: int, alpha: GammaVec, *, caps: Caps = DEFAULT_CAPS) -> l
     the segments (v, start) of partitions._defect_segments, so each stratum
     costs one product K_v(t) * tail.
     """
+    require_type("alpha", alpha, GammaVec)
     check_rank(n, caps)
     if alpha.n != n:
         raise ValueError("alpha rank context does not match n")
@@ -207,26 +211,33 @@ def ic_stalk_table(
 
     Entry j is (-2|alpha| - dim B + 2j, twist j, coefficient j of the fiber
     polynomial), listed for nonzero coefficients only. The stratum must be
-    valid: beta <= alpha and parts summing to alpha - beta.
+    valid: beta <= alpha and parts summing to alpha - beta. It is checked
+    once, on coefficient tuples; no degree vector is built unless to word
+    the error.
     """
+    require_type("alpha", alpha, GammaVec)
+    require_type("beta", beta, GammaVec)
+    require_type("parts", parts, GammaPartition)
     check_rank(n, caps)
     if alpha.n != n or beta.n != n or parts.n != n:
         raise ValueError("rank contexts do not match n")
     check_length(alpha.length, caps)
-    if not beta.leq(alpha):
+    defect = tuple(map(sub, alpha.coeffs, beta.coeffs))
+    if min(defect) < 0:
         raise ValueError(f"invalid stratum: beta = {beta} is not <= alpha = {alpha}")
-    if parts.total != alpha - beta:
+    # the column sums of the parts; the empty partition sums to zero
+    if (tuple(map(sum, zip(*[p.coeffs for p in parts.parts]))) or (0,) * len(defect)) != defect:
         raise ValueError(
             f"invalid stratum: parts sum to {parts.total}, expected {alpha - beta}"
         )
     poly = fiber_poincare(parts, caps=caps)
     base = -2 * alpha.length - flag_dim(n)
     entries = tuple(
-        StalkEntry(degree=base + 2 * j, twist=j, multiplicity=c)
+        _entry(degree=base + 2 * j, twist=j, multiplicity=c)
         for j, c in enumerate(poly.coeffs)
         if c
     )
-    return ICStalkTable(n=n, alpha=alpha, beta=beta, parts=parts, entries=entries)
+    return _table(n=n, alpha=alpha, beta=beta, parts=parts, entries=entries)
 
 
 def parity_check(table: ICStalkTable) -> bool:

@@ -103,6 +103,19 @@ def kostant_poly_brute(n, gamma):
     return IntPolynomial(tuple(counts))
 
 
+def fiber_coeffs_brute(n, parts):
+    """Coefficients of prod_r K_{gamma_r}(t) over parts, each factor from kostant_poly_brute."""
+    out = [1]
+    for part in parts:
+        factor = kostant_poly_brute(n, part).coeffs
+        prod = [0] * (len(out) + len(factor) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(factor):
+                prod[i + j] += a * b
+        out = prod
+    return out
+
+
 def kostant_count(n, gamma):
     """Number of coroot partitions of gamma, by unbounded-knapsack DP."""
     cells = sorted(product(*(range(a + 1) for a in gamma.coeffs)))

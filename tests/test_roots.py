@@ -1,6 +1,9 @@
 import pytest
 
+from quasiflags.kostant import fiber_poincare, kostant_poly
 from quasiflags.limits import CapExceededError, Caps
+from quasiflags.oracle import enumerate_fiber_chains, fiber_point_count, verify_against_kostant
+from quasiflags.partitions import GammaPartition, gamma_partitions, kappa_partitions, mu_triangles
 from quasiflags.roots import (
     GammaVec,
     Interval,
@@ -10,6 +13,7 @@ from quasiflags.roots import (
     pairing,
     positive_coroots,
 )
+from quasiflags.strata import enumerate_strata, ic_stalk_table, moduli_dim, smallness_report
 
 
 def test_coroot_count():
@@ -148,3 +152,30 @@ def test_every_rank_entry_point_refuses_a_bad_rank_alike():
             with pytest.raises(ValueError) as info:
                 call()
             assert str(info.value) == message
+
+
+_V, _P = GammaVec((1, 1)), GammaPartition.of(3, [])
+
+
+@pytest.mark.parametrize(
+    "call, cls",
+    [
+        pytest.param(lambda: kostant_poly((1, 1)), "GammaVec", id="kostant_poly"),
+        pytest.param(lambda: fiber_poincare(((1, 1),)), "GammaPartition", id="fiber_poincare"),
+        pytest.param(lambda: kappa_partitions((1, 1)), "GammaVec", id="kappa_partitions"),
+        pytest.param(lambda: mu_triangles((1, 1)), "GammaVec", id="mu_triangles"),
+        pytest.param(lambda: gamma_partitions((1, 1)), "GammaVec", id="gamma_partitions"),
+        pytest.param(lambda: fiber_point_count(3, (1, 1), 2), "GammaVec", id="fiber_point_count"),
+        pytest.param(lambda: verify_against_kostant(3, (1, 1), 2), "GammaVec", id="verify_against_kostant"),
+        pytest.param(lambda: enumerate_fiber_chains(3, (1, 1), 2), "GammaVec", id="enumerate_fiber_chains"),
+        pytest.param(lambda: moduli_dim(3, (1, 1)), "GammaVec", id="moduli_dim"),
+        pytest.param(lambda: enumerate_strata(3, (1, 1)), "GammaVec", id="enumerate_strata"),
+        pytest.param(lambda: smallness_report(3, (1, 1)), "GammaVec", id="smallness_report"),
+        pytest.param(lambda: ic_stalk_table(3, (1, 1), _V, _P), "GammaVec", id="ic_stalk_table-alpha"),
+        pytest.param(lambda: ic_stalk_table(3, _V, (1, 1), _P), "GammaVec", id="ic_stalk_table-beta"),
+        pytest.param(lambda: ic_stalk_table(3, _V, _V, ()), "GammaPartition", id="ic_stalk_table-parts"),
+    ],
+)
+def test_entry_points_refuse_a_plain_tuple_with_a_type_error(call, cls):
+    with pytest.raises(TypeError, match=rf"^\w+ must be a {cls}, got tuple \("):
+        call()

@@ -1,3 +1,4 @@
+from collections import OrderedDict
 from itertools import product
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 import helpers
 from quasiflags import kostant
 from quasiflags.kostant import IntPolynomial, fiber_poincare
+from quasiflags.limits import CapExceededError, Caps
 from quasiflags.partitions import GammaPartition, gamma_partitions
 from quasiflags.roots import GammaVec, gamma_as_coroot
 from quasiflags.strata import (
@@ -250,15 +252,78 @@ def test_ic_table_rank_two_full_defect():
 
 
 def test_ic_table_rejects_bad_stratum():
-    with pytest.raises(ValueError):
-        ic_stalk_table(3, GammaVec((1, 0)), GammaVec((0, 1)), GammaPartition.of(3, []))
-    with pytest.raises(ValueError):
-        ic_stalk_table(
-            3,
-            GammaVec((1, 1)),
-            GammaVec((0, 0)),
-            GammaPartition.of(3, [GammaVec((1, 0))]),
-        )
+    cases = [
+        # beta is checked before the parts, which here sum to zero as well
+        ((3, GammaVec((1, 0)), GammaVec((0, 1)), GammaPartition.of(3, [])),
+         "invalid stratum: beta = (0,1) is not <= alpha = (1,0)"),
+        ((3, GammaVec((1, 1)), GammaVec((0, 0)), GammaPartition.of(3, [GammaVec((1, 0))])),
+         "invalid stratum: parts sum to (1,0), expected (1,1)"),
+        ((3, GammaVec((1, 1)), GammaVec((1, 0)), GammaPartition.of(3, [])),
+         "invalid stratum: parts sum to (0,0), expected (0,1)"),
+        ((3, GammaVec((1, 1)), GammaVec((0, 0)), GammaPartition.of(3, [GammaVec((1, 1)), GammaVec((1, 0))])),
+         "invalid stratum: parts sum to (2,1), expected (1,1)"),
+        ((3, GammaVec((1, 1)), GammaVec((0, 0, 0)), GammaPartition.of(3, [])),
+         "rank contexts do not match n"),
+        ((4, GammaVec((1, 1)), GammaVec((0, 0)), GammaPartition.of(3, [GammaVec((1, 1))])),
+         "rank contexts do not match n"),
+    ]
+    for args, message in cases:
+        with pytest.raises(ValueError) as err:
+            ic_stalk_table(*args)
+        assert str(err.value) == message
+
+
+def test_ic_table_checks_the_caps_before_the_stratum():
+    # beta is not <= alpha and the parts miss the defect, yet the caps fire first
+    alpha, beta = GammaVec((2, 1)), GammaVec((0, 2))
+    parts = GammaPartition.of(3, [GammaVec((5, 5))])
+    with pytest.raises(CapExceededError, match="total degree 3 exceeds the length cap 2"):
+        ic_stalk_table(3, alpha, beta, parts, caps=Caps(max_length=2))
+    with pytest.raises(CapExceededError, match="exceeds the rank cap 2"):
+        ic_stalk_table(3, alpha, beta, parts, caps=Caps(max_rank=2))
+
+
+@settings(derandomize=True, deadline=None)
+@given(helpers.small_alphas())
+def test_stalk_entries_follow_the_brute_force_fiber_polynomial(alpha):
+    n = alpha.n
+    dim = 2 * alpha.length + n * (n - 1) // 2
+    for rec in enumerate_strata(n, alpha):
+        coeffs = helpers.fiber_coeffs_brute(n, rec.parts.parts)
+        expected = [(-dim + 2 * j, j, c) for j, c in enumerate(coeffs) if c]
+        table = ic_stalk_table(n, alpha, rec.beta, rec.parts)
+        assert [(e.degree, e.twist, e.multiplicity) for e in table.entries] == expected
+        assert (table.n, table.alpha, table.beta, table.parts) == (n, alpha, rec.beta, rec.parts)
+
+
+def test_stalk_tables_never_run_the_checked_constructors(monkeypatch):
+    # the stratum is checked on coefficient tuples, and entries and tables are valid by construction
+    strata = [
+        (n, alpha, rec)
+        for n, alpha in ((4, GammaVec((2, 3, 1))), (3, GammaVec((3, 3))))
+        for rec in enumerate_strata(n, alpha)
+    ]
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"checked {type(self).__name__} constructor ran")
+
+    monkeypatch.setattr(GammaVec, "__post_init__", refuse)
+    monkeypatch.setattr(StalkEntry, "__init__", refuse)
+    monkeypatch.setattr(ICStalkTable, "__init__", refuse)
+    # a fresh cache, so that K_gamma(t) is counted and not read
+    monkeypatch.setattr(kostant, "_CACHE", OrderedDict())
+    tables = [ic_stalk_table(n, alpha, rec.beta, rec.parts) for n, alpha, rec in strata]
+    # the patch is live: the public constructors still run
+    for build in (GammaVec.zero, lambda n: StalkEntry(n, 0, 1)):
+        with pytest.raises(AssertionError, match="constructor ran"):
+            build(3)
+    monkeypatch.undo()
+    assert len(tables) == len(strata) > 0
+    for table, (_, _, rec) in zip(tables, strata):
+        assert table.beta is rec.beta and table.parts is rec.parts and table.entries
+        helpers.assert_like_checked(table)
+        for entry in table.entries:
+            helpers.assert_like_checked(entry)
 
 
 def test_parity_detects_planted_violation():
