@@ -26,7 +26,8 @@ upper-triangular k x k matrix B:
 The colength is d_1 + ... + d_k. Existence follows from column reduction
 over R; uniqueness of this exact reduction rule is proved exhaustively in
 the test suite by double enumeration against an independent linear-algebra
-enumeration of z-stable subspaces.
+enumeration of z-stable subspaces. So Lattice checks the form once: the
+reduction, _canonical_columns, must leave the basis unchanged.
 
 A member of L with zero trailing k - m coordinates has zero coefficients
 on the last k - m columns (read the pivots from the bottom row up), so the
@@ -34,9 +35,9 @@ leading m x m block is the canonical basis of L n R^m. A rank-k basis is
 thus its *lead*, the block for m = k - 1, plus a last column: a pivot z^d
 under free residues modulo the lead's pivots. One lister, _diag_bases,
 grows the bases of each pivot diagonal this way, for enumerate_lattices and
-the chain listing's products alike. What it lists is canonical by
-construction, so the lattices built from it, their leading blocks and the
-chains skip the checks that the public constructors keep.
+the chain listing alike. What it lists is canonical by construction, so the
+lattices built from it, their leading blocks and the chains skip the checks
+that the public constructors keep.
 
 A FlagChain is a sequence L_1 c L_2 c ... c L_{n-1} with L_k of rank k and
 prescribed colength c_k, where rank k sits inside rank k+1 as the first k
@@ -54,19 +55,20 @@ elementary-divisor picture of Macdonald, Symmetric Functions and Hall
 Polynomials, ch. II). The product is upper-triangular with pivots
 z^(diag M + diag X), so canonicalising it only reduces entries modulo the
 row pivots; M holds q^free(e) lattices of diagonal diag M + e, where
-free(e) = sum_i e_i (k-1-i) counts the residues of _extensions.
+free(e) = sum_i e_i (k-1-i) counts the residues above the pivots of a
+basis of diagonal e.
 A chain thus runs top-down through pivot diagonals (D_1, ..., D_(n-1)),
 D_k >= D_(k+1)[:k] entry by entry and of sum c_k, so d_1 + ... + d_j <= c_j
 for j < k; _diagonals lists the D_k under these bounds, none a dead end.
 The count builds no lattice: each sequence is one mu bucket (its rows are
 the prefix sums of the D_k), a cell of q^dim chains, dim the sum of the
 free(D_k - D_(k+1)[:k]); _cells walks these. enumerate_fiber_chains
-descends the same cells: L_k runs over the products of each D_k inside the
-lead of L_(k+1), and the chains below it are listed once per lead, testing
-no containment. The count visits no chain and shares no code with the
-coroot calculus; each lattice fact it uses is pinned by a test:
-canonical-form uniqueness, _sublattices against contains, and the grid
-against a lead-tested listing.
+descends the same cells: L_(n-1) runs over the bases of each D_(n-1), L_k
+over the products of each D_k inside the lead of L_(k+1), and the chains
+below it are listed once per lead, testing no containment. The count
+visits no chain and shares no code with the coroot calculus; each lattice
+fact it uses is pinned by a test: canonical-form uniqueness, _sublattices
+against contains, and the grid against a lead-tested listing.
 """
 
 from __future__ import annotations
@@ -125,8 +127,9 @@ class Lattice:
     """A finite-colength submodule of R^rank in canonical upper-triangular form.
 
     cols[j][i] is the row-i entry of basis column j. The constructor insists
-    on the canonical shape, so distinct Lattice values are distinct
-    submodules and equality/hashing is structural.
+    on the canonical form, refusing a basis that canonicalizing would change
+    (from_generators canonicalizes one), so distinct Lattice values are
+    distinct submodules and equality/hashing is structural.
     """
 
     rank: int
@@ -136,7 +139,7 @@ class Lattice:
     def __post_init__(self) -> None:
         _require_prime(self.q)
         k = self.rank
-        if not isinstance(k, int) or k < 1:
+        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
             raise ValueError(f"rank must be a positive integer, got {k!r}")
         if len(self.cols) != k or any(len(col) != k for col in self.cols):
             raise ValueError("basis must be a square matrix of columns")
@@ -146,18 +149,9 @@ class Lattice:
                     raise ValueError("polynomial coefficients must lie in [0, q)")
                 if entry and entry[-1] == 0:
                     raise ValueError("polynomials must be trimmed")
-        diag = []
-        for j, col in enumerate(self.cols):
-            if any(col[j + 1 :]):
-                raise ValueError("entries below the pivot must vanish")
-            if not gf.is_z_power(col[j]):
-                raise ValueError(f"pivot of column {j} must be a monic power of z")
-            for i in range(j):
-                if gf.degree(col[i]) >= diag[i]:
-                    raise ValueError(
-                        f"entry at row {i}, column {j} is not reduced modulo its row pivot"
-                    )
-            diag.append(gf.degree(col[j]))
+        canonical = _canonical_columns(list(self.cols), k, self.q)
+        if canonical != self.cols:
+            raise ValueError(f"basis is not canonical; its span's canonical basis is {canonical!r}")
 
     @property
     def diag(self) -> tuple[int, ...]:
@@ -243,15 +237,6 @@ def _canonical_columns(gens: list[Column], k: int, q: int) -> Basis:
     return tuple(basis)
 
 
-def _extensions(lead: Basis, d: int, q: int):
-    """Every canonical basis with leading block lead and last pivot z^d."""
-    grown = tuple(col + (gf.ZERO,) for col in lead)
-    # row i takes every residue modulo z^(d_i), in lexicographic coefficient order
-    pools = [[gf.trim(cs) for cs in product(range(q), repeat=d_i)] for d_i in _diag(lead)]
-    for above in product(*pools):
-        yield grown + (above + (gf.monomial(d),),)
-
-
 def _diagonals(total: int, floor: tuple[int, ...], bounds: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Diagonals D >= floor of sum total with d_1 + ... + d_j <= bounds[j-1] for j < rank.
 
@@ -291,9 +276,9 @@ def enumerate_lattices(rank: int, colength: int, q: int, *, caps: Caps = DEFAULT
     once q, rank, colength and the volume cap pass.
     """
     _require_prime(q)
-    if not isinstance(rank, int) or rank < 1:
+    if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
         raise ValueError(f"rank must be a positive integer, got {rank!r}")
-    if not isinstance(colength, int) or colength < 0:
+    if not isinstance(colength, int) or isinstance(colength, bool) or colength < 0:
         raise ValueError(f"colength must be a nonnegative integer, got {colength!r}")
     _check_volume(rank, colength, q, caps)
     bases = _diag_bases(q)
@@ -399,37 +384,41 @@ def enumerate_fiber_chains(
     coeffs = gamma.coeffs
     bases = _diag_bases(q)
     made: dict[Basis, Lattice] = {}
+    # lead basis -> the chains L_1 c ... c L_k inside it, k its rank
     memo: dict[Basis, list[tuple[Lattice, ...]]] = {(): [()]}
 
-    def inside(outer: Basis) -> list[tuple[Lattice, ...]]:
-        # the chains L_1 c ... c L_k inside the rank-k basis outer
-        if outer not in memo:
-            k = len(outer)
-            found = memo[outer] = []
-            for diag in _diagonals(coeffs[k - 1], _diag(outer), coeffs):
-                # R^(n-1) holds bases(diag) itself: its sublattices built as
-                # products with 1 made the listing 2.5 times slower
-                members = bases(diag) if k == n - 1 else _sublattices(outer, diag, q, bases)
-                for cols in members:
-                    lat = made.get(cols)
-                    if lat is None:
-                        lat = made[cols] = _lattice(k, q, cols)
-                    lead = tuple([col[:-1] for col in cols[:-1]])
-                    found += [below + (lat,) for below in inside(lead)]
-        return memo[outer]
+    def chains(k: int, members) -> list[tuple[Lattice, ...]]:
+        # the chains L_1 c ... c L_k whose L_k runs over the rank-k bases members
+        found = []
+        for cols in members:
+            lat = made.get(cols)
+            if lat is None:
+                lat = made[cols] = _lattice(k, q, cols)
+            lead = tuple([col[:-1] for col in cols[:-1]])
+            if lead not in memo:
+                diags = _diagonals(coeffs[k - 2], _diag(lead), coeffs)
+                subs = (sub for diag in diags for sub in _sublattices(lead, diag, q, bases))
+                memo[lead] = chains(k - 1, subs)
+            found += [below + (lat,) for below in memo[lead]]
+        return found
 
-    top = tuple(tuple(gf.ONE if i == j else gf.ZERO for i in range(n - 1)) for j in range(n - 1))
-    return [_chain(n, q, gamma, chain) for chain in inside(top)]
+    # L_(n-1) may be any lattice of R^(n-1), listed by diagonal
+    top = _diagonals(coeffs[-1], (0,) * (n - 1), coeffs)
+    members = (cols for diag in top for cols in bases(diag))
+    return [_chain(n, q, gamma, chain) for chain in chains(n - 1, members)]
 
 
 def _diag_bases(q: int):
-    """Canonical bases by diagonal, grown from their leads by _extensions; memoised."""
+    """Canonical bases by diagonal, each lead's under every last column; memoised."""
     memo: dict[tuple[int, ...], list[Basis]] = {(): [()]}
 
     def bases(diag: tuple[int, ...]) -> list[Basis]:
         if diag not in memo:
-            leads = bases(diag[:-1])
-            memo[diag] = [cols for lead in leads for cols in _extensions(lead, diag[-1], q)]
+            # row i takes every residue modulo z^(d_i), in lexicographic coefficient order
+            pools = [[gf.trim(cs) for cs in product(range(q), repeat=d)] for d in diag[:-1]]
+            lasts = [above + (gf.monomial(diag[-1]),) for above in product(*pools)]
+            grown = [tuple([col + (gf.ZERO,) for col in lead]) for lead in bases(diag[:-1])]
+            memo[diag] = [cols + (last,) for cols in grown for last in lasts]
         return memo[diag]
 
     return bases

@@ -188,6 +188,7 @@ class GammaPartition:
         if self.n < 2:
             raise ValueError("rank context must be >= 2")
         for part in self.parts:
+            require_type("part", part, GammaVec)
             if part.n != self.n:
                 raise ValueError("part rank context does not match the partition")
             if part.is_zero():
@@ -199,6 +200,9 @@ class GammaPartition:
     @classmethod
     def of(cls, n: int, parts) -> "GammaPartition":
         """Build from any iterable of parts, sorting into canonical order."""
+        parts = tuple(parts)
+        for part in parts:
+            require_type("part", part, GammaVec)
         ordered = tuple(sorted(parts, key=lambda v: v.coeffs, reverse=True))
         return cls(n, ordered)
 
@@ -302,6 +306,8 @@ def mu_to_kappa(mu: Triangle, gamma: GammaVec) -> KappaPartition:
     from the coefficient c_q of gamma. NotInMError reports the first
     violation found.
     """
+    require_type("mu", mu, Triangle)
+    require_type("gamma", gamma, GammaVec)
     if mu.kind != "mu":
         raise ValueError(f'expected a "mu" triangle, got kind {mu.kind!r}')
     n = mu.n

@@ -157,6 +157,7 @@ def gamma_as_coroot(gamma: GammaVec) -> Interval | None:
     A vector is a positive coroot exactly when its coefficients are a single
     contiguous block of 1s.
     """
+    require_type("gamma", gamma, GammaVec)
     support = [k for k, c in enumerate(gamma.coeffs, start=1) if c]
     if not support:
         return None

@@ -19,7 +19,6 @@ polynomial: coefficient j contributes a summand in cohomological degree
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 from operator import sub
 
 # before `from . import kostant`, so that kostant loads by a path -X importtime logs
@@ -183,10 +182,11 @@ def smallness_report(n: int, alpha: GammaVec, *, caps: Caps = DEFAULT_CAPS) -> S
             min_codim[f] = min(min_codim.get(f, rec.codim), rec.codim)
             if witness is None or margin < min_margin:
                 min_margin, witness = margin, rec
-    # a running minimum from the largest f down covers fiber_dim >= f
-    dims = sorted(min_codim, reverse=True)
-    running = accumulate((min_codim[f] for f in dims), min)
-    aggregate = [(f, c, c > 2 * f) for f, c in zip(dims, running)][::-1]
+    # cutting the last simple coroot off a coroot of length >= 2 in a part's
+    # fewest-coroot cover lowers codim by 2 and fiber_dim by 0 or 1, so the
+    # least codim at fiber_dim exactly f rises strictly with f: it is the
+    # least over fiber_dim >= f
+    aggregate = [(f, min_codim[f], min_codim[f] > 2 * f) for f in sorted(min_codim)]
     return SmallnessReport(
         n=n,
         alpha=alpha,

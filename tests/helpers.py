@@ -377,6 +377,44 @@ def valuation(a):
     return None
 
 
+def is_canonical_by_rules(cols):
+    """Whether a square basis of trimmed polynomials obeys the three canonical-form rules.
+
+    Nothing below a pivot, every pivot a monic power z^d, and every entry
+    above a pivot of lower degree than the pivot of its row.
+    """
+    for j, col in enumerate(cols):
+        pivot = col[j]
+        if any(col[j + 1 :]) or not pivot or pivot[-1] != 1 or any(pivot[:-1]):
+            return False
+        if any(len(col[i]) >= len(cols[i][i]) for i in range(j)):
+            return False
+    return True
+
+
+def residues(d, q):
+    """Every polynomial of degree < d over F_q, trimmed, in lexicographic coefficient order."""
+    found = []
+    for x in range(q**d):
+        coeffs = [x // q ** (d - 1 - i) % q for i in range(d)]
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        found.append(tuple(coeffs))
+    return found
+
+
+def extensions(lead, d, q):
+    """Every canonical basis with leading block lead and last pivot z^d.
+
+    Row i of the last column runs through the residues modulo the pivot of
+    row i, the first row slowest.
+    """
+    grown = tuple(col + ((),) for col in lead)
+    pools = [residues(len(col[j]) - 1, q) for j, col in enumerate(lead)]
+    for above in product(*pools):
+        yield grown + (above + ((0,) * d + (1,),),)
+
+
 def lattice_columns_by_leads(rank, colength, q):
     """Canonical bases of every lattice, grown rank by rank from their leads, lazily.
 
@@ -389,7 +427,7 @@ def lattice_columns_by_leads(rank, colength, q):
         return
     for c in range(colength, -1, -1):
         for lead in lattice_columns_by_leads(rank - 1, c, q):
-            yield from oracle._extensions(lead, colength - c, q)
+            yield from extensions(lead, colength - c, q)
 
 
 def lead_tested_chains(n, gamma, q):
@@ -412,7 +450,7 @@ def lead_tested_chains(n, gamma, q):
             for chain in partial
             for lead, d in leads
             if not chain or oracle._contains(lead, chain[-1], q)
-            for cols in oracle._extensions(lead, d, q)
+            for cols in extensions(lead, d, q)
         ]
     return partial
 

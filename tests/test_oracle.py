@@ -123,6 +123,67 @@ def test_lattice_shape_validation():
     assert ok == Lattice.from_generators(2, 2, [(one, z), ((), (0, 0, 1))])
 
 
+def _accepts(q, cols):
+    try:
+        Lattice(len(cols), q, cols)
+    except ValueError:
+        return False
+    return True
+
+
+def test_constructor_accepts_the_rule_reference_on_small_bases():
+    # every rank <= 2 basis of trimmed entries of degree <= 1
+    for q in (2, 3):
+        polys = [gf.trim(cs) for cs in product(range(q), repeat=2)]
+        for k in (1, 2):
+            accepted = 0
+            for entries in product(polys, repeat=k * k):
+                cols = tuple(entries[j * k : (j + 1) * k] for j in range(k))
+                assert _accepts(q, cols) == helpers.is_canonical_by_rules(cols), (q, cols)
+                accepted += _accepts(q, cols)
+            # rank 1: 1 and z; rank 2: pivots (1, 1) and (1, z), and q residues over each of (z, 1) and (z, z)
+            assert accepted == (2 if k == 1 else 2 + 2 * q)
+
+
+@st.composite
+def perturbed_bases(draw):
+    """A canonical basis of rank <= 4, with up to two entries then replaced at random."""
+    q = draw(st.sampled_from((2, 3)))
+    k = draw(st.integers(1, 4))
+    diag = draw(st.lists(st.integers(0, 3), min_size=k, max_size=k))
+
+    def poly(length):
+        return gf.trim(draw(st.lists(st.integers(0, q - 1), max_size=length)))
+
+    cols = [
+        [poly(diag[i]) if i < j else gf.monomial(d) if i == j else gf.ZERO for i in range(k)]
+        for j, d in enumerate(diag)
+    ]
+    for _ in range(draw(st.integers(0, 2))):
+        cols[draw(st.integers(0, k - 1))][draw(st.integers(0, k - 1))] = poly(4)
+    return q, tuple(map(tuple, cols))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(perturbed_bases())
+def test_constructor_accepts_the_rule_reference_on_random_bases(example):
+    q, cols = example
+    assert _accepts(q, cols) == helpers.is_canonical_by_rules(cols)
+
+
+def test_bool_ranks_and_colengths_are_refused():
+    for call, message in (
+        (lambda: Lattice(True, 2, (((1,),),)), "rank must be a positive integer, got True"),
+        (lambda: Lattice.full(True, 2), "rank must be a positive integer, got True"),
+        (lambda: enumerate_lattices(True, 1, 2), "rank must be a positive integer, got True"),
+        (lambda: enumerate_lattices(1, True, 2), "colength must be a nonnegative integer, got True"),
+        (lambda: enumerate_lattices(1, False, 2), "colength must be a nonnegative integer, got False"),
+    ):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
+
+
 def test_from_generators_rejects_bad_spans():
     with pytest.raises(ValueError):
         Lattice.from_generators(2, 2, [((1,), ())])  # rank deficient
@@ -405,7 +466,7 @@ def test_verify_checks_every_cap_before_the_first_chain(monkeypatch):
         raise AssertionError("a lattice was built")
 
     # the count sums cells: no lattice, lead or sublattice is built for it
-    for name in ("_diag_bases", "_extensions", "_sublattices"):
+    for name in ("_diag_bases", "_sublattices"):
         monkeypatch.setattr(oracle, name, no_lattices)
     gamma = GammaVec((1, 1))
     assert verify_against_kostant(3, gamma, 2).passed

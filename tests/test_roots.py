@@ -3,7 +3,7 @@ import pytest
 from quasiflags.kostant import fiber_poincare, kostant_poly
 from quasiflags.limits import CapExceededError, Caps
 from quasiflags.oracle import enumerate_fiber_chains, fiber_point_count, verify_against_kostant
-from quasiflags.partitions import GammaPartition, gamma_partitions, kappa_partitions, mu_triangles
+from quasiflags.partitions import GammaPartition, gamma_partitions, kappa_partitions, mu_to_kappa, mu_triangles
 from quasiflags.roots import (
     GammaVec,
     Interval,
@@ -155,6 +155,7 @@ def test_every_rank_entry_point_refuses_a_bad_rank_alike():
 
 
 _V, _P = GammaVec((1, 1)), GammaPartition.of(3, [])
+_MU = mu_triangles(_V)[0]
 
 
 @pytest.mark.parametrize(
@@ -174,6 +175,11 @@ _V, _P = GammaVec((1, 1)), GammaPartition.of(3, [])
         pytest.param(lambda: ic_stalk_table(3, (1, 1), _V, _P), "GammaVec", id="ic_stalk_table-alpha"),
         pytest.param(lambda: ic_stalk_table(3, _V, (1, 1), _P), "GammaVec", id="ic_stalk_table-beta"),
         pytest.param(lambda: ic_stalk_table(3, _V, _V, ()), "GammaPartition", id="ic_stalk_table-parts"),
+        pytest.param(lambda: mu_to_kappa(_MU, (1, 1)), "GammaVec", id="mu_to_kappa"),
+        pytest.param(lambda: mu_to_kappa(((1, 1),), _V), "Triangle", id="mu_to_kappa-mu"),
+        pytest.param(lambda: gamma_as_coroot((1, 1)), "GammaVec", id="gamma_as_coroot"),
+        pytest.param(lambda: GammaPartition(3, ((1, 1),)), "GammaVec", id="GammaPartition"),
+        pytest.param(lambda: GammaPartition.of(3, [(1, 1)]), "GammaVec", id="GammaPartition.of"),
     ],
 )
 def test_entry_points_refuse_a_plain_tuple_with_a_type_error(call, cls):
