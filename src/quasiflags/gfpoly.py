@@ -43,12 +43,11 @@ def add(a: Poly, b: Poly, q: int) -> Poly:
     return trim(out)
 
 
-def neg(a: Poly, q: int) -> Poly:
-    return tuple((-c) % q for c in a)
-
-
 def sub(a: Poly, b: Poly, q: int) -> Poly:
-    return add(a, neg(b, q), q)
+    out = list(a) + [0] * (len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] = (out[i] - c) % q
+    return trim(out)
 
 
 def scale(a: Poly, c: int, q: int) -> Poly:

@@ -18,9 +18,9 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from .limits import Caps, DEFAULT_CAPS, check_length, check_rank
+from .limits import Caps, DEFAULT_CAPS, require_int
 from .partitions import GammaPartition, _maker
-from .roots import GammaVec, _box, _coroots, require_type
+from .roots import GammaVec, _box, _coroots, _require_vector, require_type
 
 
 @dataclass(frozen=True, slots=True)
@@ -41,21 +41,18 @@ class IntPolynomial:
             coeffs = coeffs[:-1]
         object.__setattr__(self, "coeffs", coeffs)
         for c in coeffs:
-            if not isinstance(c, int) or isinstance(c, bool) or c < 0:
-                raise ValueError(f"coefficients must be nonnegative integers, got {c!r}")
+            require_int("coefficient", c, 0)
 
     @property
     def degree(self) -> int | None:
         return len(self.coeffs) - 1 if self.coeffs else None
 
     def coefficient(self, j: int) -> int:
-        if j < 0:
-            raise ValueError(f"exponent must be nonnegative, got {j}")
+        require_int("exponent", j, 0)
         return self.coeffs[j] if j < len(self.coeffs) else 0
 
     def eval_at(self, x: int) -> int:
-        if not isinstance(x, int) or isinstance(x, bool) or x < 0:
-            raise ValueError(f"evaluation point must be a nonnegative integer, got {x!r}")
+        require_int("evaluation point", x, 0)
         value = 0
         for c in reversed(self.coeffs):
             value = value * x + c
@@ -120,9 +117,7 @@ def kostant_poly(gamma: GammaVec, *, caps: Caps = DEFAULT_CAPS) -> IntPolynomial
     KOSTANT_CACHE_SIZE of them when the box is larger), so reading
     gamma first makes the reads of the rest of its box cache hits.
     """
-    require_type("gamma", gamma, GammaVec)
-    check_rank(gamma.n, caps)
-    check_length(gamma.length, caps)
+    _require_vector("gamma", gamma, caps)
     return _kostant_poly(gamma.coeffs)
 
 

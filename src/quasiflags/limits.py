@@ -33,8 +33,18 @@ class Caps:
 DEFAULT_CAPS = Caps()
 
 
+_KINDS = {None: "an integer", 0: "a nonnegative integer", 1: "a positive integer"}
+
+
+def require_int(name: str, value: object, low: int | None) -> None:
+    """Refuse a value that is not an int (a bool is not one) or is below low; None sets no bound."""
+    if not isinstance(value, int) or isinstance(value, bool) or (low is not None and value < low):
+        raise ValueError(f"{name} must be {_KINDS.get(low, f'an integer >= {low}')}, got {value!r}")
+
+
 def require_rank(n: int) -> None:
     """Refuse a rank parameter n that is not an integer >= 2; no cap is checked."""
+    # require_int's rule, written out because every query runs it; a bool is below 2
     if not isinstance(n, int) or n < 2:
         raise ValueError(f"rank parameter n must be an integer >= 2, got {n!r}")
 
@@ -43,10 +53,3 @@ def check_rank(n: int, caps: Caps = DEFAULT_CAPS) -> None:
     require_rank(n)
     if n > caps.max_rank:
         raise CapExceededError(f"n = {n} exceeds the rank cap {caps.max_rank}")
-
-
-def check_length(total: int, caps: Caps = DEFAULT_CAPS) -> None:
-    if total > caps.max_length:
-        raise CapExceededError(
-            f"total degree {total} exceeds the length cap {caps.max_length}"
-        )

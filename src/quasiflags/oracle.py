@@ -80,7 +80,7 @@ from itertools import accumulate, product
 from .gfpoly import Poly
 from . import gfpoly as gf
 from .kostant import kostant_poly
-from .limits import Caps, DEFAULT_CAPS, CapExceededError, require_rank
+from .limits import Caps, DEFAULT_CAPS, CapExceededError, require_int, require_rank
 from .partitions import Triangle, _maker, _triangle, mu_triangles, stratum_dim
 from .roots import GammaVec, require_type
 
@@ -137,18 +137,10 @@ class Lattice:
     cols: Basis
 
     def __post_init__(self) -> None:
-        _require_prime(self.q)
         k = self.rank
-        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-            raise ValueError(f"rank must be a positive integer, got {k!r}")
+        _require_lattice(k, self.q, self.cols)
         if len(self.cols) != k or any(len(col) != k for col in self.cols):
             raise ValueError("basis must be a square matrix of columns")
-        for col in self.cols:
-            for entry in col:
-                if any(not isinstance(c, int) or not 0 <= c < self.q for c in entry):
-                    raise ValueError("polynomial coefficients must lie in [0, q)")
-                if entry and entry[-1] == 0:
-                    raise ValueError("polynomials must be trimmed")
         canonical = _canonical_columns(list(self.cols), k, self.q)
         if canonical != self.cols:
             raise ValueError(f"basis is not canonical; its span's canonical basis is {canonical!r}")
@@ -165,18 +157,32 @@ class Lattice:
     @classmethod
     def full(cls, rank: int, q: int) -> "Lattice":
         """The ambient module R^rank itself (colength 0)."""
+        _require_lattice(rank, q)
         cols = tuple(
             tuple(gf.ONE if i == j else gf.ZERO for i in range(rank)) for j in range(rank)
         )
-        return cls(rank, q, cols)
+        return _lattice(rank, q, cols)
 
     @classmethod
     def from_generators(cls, rank: int, q: int, vectors) -> "Lattice":
         """Canonicalize any generating set of a full-rank z-local submodule."""
-        # checked before canonicalizing, which never ends for q = 1
-        _require_prime(q)
-        cols = _canonical_columns([tuple(v) for v in vectors], rank, q)
-        return cls(rank, q, cols)
+        vectors = [tuple(v) for v in vectors]
+        _require_lattice(rank, q, vectors)
+        return _lattice(rank, q, _canonical_columns(vectors, rank, q))
+
+
+def _require_lattice(rank: int, q: int, vectors=()) -> None:
+    """The Lattice checks on q, the rank and the vectors' entries; canonicalizing needs them first."""
+    _require_prime(q)
+    require_int("rank", rank, 1)
+    for vec in vectors:
+        for entry in vec:
+            for c in entry:
+                require_int("polynomial coefficient", c, 0)
+                if c >= q:
+                    raise ValueError(f"polynomial coefficient must lie in [0, q), got {c!r}")
+            if entry and entry[-1] == 0:
+                raise ValueError(f"polynomials must be trimmed, got {entry!r}")
 
 
 def _diag(cols: Basis) -> tuple[int, ...]:
@@ -275,11 +281,8 @@ def enumerate_lattices(rank: int, colength: int, q: int, *, caps: Caps = DEFAULT
     from _diag_bases, as the chain listing reads them, and are built unchecked
     once q, rank, colength and the volume cap pass.
     """
-    _require_prime(q)
-    if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
-        raise ValueError(f"rank must be a positive integer, got {rank!r}")
-    if not isinstance(colength, int) or isinstance(colength, bool) or colength < 0:
-        raise ValueError(f"colength must be a nonnegative integer, got {colength!r}")
+    _require_lattice(rank, q)
+    require_int("colength", colength, 0)
     _check_volume(rank, colength, q, caps)
     bases = _diag_bases(q)
     diags = _diagonals(colength, (0,) * rank, (colength,) * rank)
@@ -318,7 +321,8 @@ def _contains(outer: Basis, inner: Basis, q: int) -> bool:
 
 def coordinate_intersection(lat: Lattice, m: int) -> Lattice:
     """The lattice L n R^m inside the first m coordinates: the leading m x m block."""
-    if not 1 <= m <= lat.rank:
+    require_int("coordinate count", m, 1)
+    if m > lat.rank:
         raise ValueError(f"coordinate count must be in 1..{lat.rank}, got {m}")
     return _lattice(m, lat.q, tuple(col[:m] for col in lat.cols[:m]))
 
@@ -530,20 +534,9 @@ class OracleReport:
     buckets: tuple[BucketCheck, ...]
 
     @property
-    def total_ok(self) -> bool:
-        return self.total_expected == self.total_actual
-
-    @property
-    def keys_ok(self) -> bool:
-        return not self.missing_mu and not self.unexpected_mu
-
-    @property
-    def buckets_ok(self) -> bool:
-        return all(b.ok for b in self.buckets)
-
-    @property
     def passed(self) -> bool:
-        return self.total_ok and self.keys_ok and self.buckets_ok
+        same_keys = not self.missing_mu and not self.unexpected_mu
+        return same_keys and self.total_expected == self.total_actual and all(b.ok for b in self.buckets)
 
 
 def verify_against_kostant(

@@ -34,8 +34,8 @@ from dataclasses import dataclass
 from itertools import accumulate, compress, product
 from operator import add, sub
 
-from .limits import Caps, DEFAULT_CAPS, check_length, check_rank
-from .roots import GammaVec, Interval, _box, _coroots, interval_to_gamma, positive_coroots, require_type
+from .limits import Caps, DEFAULT_CAPS, require_int, require_rank
+from .roots import GammaVec, Interval, _box, _coroots, _require_vector, interval_to_gamma, require_type
 
 
 class NotInMError(ValueError):
@@ -70,14 +70,12 @@ class KappaPartition:
     mult: tuple[tuple[Interval, int], ...]
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError("rank context must be >= 2")
+        require_rank(self.n)
         keys = []
         for c, m in self.mult:
             if c.p > self.n - 1:
                 raise ValueError(f"coroot {c} does not fit in rank n={self.n}")
-            if not isinstance(m, int) or m < 1:
-                raise ValueError(f"multiplicity of {c} must be a positive integer, got {m!r}")
+            require_int(f"multiplicity of {c}", m, 1)
             keys.append((c.q, c.p))
         if keys != sorted(keys) or len(set(keys)) != len(keys):
             raise ValueError("mult must be sorted by (q, p) without repeats")
@@ -134,8 +132,7 @@ class Triangle:
     def __post_init__(self) -> None:
         if self.kind not in ("mu", "nu"):
             raise ValueError(f'kind must be "mu" or "nu", got {self.kind!r}')
-        if self.n < 2:
-            raise ValueError("rank context must be >= 2")
+        require_rank(self.n)
         rows = tuple(tuple(row) for row in self.rows)
         object.__setattr__(self, "rows", rows)
         if len(rows) != self.n - 1:
@@ -144,12 +141,13 @@ class Triangle:
             if len(row) != p:
                 raise ValueError(f"row {p} must have {p} entries, got {len(row)}")
             for a in row:
-                if not isinstance(a, int) or isinstance(a, bool):
-                    raise ValueError("triangle entries must be integers")
+                require_int("triangle entry", a, None)
 
     def entry(self, p: int, q: int) -> int:
         """a_{pq} (1-based, q <= p)."""
-        if not 1 <= q <= p <= self.n - 1:
+        require_int("entry row p", p, 1)
+        require_int("entry column q", q, 1)
+        if q > p or p > self.n - 1:
             raise ValueError(f"no entry at (p={p}, q={q}) for n={self.n}")
         return self.rows[p - 1][q - 1]
 
@@ -159,6 +157,7 @@ class Triangle:
 
     @classmethod
     def from_flat(cls, n: int, kind: str, values) -> "Triangle":
+        require_rank(n)
         values = list(values)
         if len(values) != n * (n - 1) // 2:
             raise ValueError(f"expected {n * (n - 1) // 2} entries for n={n}, got {len(values)}")
@@ -185,8 +184,7 @@ class GammaPartition:
     parts: tuple[GammaVec, ...]
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError("rank context must be >= 2")
+        require_rank(self.n)
         for part in self.parts:
             require_type("part", part, GammaVec)
             if part.n != self.n:
@@ -232,10 +230,8 @@ def kappa_partitions(gamma: GammaVec, *, caps: Caps = DEFAULT_CAPS) -> list[Kapp
     That is largest multiplicities first, in (q, p) order, so the all-simple
     partition (when gamma is supported everywhere) comes first.
     """
-    require_type("gamma", gamma, GammaVec)
-    check_rank(gamma.n, caps)
-    check_length(gamma.length, caps)
-    coroots = positive_coroots(gamma.n, caps=caps)
+    _require_vector("gamma", gamma, caps)
+    coroots = _coroots(gamma.n)
     return [
         _kappa_partition(gamma.n, tuple(zip(compress(coroots, mults), filter(None, mults))))
         for mults in _coroot_multiplicities(gamma.coeffs, {})
@@ -335,9 +331,7 @@ def mu_triangles(gamma: GammaVec, *, caps: Caps = DEFAULT_CAPS) -> list[Triangle
     column: multiplicities are tried largest first in (q, p) order, and with
     the earlier ones fixed, mu_{p+1,q} is a fixed amount minus kappa_{pq}.
     """
-    require_type("gamma", gamma, GammaVec)
-    check_rank(gamma.n, caps)
-    check_length(gamma.length, caps)
+    _require_vector("gamma", gamma, caps)
     kappa_rows = _kappa_rows(gamma.n)
     return [
         _triangle(gamma.n, "mu", _mu_rows(_nu_rows(mults, kappa_rows)))
@@ -364,9 +358,7 @@ def gamma_partitions(alpha: GammaVec, *, caps: Caps = DEFAULT_CAPS) -> list[Gamm
     lexicographic order of their part sequences, and equal parts are one
     GammaVec. alpha = 0 yields just the empty partition.
     """
-    require_type("alpha", alpha, GammaVec)
-    check_rank(alpha.n, caps)
-    check_length(alpha.length, caps)
+    _require_vector("alpha", alpha, caps)
     box, strides = _box(alpha.coeffs)
     vecs = [_gamma_vec(v) for v in box]
     seqs = [[()]]  # per defect index, the part tuples of its partitions

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .limits import Caps, DEFAULT_CAPS, check_rank, require_rank
+from .limits import Caps, DEFAULT_CAPS, CapExceededError, check_rank, require_int, require_rank
 
 
 @dataclass(frozen=True, slots=True)
@@ -23,9 +23,9 @@ class Interval:
     q: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.p, int) and isinstance(self.q, int)):
-            raise ValueError("interval endpoints must be integers")
-        if not 1 <= self.q <= self.p:
+        require_int("interval endpoint p", self.p, 1)
+        require_int("interval endpoint q", self.q, 1)
+        if self.q > self.p:
             raise ValueError(f"interval needs 1 <= q <= p, got p={self.p}, q={self.q}")
 
     @property
@@ -49,11 +49,11 @@ class GammaVec:
         if not coeffs:
             raise ValueError("coefficient vector is empty (rank must be >= 2)")
         for c in coeffs:
-            if not isinstance(c, int) or isinstance(c, bool) or c < 0:
-                raise ValueError(f"coefficients must be nonnegative integers, got {coeffs!r}")
+            require_int("coefficient", c, 0)
 
     @classmethod
     def zero(cls, n: int) -> "GammaVec":
+        require_rank(n)
         return cls((0,) * (n - 1))
 
     @property
@@ -71,7 +71,8 @@ class GammaVec:
 
     def coeff(self, k: int) -> int:
         """Coefficient of the simple coroot i_k (1-based)."""
-        if not 1 <= k <= len(self.coeffs):
+        require_int("coordinate index", k, 1)
+        if k > len(self.coeffs):
             raise ValueError(f"coordinate index {k} out of range 1..{len(self.coeffs)}")
         return self.coeffs[k - 1]
 
@@ -89,8 +90,7 @@ class GammaVec:
         return GammaVec(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def scaled(self, c: int) -> "GammaVec":
-        if c < 0:
-            raise ValueError("scale factor must be nonnegative")
+        require_int("scale factor", c, 0)
         return GammaVec(tuple(c * a for a in self.coeffs))
 
     def _check_same_rank(self, other: "GammaVec") -> None:
@@ -109,6 +109,18 @@ def require_type(name: str, value: object, cls: type) -> None:
     """
     if not isinstance(value, cls):
         raise TypeError(f"{name} must be a {cls.__name__}, got {type(value).__name__} {value!r}")
+
+
+def _require_vector(name: str, vec: object, caps: Caps, n: int | None = None) -> None:
+    """Check a degree vector's type, the rank cap, its rank context n if given, the length cap, in order."""
+    require_type(name, vec, GammaVec)
+    rank = len(vec.coeffs) + 1
+    check_rank(rank if n is None else n, caps)
+    if n is not None and rank != n:
+        raise ValueError(f"{name} rank context does not match n")
+    total = sum(vec.coeffs)
+    if total > caps.max_length:
+        raise CapExceededError(f"total degree {total} exceeds the length cap {caps.max_length}")
 
 
 def positive_coroots(n: int, *, caps: Caps = DEFAULT_CAPS) -> list[Interval]:
@@ -138,8 +150,7 @@ def _box(coeffs: tuple[int, ...]) -> tuple[list[tuple[int, ...]], list[int]]:
 
 def pairing(k: int, c: Interval) -> int:
     """<omega_k, [p, q]>: 1 when q <= k <= p, else 0."""
-    if not isinstance(k, int) or k < 1:
-        raise ValueError(f"fundamental weight index must be a positive integer, got {k!r}")
+    require_int("fundamental weight index", k, 1)
     return 1 if c.q <= k <= c.p else 0
 
 

@@ -24,9 +24,9 @@ from operator import sub
 # before `from . import kostant`, so that kostant loads by a path -X importtime logs
 from .kostant import ONE, IntPolynomial, fiber_poincare
 from . import kostant
-from .limits import Caps, DEFAULT_CAPS, check_length, check_rank
+from .limits import Caps, DEFAULT_CAPS
 from .partitions import GammaPartition, _defect_segments, _gamma_partition, _gamma_vec, _maker
-from .roots import GammaVec, _box, flag_dim, require_type
+from .roots import GammaVec, _box, _require_vector, flag_dim, require_type
 
 
 @dataclass(frozen=True, slots=True)
@@ -114,11 +114,7 @@ def enumerate_strata(n: int, alpha: GammaVec, *, caps: Caps = DEFAULT_CAPS) -> l
     the segments (v, start) of partitions._defect_segments, so each stratum
     costs one product K_v(t) * tail.
     """
-    require_type("alpha", alpha, GammaVec)
-    check_rank(n, caps)
-    if alpha.n != n:
-        raise ValueError("alpha rank context does not match n")
-    check_length(alpha.length, caps)
+    _require_vector("alpha", alpha, caps, n)
     dim_b = flag_dim(n)
     box, strides = _box(alpha.coeffs)
     vecs = [_gamma_vec(v) for v in box]
@@ -215,13 +211,12 @@ def ic_stalk_table(
     once, on coefficient tuples; no degree vector is built unless to word
     the error.
     """
-    require_type("alpha", alpha, GammaVec)
+    # the types and rank contexts of beta and parts, then alpha's checks in their order
     require_type("beta", beta, GammaVec)
     require_type("parts", parts, GammaPartition)
-    check_rank(n, caps)
-    if alpha.n != n or beta.n != n or parts.n != n:
+    if beta.n != n or parts.n != n:
         raise ValueError("rank contexts do not match n")
-    check_length(alpha.length, caps)
+    _require_vector("alpha", alpha, caps, n)
     defect = tuple(map(sub, alpha.coeffs, beta.coeffs))
     if min(defect) < 0:
         raise ValueError(f"invalid stratum: beta = {beta} is not <= alpha = {alpha}")

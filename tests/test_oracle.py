@@ -34,7 +34,7 @@ from quasiflags.partitions import (
     mu_triangles,
     stratum_dim,
 )
-from quasiflags.roots import GammaVec
+from quasiflags.roots import GammaVec, Interval, pairing
 from quasiflags.strata import smallness_report
 
 
@@ -172,16 +172,39 @@ def test_constructor_accepts_the_rule_reference_on_random_bases(example):
 
 
 def test_bool_ranks_and_colengths_are_refused():
-    for call, message in (
-        (lambda: Lattice(True, 2, (((1,),),)), "rank must be a positive integer, got True"),
-        (lambda: Lattice.full(True, 2), "rank must be a positive integer, got True"),
-        (lambda: enumerate_lattices(True, 1, 2), "rank must be a positive integer, got True"),
-        (lambda: enumerate_lattices(1, True, 2), "colength must be a nonnegative integer, got True"),
-        (lambda: enumerate_lattices(1, False, 2), "colength must be a nonnegative integer, got False"),
-    ):
-        with pytest.raises(ValueError) as info:
-            call()
-        assert str(info.value) == message
+    # every integer parameter that limits.require_int checks: (name, least value or None, call);
+    # a bool is not an integer, and each call gets the value as its only bad argument
+    c, vec, poly = Interval(1, 1), GammaVec((1, 1)), IntPolynomial((1, 1))
+    tri = Triangle(3, "mu", ((1,), (0, 1)))
+    table = [
+        ("interval endpoint p", 1, lambda v: Interval(v, 1)),
+        ("interval endpoint q", 1, lambda v: Interval(2, v)),
+        ("coefficient", 0, lambda v: GammaVec((1, v))),
+        ("coordinate index", 1, lambda v: vec.coeff(v)),
+        ("scale factor", 0, lambda v: vec.scaled(v)),
+        ("coefficient", 0, lambda v: IntPolynomial((v, 1))),
+        ("exponent", 0, lambda v: poly.coefficient(v)),
+        ("evaluation point", 0, lambda v: poly.eval_at(v)),
+        ("fundamental weight index", 1, lambda v: pairing(v, c)),
+        ("multiplicity of [1,1]", 1, lambda v: KappaPartition(2, ((c, v),))),
+        ("triangle entry", None, lambda v: Triangle(3, "mu", ((1,), (0, v)))),
+        ("entry row p", 1, lambda v: tri.entry(v, 1)),
+        ("entry column q", 1, lambda v: tri.entry(2, v)),
+        ("coordinate count", 1, lambda v: coordinate_intersection(Lattice.full(2, 2), v)),
+        ("rank", 1, lambda v: Lattice(v, 2, (((1,),),))),
+        ("rank", 1, lambda v: Lattice.full(v, 2)),
+        ("rank", 1, lambda v: Lattice.from_generators(v, 2, [((1,),)])),
+        ("rank", 1, lambda v: enumerate_lattices(v, 1, 2)),
+        ("polynomial coefficient", 0, lambda v: Lattice(1, 2, (((v,),),))),
+        ("polynomial coefficient", 0, lambda v: Lattice.from_generators(1, 2, [((v,),)])),
+        ("colength", 0, lambda v: enumerate_lattices(1, v, 2)),
+    ]
+    kinds = {None: "an integer", 0: "a nonnegative integer", 1: "a positive integer"}
+    for name, low, call in table:
+        for bad in (True, False, 2.5, "3", None) + (() if low is None else (low - 1,)):
+            with pytest.raises(ValueError) as info:
+                call(bad)
+            assert str(info.value) == f"{name} must be {kinds[low]}, got {bad!r}"
 
 
 def test_from_generators_rejects_bad_spans():
@@ -193,6 +216,14 @@ def test_from_generators_rejects_bad_spans():
         Lattice.from_generators(2, 2, [((1,), (), ())])  # wrong vector length
     with pytest.raises(ValueError):
         Lattice.from_generators(2, 1, [((1,), (1,)), ((0, 1), (1, 1))])  # q = 1
+    # entries are checked by the constructor's rules before canonicalizing
+    for vectors, message in (
+        ([((2,),)], "polynomial coefficient must lie in [0, q), got 2"),
+        ([((1, 0),)], "polynomials must be trimmed, got (1, 0)"),
+    ):
+        with pytest.raises(ValueError) as info:
+            Lattice.from_generators(1, 2, vectors)
+        assert str(info.value) == message
 
 
 def test_prime_check_matches_trial_division():
@@ -415,9 +446,9 @@ def test_listing_chains_and_blocks_never_run_the_lattice_checks(monkeypatch):
     lats = enumerate_lattices(3, 2, 3)
     blocks = [coordinate_intersection(lat, m) for lat in lats for m in (1, 2, 3)]
     assert len(set(lats)) == len(lats) > 0 and len(blocks) == 3 * len(lats)
-    # the patch is live: the public constructors still run the checks
+    # the patch is live: the public constructor still runs the checks
     with pytest.raises(AssertionError, match="__post_init__ ran"):
-        Lattice.full(1, 2)
+        Lattice(1, 2, ((gf.ONE,),))
 
 
 def test_chain_counts_match_hand_values():

@@ -3,7 +3,15 @@ import pytest
 from quasiflags.kostant import fiber_poincare, kostant_poly
 from quasiflags.limits import CapExceededError, Caps
 from quasiflags.oracle import enumerate_fiber_chains, fiber_point_count, verify_against_kostant
-from quasiflags.partitions import GammaPartition, gamma_partitions, kappa_partitions, mu_to_kappa, mu_triangles
+from quasiflags.partitions import (
+    GammaPartition,
+    KappaPartition,
+    Triangle,
+    gamma_partitions,
+    kappa_partitions,
+    mu_to_kappa,
+    mu_triangles,
+)
 from quasiflags.roots import (
     GammaVec,
     Interval,
@@ -141,17 +149,56 @@ def test_flag_dim():
 def test_every_rank_entry_point_refuses_a_bad_rank_alike():
     from quasiflags.oracle import enumerate_fiber_chains
 
-    for bad in (1, 0, -3, 2.0, "3", None):
+    for bad in (1, 0, -3, 2.0, 2.5, "3", None, True, False):
         message = f"rank parameter n must be an integer >= 2, got {bad!r}"
         for call in (
             lambda: positive_coroots(bad),
             lambda: interval_to_gamma(Interval(1, 1), bad),
             lambda: flag_dim(bad),
             lambda: enumerate_fiber_chains(bad, GammaVec((1,)), 2),
+            # the rank contexts of the value classes
+            lambda: GammaPartition(bad, ()),
+            lambda: GammaPartition.of(bad, []),
+            lambda: KappaPartition(bad, ()),
+            lambda: KappaPartition.of(bad, {}),
+            lambda: Triangle(bad, "mu", ((1,),)),
+            lambda: Triangle.from_flat(bad, "mu", [1]),
+            lambda: GammaVec.zero(bad),
         ):
             with pytest.raises(ValueError) as info:
                 call()
             assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "call, takes_n",
+    [
+        pytest.param(lambda n, v, caps: kostant_poly(v, caps=caps), False, id="kostant_poly"),
+        pytest.param(lambda n, v, caps: kappa_partitions(v, caps=caps), False, id="kappa_partitions"),
+        pytest.param(lambda n, v, caps: mu_triangles(v, caps=caps), False, id="mu_triangles"),
+        pytest.param(lambda n, v, caps: gamma_partitions(v, caps=caps), False, id="gamma_partitions"),
+        pytest.param(lambda n, v, caps: enumerate_strata(n, v, caps=caps), True, id="enumerate_strata"),
+        pytest.param(
+            lambda n, v, caps: ic_stalk_table(
+                n, v, GammaVec((0,) * (n - 1)), GammaPartition.of(n, []), caps=caps
+            ),
+            True,
+            id="ic_stalk_table",
+        ),
+    ],
+)
+def test_degree_vector_checks_run_type_rank_cap_context_length_cap(call, takes_n):
+    # (5, 5) of rank 3 fails the rank cap 2 and the length cap 1, and the rank context n = 4
+    big, tight = GammaVec((5, 5)), Caps(max_rank=2, max_length=1)
+    with pytest.raises(TypeError, match=r"must be a GammaVec, got tuple"):
+        call(3, (5, 5), tight)
+    with pytest.raises(CapExceededError, match=r"^n = 3 exceeds the rank cap 2$"):
+        call(3, big, tight)
+    if takes_n:
+        with pytest.raises(ValueError, match=r"^alpha rank context does not match n$"):
+            call(4, big, Caps(max_length=1))
+    with pytest.raises(CapExceededError, match=r"^total degree 10 exceeds the length cap 1$"):
+        call(3, big, Caps(max_length=1))
 
 
 _V, _P = GammaVec((1, 1)), GammaPartition.of(3, [])
