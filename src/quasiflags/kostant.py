@@ -16,11 +16,12 @@ one count yields K_v(t) for every v in the box, and all of them are cached.
 from __future__ import annotations
 
 from collections import OrderedDict
+from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .limits import Caps, DEFAULT_CAPS, require_int
+from .limits import Caps, DEFAULT_CAPS, require_int, require_type
 from .partitions import GammaPartition, _maker
-from .roots import GammaVec, _box, _coroots, _require_vector, require_type
+from .roots import GammaVec, _box, _coroots, _require_vector
 
 
 @dataclass(frozen=True, slots=True)
@@ -36,6 +37,7 @@ class IntPolynomial:
     coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        require_type("coeffs", self.coeffs, Iterable)
         coeffs = tuple(self.coeffs)
         while coeffs and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
@@ -163,6 +165,9 @@ def _box_count(coeffs: tuple[int, ...]) -> list[tuple[tuple[int, ...], IntPolyno
 def fiber_poincare(parts: GammaPartition, *, caps: Caps = DEFAULT_CAPS) -> IntPolynomial:
     """Product of K over the parts of a degree-vector partition (1 when empty)."""
     require_type("parts", parts, GammaPartition)
+    # the test inline, as in check_rank: an empty partition reads no K
+    if not isinstance(caps, Caps):
+        require_type("caps", caps, Caps)
     poly = ONE
     for part in parts.parts:
         poly = poly * kostant_poly(part, caps=caps)

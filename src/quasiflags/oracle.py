@@ -46,6 +46,10 @@ Its mu invariants, the colengths of L_p n R^q, are the pivot prefix sums
 d_1 + ... + d_q. fiber_point_count buckets chains by mu, under the oracle
 caps alone; verify_against_kostant, the one bridge to the partition
 calculus, compares the buckets with the predicted counts q^stratum_dim.
+The volume cap bounds the lattices of each member's rank and colength:
+there are N_k(c) = sum over c' <= c of q^c' N_(k-1)(c') of rank k and
+colength c, and _check_volume runs this recurrence once, checking each
+rank as it goes and stopping a rank at its first count past the cap.
 
 Counting
 --------
@@ -73,6 +77,7 @@ against contains, and the grid against a lead-tested listing.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import accumulate, product
 
@@ -80,9 +85,9 @@ from itertools import accumulate, product
 from .gfpoly import Poly
 from . import gfpoly as gf
 from .kostant import kostant_poly
-from .limits import Caps, DEFAULT_CAPS, CapExceededError, require_int, require_rank
+from .limits import Caps, DEFAULT_CAPS, CapExceededError, require_int, require_rank, require_type
 from .partitions import Triangle, _maker, _triangle, mu_triangles, stratum_dim
-from .roots import GammaVec, require_type
+from .roots import GammaVec
 
 Column = tuple[Poly, ...]
 Basis = tuple[Column, ...]
@@ -117,8 +122,7 @@ def _require_prime(q: int) -> None:
     # refused before the test, which takes seconds at thousands of bits
     if isinstance(q, int) and q.bit_length() > 1024:
         raise CapExceededError(f"q of {q.bit_length()} bits exceeds the 1024-bit primality limit")
-    # small primes such as the default q in {2, 3} skip the call
-    if not isinstance(q, int) or not (q in _PRIME_BASES or _is_prime(q)):
+    if not isinstance(q, int) or not _is_prime(q):
         raise ValueError(f"q must be a prime, got {q!r}")
 
 
@@ -138,6 +142,7 @@ class Lattice:
 
     def __post_init__(self) -> None:
         k = self.rank
+        require_type("basis", self.cols, tuple)
         _require_lattice(k, self.q, self.cols)
         if len(self.cols) != k or any(len(col) != k for col in self.cols):
             raise ValueError("basis must be a square matrix of columns")
@@ -155,18 +160,15 @@ class Lattice:
         return sum(self.diag)
 
     @classmethod
-    def full(cls, rank: int, q: int) -> "Lattice":
-        """The ambient module R^rank itself (colength 0)."""
-        _require_lattice(rank, q)
-        cols = tuple(
-            tuple(gf.ONE if i == j else gf.ZERO for i in range(rank)) for j in range(rank)
-        )
-        return _lattice(rank, q, cols)
+    def full(cls, rank: int, q: int, *, caps: Caps = DEFAULT_CAPS) -> "Lattice":
+        """The ambient module R^rank itself, the one lattice of colength 0, under the listing's caps."""
+        return enumerate_lattices(rank, 0, q, caps=caps)[0]
 
     @classmethod
     def from_generators(cls, rank: int, q: int, vectors) -> "Lattice":
-        """Canonicalize any generating set of a full-rank z-local submodule."""
-        vectors = [tuple(v) for v in vectors]
+        """Canonicalize any generating set, of tuples, of a full-rank z-local submodule."""
+        require_type("vectors", vectors, Iterable)
+        vectors = list(vectors)
         _require_lattice(rank, q, vectors)
         return _lattice(rank, q, _canonical_columns(vectors, rank, q))
 
@@ -176,7 +178,9 @@ def _require_lattice(rank: int, q: int, vectors=()) -> None:
     _require_prime(q)
     require_int("rank", rank, 1)
     for vec in vectors:
+        require_type("basis vector", vec, tuple)
         for entry in vec:
+            require_type("polynomial", entry, tuple)
             for c in entry:
                 require_int("polynomial coefficient", c, 0)
                 if c >= q:
@@ -259,15 +263,30 @@ def _diagonals(total: int, floor: tuple[int, ...], bounds: tuple[int, ...]) -> l
     ]
 
 
-def _check_volume(rank: int, colength: int, q: int, caps: Caps) -> None:
-    # N_k(c) = sum over c' <= c of q^c' * N_(k-1)(c'): q^c' last columns per lead
-    counts = [1] + [0] * colength  # rank 0: only the empty basis
-    for _ in range(rank):
-        counts = list(accumulate(q**c * count for c, count in enumerate(counts)))
-    if counts[colength] > caps.max_lattice_volume:
-        raise CapExceededError(
-            f"{counts[colength]} candidate lattices exceed the volume cap {caps.max_lattice_volume}"
-        )
+def _check_volume(colengths: tuple[int, ...], q: int, caps: Caps) -> None:
+    """Refuse when rank k has more lattices of colength colengths[k-1] than the volume cap.
+
+    One pass of N_(k+1)(c) = sum over c' <= c of q^c' * N_k(c'), q^c' last
+    columns per lead, checks rank k and then grows rank k + 1. N_k(c) grows
+    with k and c, so a step stops at its first count past the cap, after at
+    most log_q(cap) + 2 terms; the error names the count at colengths[k-1],
+    or that first one if the step stopped below it.
+    """
+    cap = caps.max_lattice_volume
+    counts = [1] * (max(colengths) + 1)  # rank 1: z^c R is the one lattice of colength c
+    for k, colength in enumerate(colengths, start=1):
+        at = min(colength, len(counts) - 1)
+        if counts[at] > cap:
+            raise CapExceededError(
+                f"{counts[at]} lattices of rank {k} and colength {at} exceed the volume cap {cap}"
+            )
+        total, grown = 0, []
+        for c, count in enumerate(counts):
+            total += q**c * count
+            grown.append(total)
+            if total > cap:
+                break
+        counts = grown
 
 
 def enumerate_lattices(rank: int, colength: int, q: int, *, caps: Caps = DEFAULT_CAPS) -> list[Lattice]:
@@ -279,11 +298,19 @@ def enumerate_lattices(rank: int, colength: int, q: int, *, caps: Caps = DEFAULT
     Because the canonical form is unique, distinct emitted matrices are
     distinct lattices and the list is exhaustive. The bases come by diagonal
     from _diag_bases, as the chain listing reads them, and are built unchecked
-    once q, rank, colength and the volume cap pass.
+    once q, rank and colength pass, then the rank cap (on rank + 1, the n of a
+    chain with a member of this rank), the length cap on the colength, and
+    the volume cap, which _check_volume checks in one pass over the ranks.
     """
     _require_lattice(rank, q)
     require_int("colength", colength, 0)
-    _check_volume(rank, colength, q, caps)
+    require_type("caps", caps, Caps)
+    # a chain of rank n has members of rank up to n - 1, so rank k is admitted with n = k + 1
+    if rank + 1 > caps.max_rank:
+        raise CapExceededError(f"rank {rank} exceeds the rank cap {caps.max_rank} less one")
+    if colength > caps.max_length:
+        raise CapExceededError(f"colength {colength} exceeds the length cap {caps.max_length}")
+    _check_volume((0,) * (rank - 1) + (colength,), q, caps)
     bases = _diag_bases(q)
     diags = _diagonals(colength, (0,) * rank, (colength,) * rank)
     return [_lattice(rank, q, cols) for diag in diags for cols in bases(diag)]
@@ -297,6 +324,8 @@ def contains(outer: Lattice, inner: Lattice) -> bool:
     back substitution against the triangular basis, where each step needs
     an exact division by the pivot z^(d_i).
     """
+    require_type("outer", outer, Lattice)
+    require_type("inner", inner, Lattice)
     if inner.q != outer.q:
         raise ValueError("lattices live over different fields")
     if inner.rank > outer.rank:
@@ -321,6 +350,7 @@ def _contains(outer: Basis, inner: Basis, q: int) -> bool:
 
 def coordinate_intersection(lat: Lattice, m: int) -> Lattice:
     """The lattice L n R^m inside the first m coordinates: the leading m x m block."""
+    require_type("lattice", lat, Lattice)
     require_int("coordinate count", m, 1)
     if m > lat.rank:
         raise ValueError(f"coordinate count must be in 1..{lat.rank}, got {m}")
@@ -337,11 +367,16 @@ class FlagChain:
     lattices: tuple[Lattice, ...]
 
     def __post_init__(self) -> None:
+        require_rank(self.n)
+        _require_prime(self.q)
+        require_type("gamma", self.gamma, GammaVec)
+        require_type("lattices", self.lattices, tuple)
         if self.gamma.n != self.n:
             raise ValueError("gamma rank context does not match n")
         if len(self.lattices) != self.n - 1:
             raise ValueError(f"expected {self.n - 1} lattices, got {len(self.lattices)}")
         for k, lat in enumerate(self.lattices, start=1):
+            require_type(f"member {k}", lat, Lattice)
             if lat.rank != k:
                 raise ValueError(f"member {k} has rank {lat.rank}")
             if lat.q != self.q:
@@ -351,7 +386,7 @@ class FlagChain:
                     f"member {k} has colength {lat.colength}, expected {self.gamma.coeff(k)}"
                 )
         for prev, nxt in zip(self.lattices, self.lattices[1:]):
-            if not contains(nxt, prev):
+            if not _contains(nxt.cols, prev.cols, self.q):
                 raise ValueError("chain members are not nested")
 
 
@@ -362,6 +397,7 @@ def _check_oracle_caps(n: int, gamma: GammaVec, q: int, caps: Caps) -> None:
     require_type("gamma", gamma, GammaVec)
     _require_prime(q)
     require_rank(n)
+    require_type("caps", caps, Caps)
     if gamma.n != n:
         raise ValueError("gamma rank context does not match n")
     if n > caps.oracle_max_rank:
@@ -372,8 +408,7 @@ def _check_oracle_caps(n: int, gamma: GammaVec, q: int, caps: Caps) -> None:
         )
     if q not in caps.oracle_primes:
         raise CapExceededError(f"q = {q} is not among the allowed primes {caps.oracle_primes}")
-    for k, colength in enumerate(gamma.coeffs, start=1):
-        _check_volume(k, colength, q, caps)
+    _check_volume(gamma.coeffs, q, caps)
 
 
 def enumerate_fiber_chains(
@@ -456,9 +491,10 @@ def _sublattices(outer: Basis, diag: tuple[int, ...], q: int, bases):
 
 def mu_invariants(chain: FlagChain) -> Triangle:
     """The mu triangle of a chain: mu_{pq} = colength of L_p n R^q."""
+    require_type("chain", chain, FlagChain)
     # L_p n R^q is the leading q x q block, of colength d_1 + ... + d_q
     rows = tuple(tuple(accumulate(lat.diag)) for lat in chain.lattices)
-    return Triangle(n=chain.n, kind="mu", rows=rows)
+    return _triangle(chain.n, "mu", rows)
 
 
 @dataclass
@@ -535,8 +571,9 @@ class OracleReport:
 
     @property
     def passed(self) -> bool:
-        same_keys = not self.missing_mu and not self.unexpected_mu
-        return same_keys and self.total_expected == self.total_actual and all(b.ok for b in self.buckets)
+        # a missing mu fails its bucket too: 0 chains against q^dim >= 1
+        same_total = self.total_expected == self.total_actual
+        return not self.unexpected_mu and same_total and all(b.ok for b in self.buckets)
 
 
 def verify_against_kostant(

@@ -30,12 +30,13 @@ yield skips the checks that the public constructors keep.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import accumulate, compress, product
 from operator import add, sub
 
-from .limits import Caps, DEFAULT_CAPS, require_int, require_rank
-from .roots import GammaVec, Interval, _box, _coroots, _require_vector, interval_to_gamma, require_type
+from .limits import Caps, DEFAULT_CAPS, require_int, require_rank, require_type
+from .roots import GammaVec, Interval, _box, _coroots, _require_vector, interval_to_gamma
 
 
 class NotInMError(ValueError):
@@ -71,8 +72,13 @@ class KappaPartition:
 
     def __post_init__(self) -> None:
         require_rank(self.n)
+        require_type("mult", self.mult, tuple)
         keys = []
-        for c, m in self.mult:
+        for entry in self.mult:
+            if type(entry) is not tuple or len(entry) != 2:
+                raise TypeError(f"mult entries must be (coroot, multiplicity) pairs, got {entry!r}")
+            c, m = entry
+            require_type("coroot", c, Interval)
             if c.p > self.n - 1:
                 raise ValueError(f"coroot {c} does not fit in rank n={self.n}")
             require_int(f"multiplicity of {c}", m, 1)
@@ -82,11 +88,14 @@ class KappaPartition:
 
     @classmethod
     def of(cls, n: int, multiplicities: dict[Interval, int]) -> "KappaPartition":
-        """Build from an interval -> multiplicity mapping (zeros dropped)."""
+        """Build from an interval -> multiplicity mapping (int zeros dropped)."""
+        require_type("multiplicities", multiplicities, dict)
+        for c in multiplicities:
+            require_type("coroot", c, Interval)
         items = tuple(
             (c, m)
             for c, m in sorted(multiplicities.items(), key=lambda cm: (cm[0].q, cm[0].p))
-            if m != 0
+            if not (type(m) is int and m == 0)
         )
         return cls(n, items)
 
@@ -133,7 +142,11 @@ class Triangle:
         if self.kind not in ("mu", "nu"):
             raise ValueError(f'kind must be "mu" or "nu", got {self.kind!r}')
         require_rank(self.n)
-        rows = tuple(tuple(row) for row in self.rows)
+        require_type("rows", self.rows, Iterable)
+        rows = tuple(self.rows)
+        for row in rows:
+            require_type("row", row, Iterable)
+        rows = tuple(map(tuple, rows))
         object.__setattr__(self, "rows", rows)
         if len(rows) != self.n - 1:
             raise ValueError(f"expected {self.n - 1} rows, got {len(rows)}")
@@ -158,6 +171,7 @@ class Triangle:
     @classmethod
     def from_flat(cls, n: int, kind: str, values) -> "Triangle":
         require_rank(n)
+        require_type("values", values, Iterable)
         values = list(values)
         if len(values) != n * (n - 1) // 2:
             raise ValueError(f"expected {n * (n - 1) // 2} entries for n={n}, got {len(values)}")
@@ -185,6 +199,7 @@ class GammaPartition:
 
     def __post_init__(self) -> None:
         require_rank(self.n)
+        require_type("parts", self.parts, tuple)
         for part in self.parts:
             require_type("part", part, GammaVec)
             if part.n != self.n:
@@ -198,6 +213,7 @@ class GammaPartition:
     @classmethod
     def of(cls, n: int, parts) -> "GammaPartition":
         """Build from any iterable of parts, sorting into canonical order."""
+        require_type("parts", parts, Iterable)
         parts = tuple(parts)
         for part in parts:
             require_type("part", part, GammaVec)
@@ -267,6 +283,7 @@ def _block_sums(bound: int, rest: tuple[int, ...]) -> list[tuple[int, ...]]:
 
 def kappa_to_nu(kappa: KappaPartition) -> Triangle:
     """Prefix sums nu_{pq} = kappa_{p1} + ... + kappa_{pq}."""
+    require_type("kappa", kappa, KappaPartition)
     mult = dict(kappa.mult)
     mults = [mult.get(c, 0) for c in _coroots(kappa.n)]
     return Triangle(kappa.n, "nu", _nu_rows(mults, _kappa_rows(kappa.n)))
@@ -274,6 +291,7 @@ def kappa_to_nu(kappa: KappaPartition) -> Triangle:
 
 def nu_to_mu(nu: Triangle) -> Triangle:
     """Suffix sums mu_{pq} = nu_{pq} + nu_{p+1,q} + ... + nu_{n-1,q}."""
+    require_type("nu", nu, Triangle)
     if nu.kind != "nu":
         raise ValueError(f'expected a "nu" triangle, got kind {nu.kind!r}')
     return Triangle(nu.n, "mu", _mu_rows(nu.rows))
@@ -345,6 +363,7 @@ def stratum_dim(mu: Triangle) -> int:
     Equals |gamma| - K(kappa) for the partition behind mu, and is the fiber
     dimension contributed by the stratum with invariant mu.
     """
+    require_type("mu", mu, Triangle)
     if mu.kind != "mu":
         raise ValueError(f'expected a "mu" triangle, got kind {mu.kind!r}')
     return sum(row[-2] for row in mu.rows[1:])

@@ -9,10 +9,11 @@ nonnegative coefficients on i_1 .. i_{n-1}. All combinatorial indices are
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import product
 
-from .limits import Caps, DEFAULT_CAPS, CapExceededError, check_rank, require_int, require_rank
+from .limits import Caps, DEFAULT_CAPS, CapExceededError, check_rank, require_int, require_rank, require_type
 
 
 @dataclass(frozen=True, slots=True)
@@ -44,6 +45,7 @@ class GammaVec:
     coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        require_type("coeffs", self.coeffs, Iterable)
         coeffs = tuple(self.coeffs)
         object.__setattr__(self, "coeffs", coeffs)
         if not coeffs:
@@ -101,16 +103,6 @@ class GammaVec:
         return "(" + ",".join(str(c) for c in self.coeffs) + ")"
 
 
-def require_type(name: str, value: object, cls: type) -> None:
-    """Refuse an argument that is not a cls, such as a plain tuple for a GammaVec.
-
-    The public entry points call it first, so that the wrong type fails with
-    a TypeError naming the class to pass, not with an AttributeError.
-    """
-    if not isinstance(value, cls):
-        raise TypeError(f"{name} must be a {cls.__name__}, got {type(value).__name__} {value!r}")
-
-
 def _require_vector(name: str, vec: object, caps: Caps, n: int | None = None) -> None:
     """Check a degree vector's type, the rank cap, its rank context n if given, the length cap, in order."""
     require_type(name, vec, GammaVec)
@@ -151,12 +143,14 @@ def _box(coeffs: tuple[int, ...]) -> tuple[list[tuple[int, ...]], list[int]]:
 def pairing(k: int, c: Interval) -> int:
     """<omega_k, [p, q]>: 1 when q <= k <= p, else 0."""
     require_int("fundamental weight index", k, 1)
+    require_type("coroot", c, Interval)
     return 1 if c.q <= k <= c.p else 0
 
 
 def interval_to_gamma(c: Interval, n: int) -> GammaVec:
     """Expand the coroot [p, q] on the simple basis of SL(n)."""
     require_rank(n)
+    require_type("coroot", c, Interval)
     if c.p > n - 1:
         raise ValueError(f"coroot {c} does not fit in rank n={n}")
     return GammaVec(tuple(1 if c.q <= k <= c.p else 0 for k in range(1, n)))

@@ -24,9 +24,9 @@ from operator import sub
 # before `from . import kostant`, so that kostant loads by a path -X importtime logs
 from .kostant import ONE, IntPolynomial, fiber_poincare
 from . import kostant
-from .limits import Caps, DEFAULT_CAPS
+from .limits import Caps, DEFAULT_CAPS, require_type
 from .partitions import GammaPartition, _defect_segments, _gamma_partition, _gamma_vec, _maker
-from .roots import GammaVec, _box, _require_vector, flag_dim, require_type
+from .roots import GammaVec, _box, _require_vector, flag_dim
 
 
 @dataclass(frozen=True, slots=True)
@@ -121,7 +121,7 @@ def enumerate_strata(n: int, alpha: GammaVec, *, caps: Caps = DEFAULT_CAPS) -> l
     kpolys = [ONE] * len(vecs)
     for i in range(len(vecs) - 1, 0, -1):
         kpolys[i] = kostant.kostant_poly(vecs[i], caps=caps)
-    open_stratum = StratumRecord(
+    open_stratum = _record(
         beta=alpha,
         parts=_gamma_partition(n, ()),
         m=0,
@@ -241,5 +241,6 @@ def parity_check(table: ICStalkTable) -> bool:
     It cannot fail on ic_stalk_table output, where degree - dim B =
     2(j - |alpha| - dim B); it guards tables rebuilt by ic_stalk_table_from_json.
     """
+    require_type("table", table, ICStalkTable)
     dim_b = flag_dim(table.n)
     return all((entry.degree - dim_b) % 2 == 0 for entry in table.entries)

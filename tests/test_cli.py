@@ -246,6 +246,14 @@ def test_usage_error_message_on_stderr(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+    for argv, message in (
+        (("ic-stalks", "--n", "3", "--alpha", "1,1", "--beta", "1,1", "--parts", "0,0"),
+         "error: --parts entries must be nonzero vectors\n"),
+        (("roots", "--n", "3", "--cap-rank", "x"), "argument --cap-rank: invalid int value: 'x'\n"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.endswith(message), argv
 
 
 def test_unknown_command_exits_2(capsys):

@@ -37,6 +37,8 @@ def test_poly_mul_and_eval():
     assert IntPolynomial((1, 2, 1)).eval_at(2) == 9
     with pytest.raises(ValueError):
         p.eval_at(-1)
+    with pytest.raises(TypeError, match=r"^unsupported operand type\(s\) for \*: 'IntPolynomial' and 'int'$"):
+        p * 3
 
 
 def test_poly_text():

@@ -198,6 +198,10 @@ def test_bool_ranks_and_colengths_are_refused():
         ("polynomial coefficient", 0, lambda v: Lattice(1, 2, (((v,),),))),
         ("polynomial coefficient", 0, lambda v: Lattice.from_generators(1, 2, [((v,),)])),
         ("colength", 0, lambda v: enumerate_lattices(1, v, 2)),
+        ("allowed prime", 0, lambda v: Caps(oracle_primes=(2, v))),
+    ] + [
+        (field, 0, lambda v, field=field: Caps(**{field: v}))
+        for field in ("max_rank", "max_length", "oracle_max_rank", "oracle_max_length", "max_lattice_volume")
     ]
     kinds = {None: "an integer", 0: "a nonnegative integer", 1: "a positive integer"}
     for name, low, call in table:
@@ -420,6 +424,7 @@ def test_unchecked_buckets_and_chains_equal_their_checked_construction():
                     helpers.assert_like_checked(mu)
                 for chain in enumerate_fiber_chains(n, gamma, q):
                     helpers.assert_like_checked(chain)
+                    helpers.assert_like_checked(mu_invariants(chain))
                     for lat in chain.lattices:
                         helpers.assert_like_checked(lat)
 
@@ -489,6 +494,19 @@ def test_mu_outside_the_predicted_list_is_reported(monkeypatch):
     assert list(fc.buckets) == [dropped] + kept
     report = verify_against_kostant(3, gamma, 2)
     assert report.unexpected_mu == (dropped,) and report.missing_mu == ()
+    assert not report.passed
+
+
+def test_missing_mu_fails_its_bucket(monkeypatch):
+    # a cell dropped from the count leaves its mu missing and its bucket at 0 chains
+    gamma = GammaVec((2, 1))
+    cells = oracle._cells
+    (dropped, _), *kept = cells(gamma.coeffs)
+    monkeypatch.setattr(oracle, "_cells", lambda coeffs: kept)
+    report = verify_against_kostant(3, gamma, 2)
+    (missing,) = report.missing_mu
+    assert missing.rows == dropped and report.unexpected_mu == ()
+    assert [b.actual for b in report.buckets if not b.ok] == [0]
     assert not report.passed
 
 
@@ -615,15 +633,22 @@ def test_mu_invariants_survive_random_flag_coordinate_changes(case):
 def test_chain_validation():
     chains = enumerate_fiber_chains(3, GammaVec((1, 1)), 2)
     ch = chains[0]
-    with pytest.raises(ValueError):
-        FlagChain(n=3, q=2, gamma=GammaVec((1, 2)), lattices=ch.lattices)
-    with pytest.raises(ValueError):
-        FlagChain(n=3, q=2, gamma=GammaVec((1, 1)), lattices=ch.lattices[:1])
+    (lat_3,) = enumerate_lattices(1, 1, 3)
     # R^1 is not inside span{(z,0),(0,1)}: the nesting check must fire
     full1 = Lattice.full(1, 2)
     lat_a = next(lat for lat in enumerate_lattices(2, 1, 2) if lat.diag == (1, 0))
-    with pytest.raises(ValueError):
-        FlagChain(n=3, q=2, gamma=GammaVec((0, 1)), lattices=(full1, lat_a))
+    for kwargs, message in (
+        ({"gamma": GammaVec((1, 2))}, "member 2 has colength 1, expected 2"),
+        ({"lattices": ch.lattices[:1]}, "expected 2 lattices, got 1"),
+        ({"gamma": GammaVec((1, 1, 1))}, "gamma rank context does not match n"),
+        ({"lattices": ch.lattices[::-1]}, "member 1 has rank 2"),
+        ({"lattices": (lat_3, ch.lattices[1])}, "chain members live over different fields"),
+        ({"gamma": GammaVec((0, 1)), "lattices": (full1, lat_a)}, "chain members are not nested"),
+    ):
+        args = {"n": 3, "q": 2, "gamma": GammaVec((1, 1)), "lattices": ch.lattices, **kwargs}
+        with pytest.raises(ValueError) as info:
+            FlagChain(**args)
+        assert str(info.value) == message
 
 
 def test_oracle_caps():
@@ -637,6 +662,37 @@ def test_oracle_caps():
         enumerate_fiber_chains(3, GammaVec((1, 1)), 5)
     with pytest.raises(CapExceededError):
         enumerate_lattices(4, 4, 3, caps=Caps(max_lattice_volume=10))
+    with pytest.raises(ValueError, match="^gamma rank context does not match n$"):
+        fiber_point_count(3, GammaVec((1, 1, 1)), 2)
+
+
+def test_lattice_listings_refuse_past_the_rank_and_length_caps_at_once():
+    # each once ran for seconds or more, or raised RecursionError or an int-to-str ValueError
+    start = time.perf_counter()
+    for call, message in (
+        (lambda: enumerate_lattices(500, 0, 2), "rank 500 exceeds the rank cap 8 less one"),
+        (lambda: Lattice.full(20000, 2), "rank 20000 exceeds the rank cap 8 less one"),
+        (lambda: Lattice.full(1000, 2), "rank 1000 exceeds the rank cap 8 less one"),
+        (lambda: enumerate_lattices(8, 12, 2**521 - 1), "rank 8 exceeds the rank cap 8 less one"),
+        (lambda: enumerate_lattices(1, 10**7, 2), "colength 10000000 exceeds the length cap 12"),
+        (lambda: enumerate_lattices(2, 20000, 2), "colength 20000 exceeds the length cap 12"),
+        (lambda: Lattice.full(3, 2, caps=Caps(max_rank=3)), "rank 3 exceeds the rank cap 3 less one"),
+        # the volume step stops at colength 1, where rank 4 already holds 40 lattices
+        (lambda: enumerate_lattices(4, 4, 3, caps=Caps(max_lattice_volume=10)),
+         "40 lattices of rank 4 and colength 1 exceed the volume cap 10"),
+        (lambda: enumerate_lattices(2, 3, 2, caps=Caps(max_lattice_volume=14)),
+         "15 lattices of rank 2 and colength 3 exceed the volume cap 14"),
+    ):
+        with pytest.raises(CapExceededError) as info:
+            call()
+        assert str(info.value) == message
+    # within the caps, the step stops at colength 1 and names a count of about q^6
+    with pytest.raises(CapExceededError, match=r"^\d+ lattices of rank 7 and colength 1 exceed"):
+        enumerate_lattices(7, 12, 2**521 - 1)
+    assert time.perf_counter() - start < 1.0
+    # the largest rank the default caps admit, and the identity written out by hand
+    assert Lattice.full(7, 2).diag == (0,) * 7
+    assert Lattice.full(3, 2).cols == (((1,), (), ()), ((), (1,), ()), ((), (), (1,)))
 
 
 def test_volume_cap_is_exact():

@@ -1,11 +1,19 @@
+import inspect
 import os
 import subprocess
 import sys
+import traceback
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import quasiflags
+from quasiflags import (
+    CapExceededError, Caps, GammaPartition, GammaVec, Interval, KappaPartition, Lattice, Triangle,
+    interval_to_gamma,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -83,3 +91,92 @@ def test_importtime_logs_every_module_loaded():
     )
     assert "quasiflags.gfpoly" in loaded
     assert logged == loaded
+
+
+# the values of the library's classes that the adversarial strategy draws, built once
+def _library_values():
+    from quasiflags import (
+        GammaPartition, GammaVec, IntPolynomial, Interval, Lattice, enumerate_fiber_chains,
+        enumerate_lattices, enumerate_strata, fiber_point_count, ic_stalk_table, kappa_partitions,
+        kappa_to_nu, mu_triangles, smallness_report, verify_against_kostant,
+    )
+
+    gamma, parts = GammaVec((1, 1)), GammaPartition.of(3, [GammaVec((1, 0)), GammaVec((0, 1))])
+    kappa = kappa_partitions(gamma)[0]
+    return [
+        gamma, parts, kappa, mu_triangles(gamma)[0], kappa_to_nu(kappa), Interval(1, 1), Interval(2, 1),
+        IntPolynomial((1, 1)), enumerate_lattices(2, 1, 2)[0], Lattice.full(1, 3),
+        enumerate_fiber_chains(3, gamma, 2)[0], enumerate_strata(3, gamma)[1],
+        ic_stalk_table(3, gamma, GammaVec((0, 0)), parts), smallness_report(3, gamma),
+        verify_against_kostant(3, gamma, 2), fiber_point_count(3, gamma, 2),
+    ]
+
+
+# small enough that every enumeration they admit takes milliseconds
+_SMALL_CAPS = st.builds(
+    Caps,
+    max_rank=st.integers(0, 4),
+    max_length=st.integers(0, 4),
+    oracle_max_rank=st.integers(0, 4),
+    oracle_max_length=st.integers(0, 4),
+    oracle_primes=st.sampled_from([(), (2,), (2, 3), (3, 5)]),
+    max_lattice_volume=st.integers(0, 100),
+)
+# huge: past 64 bits and past the 1024-bit limit on q; 2**521 - 1 and 2**4423 - 1 are prime
+_HUGE = (-(2**64), 2**64, 10**30, 2**521 - 1, 2**4423 - 1)
+_LEAVES = st.one_of(
+    st.booleans(),
+    st.none(),
+    st.sampled_from([2.0, 2.5, -1.0, float("nan"), float("inf")]),
+    st.sampled_from(["", "3", "mu", "nu", "x"]),
+    st.integers(-3, 6),
+    st.sampled_from(_HUGE),
+    # degree vectors of every small rank, so most are of the wrong rank for the call
+    st.lists(st.integers(0, 3), min_size=1, max_size=3).map(lambda c: GammaVec(tuple(c))),
+    st.sampled_from(_library_values()),
+    _SMALL_CAPS,
+)
+_ADVERSARIAL = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(
+        st.tuples(inner),
+        st.tuples(inner, inner),
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.sampled_from([Interval(1, 1), Interval(2, 1), 1, "x"]), inner, max_size=2),
+    ),
+    max_leaves=6,
+)
+# these build the n entries a caller asks for and take no cap (README, Argument contract),
+# so their n is drawn at most 64 and otherwise from the same strategy
+_SIZED = {(GammaVec.zero, "n"), (interval_to_gamma, "n")}
+_CALLABLES = [
+    obj
+    for obj in map(quasiflags.__getattr__, quasiflags.__all__)
+    if callable(obj) and not (isinstance(obj, type) and issubclass(obj, Exception))
+] + [Lattice.full, Lattice.from_generators, GammaPartition.of, KappaPartition.of, Triangle.from_flat, GammaVec.zero]
+_PACKAGE = Path(quasiflags.__file__).parent
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, suppress_health_check=list(HealthCheck))
+@given(st.data())
+def test_every_public_callable_answers_refuses_by_name_or_hits_a_cap(data):
+    func = data.draw(st.sampled_from(_CALLABLES), label="callable")
+    args, kwargs = [], {}
+    for param in inspect.signature(func).parameters.values():
+        if param.kind is param.KEYWORD_ONLY:
+            # every caps= takes small caps or any other value
+            kwargs[param.name] = data.draw(_SMALL_CAPS | _ADVERSARIAL, label=param.name)
+        elif param.default is param.empty or data.draw(st.booleans()):
+            values = _ADVERSARIAL
+            if (func, param.name) in _SIZED:
+                values = values.filter(lambda v: not (type(v) is int and v > 64))
+            args.append(data.draw(values, label=param.name))
+    try:
+        func(*args, **kwargs)
+    except CapExceededError:
+        pass
+    except (TypeError, ValueError) as exc:
+        # raised by one of the library's own checks, whose messages name the argument
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        assert Path(frame.filename).parent == _PACKAGE and frame.line.startswith("raise "), repr(exc)
+        assert "integer string conversion" not in str(exc), repr(exc)

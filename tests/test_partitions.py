@@ -82,6 +82,11 @@ def test_kappa_partition_validation():
     k = KappaPartition.of(3, {Interval(1, 1): 2, Interval(2, 2): 0})
     assert k.multiplicity(Interval(1, 1)) == 2
     assert k.multiplicity(Interval(2, 2)) == 0
+    # only an int zero is dropped; the constructor refuses any other zero
+    for zero in (False, 0.0):
+        with pytest.raises(ValueError) as info:
+            KappaPartition.of(2, {Interval(1, 1): zero})
+        assert str(info.value) == f"multiplicity of [1,1] must be a positive integer, got {zero!r}"
 
 
 def test_nu_mu_for_single_long_coroot():
@@ -110,6 +115,8 @@ def test_mu_to_kappa_inverts_hand_cases():
 def test_mu_to_kappa_rejects_wrong_diagonal():
     with pytest.raises(NotInMError):
         mu_to_kappa(Triangle.from_flat(3, "mu", [0, 1, 1]), GammaVec((1, 1)))
+    with pytest.raises(ValueError, match="^gamma rank context does not match the triangle$"):
+        mu_to_kappa(Triangle.from_flat(3, "mu", [1, 1, 1]), GammaVec((1, 1, 1)))
 
 
 def test_mu_to_kappa_rejects_negative_kappa():
@@ -226,6 +233,11 @@ def test_triangle_shape_validation():
         Triangle(3, "xx", ((1,), (2, 2)))
     with pytest.raises(ValueError):
         Triangle.from_flat(3, "mu", [1, 2])
+    tri = Triangle.from_flat(3, "mu", [1, 2, 1])
+    for p, q in ((3, 1), (1, 2)):
+        with pytest.raises(ValueError) as info:
+            tri.entry(p, q)
+        assert str(info.value) == f"no entry at (p={p}, q={q}) for n=3"
 
 
 def test_triangle_flat_round_trip():

@@ -2,15 +2,27 @@ import pytest
 
 from quasiflags.kostant import fiber_poincare, kostant_poly
 from quasiflags.limits import CapExceededError, Caps
-from quasiflags.oracle import enumerate_fiber_chains, fiber_point_count, verify_against_kostant
+from quasiflags.oracle import (
+    FlagChain,
+    Lattice,
+    contains,
+    coordinate_intersection,
+    enumerate_fiber_chains,
+    fiber_point_count,
+    mu_invariants,
+    verify_against_kostant,
+)
 from quasiflags.partitions import (
     GammaPartition,
     KappaPartition,
     Triangle,
     gamma_partitions,
     kappa_partitions,
+    kappa_to_nu,
     mu_to_kappa,
     mu_triangles,
+    nu_to_mu,
+    stratum_dim,
 )
 from quasiflags.roots import (
     GammaVec,
@@ -21,7 +33,7 @@ from quasiflags.roots import (
     pairing,
     positive_coroots,
 )
-from quasiflags.strata import enumerate_strata, ic_stalk_table, moduli_dim, smallness_report
+from quasiflags.strata import enumerate_strata, ic_stalk_table, moduli_dim, parity_check, smallness_report
 
 
 def test_coroot_count():
@@ -104,6 +116,8 @@ def test_gamma_vec_validation():
     with pytest.raises(ValueError):
         GammaVec(())
     g = GammaVec((1, 2))
+    with pytest.raises(ValueError, match=r"^coordinate index 3 out of range 1\.\.2$"):
+        g.coeff(3)
     assert g.n == 3
     assert g.length == 3
     assert not g.is_zero()
@@ -227,8 +241,25 @@ _MU = mu_triangles(_V)[0]
         pytest.param(lambda: gamma_as_coroot((1, 1)), "GammaVec", id="gamma_as_coroot"),
         pytest.param(lambda: GammaPartition(3, ((1, 1),)), "GammaVec", id="GammaPartition"),
         pytest.param(lambda: GammaPartition.of(3, [(1, 1)]), "GammaVec", id="GammaPartition.of"),
+        pytest.param(lambda: interval_to_gamma((1, 1), 3), "Interval", id="interval_to_gamma"),
+        pytest.param(lambda: pairing(1, (1, 1)), "Interval", id="pairing"),
+        pytest.param(lambda: KappaPartition(3, (((1, 1), 1),)), "Interval", id="KappaPartition"),
+        pytest.param(lambda: KappaPartition.of(3, {(1, 1): 1}), "Interval", id="KappaPartition.of"),
+        pytest.param(lambda: stratum_dim((1,)), "Triangle", id="stratum_dim"),
+        pytest.param(lambda: kappa_to_nu((1,)), "KappaPartition", id="kappa_to_nu"),
+        pytest.param(lambda: nu_to_mu((1,)), "Triangle", id="nu_to_mu"),
+        pytest.param(lambda: contains((1,), (1,)), "Lattice", id="contains"),
+        pytest.param(lambda: coordinate_intersection((1,), 1), "Lattice", id="coordinate_intersection"),
+        pytest.param(lambda: mu_invariants((1,)), "FlagChain", id="mu_invariants"),
+        pytest.param(lambda: FlagChain(3, 2, (1, 1), ()), "GammaVec", id="FlagChain"),
+        pytest.param(lambda: parity_check((1,)), "ICStalkTable", id="parity_check"),
+        pytest.param(lambda: enumerate_strata(3, _V, caps=(5,)), "Caps", id="enumerate_strata-caps"),
+        pytest.param(lambda: kostant_poly(_V, caps=(5,)), "Caps", id="kostant_poly-caps"),
+        pytest.param(lambda: fiber_poincare(_P, caps=(5,)), "Caps", id="fiber_poincare-caps"),
+        pytest.param(lambda: fiber_point_count(3, _V, 2, caps=(5,)), "Caps", id="fiber_point_count-caps"),
+        pytest.param(lambda: Lattice.full(2, 2, caps=(5,)), "Caps", id="Lattice.full-caps"),
     ],
 )
 def test_entry_points_refuse_a_plain_tuple_with_a_type_error(call, cls):
-    with pytest.raises(TypeError, match=rf"^\w+ must be a {cls}, got tuple \("):
+    with pytest.raises(TypeError, match=rf"^\w+ must be an? {cls}, got tuple \("):
         call()

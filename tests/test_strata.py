@@ -26,6 +26,8 @@ def test_moduli_dim():
     assert moduli_dim(2, GammaVec((1,))) == 3
     assert moduli_dim(2, GammaVec((3,))) == 7
     assert moduli_dim(4, GammaVec((0, 0, 0))) == 6
+    with pytest.raises(ValueError, match="^alpha rank context does not match n$"):
+        moduli_dim(4, GammaVec((1, 1)))
 
 
 def test_atlas_rank_three():
