@@ -24,13 +24,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import fields, replace
-from json.encoder import encode_basestring_ascii
 from operator import attrgetter
-from typing import NamedTuple
 
 from .kostant import IntPolynomial, kostant_poly
-from .limits import Caps, DEFAULT_CAPS, CapExceededError
+from .limits import Caps, CapExceededError, record
 from .partitions import (
     GammaPartition,
     KappaPartition,
@@ -41,16 +38,6 @@ from .partitions import (
     stratum_dim,
 )
 from .roots import GammaVec, interval_to_gamma, positive_coroots
-from .strata import (
-    ICStalkTable,
-    StalkEntry,
-    StratumRecord,
-    enumerate_strata,
-    ic_stalk_table,
-    moduli_dim,
-    parity_check,
-    smallness_report,
-)
 
 
 # ---------------------------------------------------------------------------
@@ -117,8 +104,10 @@ _SCHEMA = {
 }
 
 
-def stratum_records_from_json(payload: dict) -> list[StratumRecord]:
-    """Rebuild the records of a `strata --format json` payload."""
+def stratum_records_from_json(payload: dict) -> list:
+    """Rebuild the records (StratumRecord) of a `strata --format json` payload."""
+    from .strata import StratumRecord
+
     records = []
     for obj in payload["result"]["strata"]:
         beta = GammaVec(tuple(obj["beta"]))
@@ -134,8 +123,10 @@ def stratum_records_from_json(payload: dict) -> list[StratumRecord]:
     return records
 
 
-def ic_stalk_table_from_json(payload: dict) -> ICStalkTable:
-    """Rebuild the table of an `ic-stalks --format json` payload."""
+def ic_stalk_table_from_json(payload: dict):
+    """Rebuild the ICStalkTable of an `ic-stalks --format json` payload."""
+    from .strata import ICStalkTable, StalkEntry
+
     params = payload["params"]
     n = params["n"]
     alpha = GammaVec(tuple(params["alpha"]))
@@ -152,7 +143,8 @@ def ic_stalk_table_from_json(payload: dict) -> ICStalkTable:
 # output
 
 
-class Output(NamedTuple):
+@record
+class Output:
     """What a subcommand hands to the renderer; table and CSV cells are formatted in _render."""
 
     result: dict
@@ -182,6 +174,8 @@ def _write_json(obj, indent: str, write) -> None:
     indent and coefficients. Dicts go out key by key and longer lists _CHUNK
     items at a time.
     """
+    from json.encoder import encode_basestring_ascii
+
     memo, keys = {}, {}
 
     def text(obj, indent: str) -> str:
@@ -309,7 +303,8 @@ def _cmd_gamma_partitions(args, caps, n, alpha) -> Output:
     return Output(result, ("partition", "num_parts"), [(p, p.m) for p in partitions])
 
 
-def _stratum(r: StratumRecord) -> dict:
+def _stratum(r) -> dict:
+    """The row of a StratumRecord."""
     return {
         "beta": r.beta,
         "parts": r.parts,
@@ -322,6 +317,8 @@ def _stratum(r: StratumRecord) -> dict:
 
 
 def _cmd_strata(args, caps, n, alpha) -> Output:
+    from .strata import enumerate_strata, moduli_dim
+
     rows = [_stratum(r) for r in enumerate_strata(n, alpha, caps=caps)]
     result = {"moduli_dim": moduli_dim(n, alpha), "count": len(rows), "strata": rows}
     headers = ("beta", "parts", "m", "stratum_dim", "codim", "fiber_dim", "fiber_poincare")
@@ -329,6 +326,8 @@ def _cmd_strata(args, caps, n, alpha) -> Output:
 
 
 def _cmd_smallness(args, caps, n, alpha) -> Output:
+    from .strata import smallness_report
+
     report = smallness_report(n, alpha, caps=caps)
     rows = [
         {
@@ -358,6 +357,8 @@ def _cmd_smallness(args, caps, n, alpha) -> Output:
 
 
 def _cmd_ic_stalks(args, caps, n, alpha, beta) -> Output:
+    from .strata import ic_stalk_table, parity_check
+
     parts = _parse_parts(args.parts, n)
     table = ic_stalk_table(n, alpha, beta, parts, caps=caps)
     parity_ok = parity_check(table)
@@ -456,8 +457,8 @@ def main(argv=None) -> int:
         args = build_parser(argv[0] if argv else None).parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    given = {f.name: v for f in fields(Caps) if (v := getattr(args, f.name)) is not None}
-    caps = replace(DEFAULT_CAPS, **given)
+    # each cap flag's dest is its Caps field
+    caps = Caps(**{name: v for name in Caps.__match_args__ if (v := getattr(args, name)) is not None})
     handler, _, flags = HANDLERS[args.command]
     try:
         if args.n < 2:

@@ -17,14 +17,13 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from collections.abc import Iterable
-from dataclasses import dataclass
 
-from .limits import Caps, DEFAULT_CAPS, require_int, require_type
-from .partitions import GammaPartition, _maker
+from .limits import Caps, DEFAULT_CAPS, record, require_int, require_type
+from .partitions import GammaPartition
 from .roots import GammaVec, _box, _coroots, _require_vector
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class IntPolynomial:
     """Polynomial in t with nonnegative integer coefficients.
 
@@ -96,7 +95,7 @@ class IntPolynomial:
 
 
 # for the products and counts, whose coefficients are nonnegative ints with a nonzero last one
-_int_polynomial = _maker(IntPolynomial)
+_int_polynomial = IntPolynomial._unchecked
 ONE = IntPolynomial((1,))
 
 

@@ -5,19 +5,93 @@ entry point checks its arguments against a Caps value and refuses work that
 would blow up, raising CapExceededError instead of hanging. The defaults are
 sized for desk-scale exploration; pass a custom Caps to go further. The
 module also holds the four argument rules that every entry point shares:
-require_int, require_rank, require_type and check_rank.
+require_int, require_rank, require_type and check_rank, and record, which
+writes every value class of the package.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 
 class CapExceededError(Exception):
     """An input lies beyond the configured enumeration limits."""
 
 
-@dataclass(frozen=True)
+# the code record writes per class, in one exec; "own" is the field tuple's items, "self.a, self.b, "
+_RECORD = """
+def _unchecked({params}):
+    obj = _new(_cls){set_obj}
+    return obj
+def __init__(self, {params}):{set_self}{check}
+def __eq__(self, other):
+    if other.__class__ is self.__class__:
+        return ({own}) == ({other})
+    return NotImplemented
+def __hash__(self):
+    return hash(({own}))
+def __repr__(self):
+    return f"{{self.__class__.__qualname__}}({shown})"
+def __reduce__(self):
+    return _unchecked, ({own})
+"""
+
+
+def _frozen_setattr(self, name, value):
+    from dataclasses import FrozenInstanceError
+
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name):
+    from dataclasses import FrozenInstanceError
+
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def record(cls: type) -> type:
+    """The frozen slotted value class of cls's annotated fields, with its unchecked maker.
+
+    It writes what dataclass(frozen=True, slots=True) writes, without
+    importing dataclasses: an __init__ that takes the fields with their
+    defaults and then runs self.__post_init__(), looked up at call time, if
+    cls defines one; __eq__ on the field tuples of two values of one class;
+    __hash__, the hash of the field tuple; the dataclass __repr__;
+    __setattr__ and __delattr__ that raise dataclasses.FrozenInstanceError;
+    and __match_args__, the field names. The maker, cls._unchecked, takes
+    the same arguments and sets each slot through its bound descriptor, so
+    no check runs; it is only for values valid by construction. __reduce__
+    goes through it, so pickling does not rerun the checks either.
+    """
+    names = tuple(cls.__annotations__)
+    # the fields become slots, so their defaults and the instance dict leave the class body
+    body = {k: v for k, v in cls.__dict__.items() if k not in (*names, "__dict__", "__weakref__")}
+    env = {"__name__": cls.__module__, "_new": object.__new__}
+    env.update({f"_default_{f}": cls.__dict__[f] for f in names if f in cls.__dict__})
+    own = "".join(f"self.{f}, " for f in names)
+    exec(_RECORD.format(
+        params=", ".join(f"{f}=_default_{f}" if f"_default_{f}" in env else f for f in names),
+        set_obj="".join(f"\n    _set_{f}(obj, {f})" for f in names),
+        set_self="".join(f"\n    _set_{f}(self, {f})" for f in names),
+        check="\n    self.__post_init__()" if "__post_init__" in body else "",
+        own=own,
+        other=own.replace("self.", "other."),
+        shown=", ".join(f"{f}={{self.{f}!r}}" for f in names),
+    ), env)
+    for name in ("_unchecked", "__init__", "__eq__", "__hash__", "__repr__", "__reduce__"):
+        env[name].__qualname__ = f"{cls.__qualname__}.{name}"
+        body[name] = env[name]
+    # a static method, by whose qualified name pickle finds the maker that __reduce__ returns
+    body["_unchecked"] = staticmethod(env["_unchecked"])
+    body.update(__slots__=names, __match_args__=names)
+    body.update(__setattr__=_frozen_setattr, __delattr__=_frozen_delattr)
+    new = type(cls)(cls.__name__, cls.__bases__, body)
+    new.__qualname__ = cls.__qualname__
+    # the functions read these globals when called, so they can be bound after the class is made
+    env["_cls"] = new
+    env.update({f"_set_{f}": getattr(new, f).__set__ for f in names})
+    return new
+
+
+@record
 class Caps:
     # rank bound for root/partition/strata enumeration (n <= max_rank)
     max_rank: int = 8

@@ -78,15 +78,14 @@ against contains, and the grid against a lead-tested listing.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 from itertools import accumulate, product
 
 # before `from . import gfpoly`, so that gfpoly loads by a path -X importtime logs
 from .gfpoly import Poly
 from . import gfpoly as gf
 from .kostant import kostant_poly
-from .limits import Caps, DEFAULT_CAPS, CapExceededError, require_int, require_rank, require_type
-from .partitions import Triangle, _maker, _triangle, mu_triangles, stratum_dim
+from .limits import Caps, DEFAULT_CAPS, CapExceededError, record, require_int, require_rank, require_type
+from .partitions import Triangle, _triangle, mu_triangles, stratum_dim
 from .roots import GammaVec
 
 Column = tuple[Poly, ...]
@@ -126,7 +125,7 @@ def _require_prime(q: int) -> None:
         raise ValueError(f"q must be a prime, got {q!r}")
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Lattice:
     """A finite-colength submodule of R^rank in canonical upper-triangular form.
 
@@ -263,6 +262,11 @@ def _diagonals(total: int, floor: tuple[int, ...], bounds: tuple[int, ...]) -> l
     ]
 
 
+# lattice counts are kept exact below 2^_EXACT_BITS, which has 3,011 digits, under the
+# 4,300 that int-to-str conversion allows by default
+_EXACT_BITS = 10_000
+
+
 def _check_volume(colengths: tuple[int, ...], q: int, caps: Caps) -> None:
     """Refuse when rank k has more lattices of colength colengths[k-1] than the volume cap.
 
@@ -271,19 +275,28 @@ def _check_volume(colengths: tuple[int, ...], q: int, caps: Caps) -> None:
     with k and c, so a step stops at its first count past the cap, after at
     most log_q(cap) + 2 terms; the error names the count at colengths[k-1],
     or that first one if the step stopped below it.
+
+    A count of 2^bits or more, bits the larger of _EXACT_BITS and the cap's
+    bit length, is kept as 2^bits: a lower bound that is still past the cap.
+    A count that reads less is exact, since each count is at least every
+    count it sums. So the numbers stay small under a raised rank cap, and
+    the error names the bound where the count would be too long to print.
     """
     cap = caps.max_lattice_volume
+    bits = max(_EXACT_BITS, cap.bit_length())
+    bound = 1 << bits
     counts = [1] * (max(colengths) + 1)  # rank 1: z^c R is the one lattice of colength c
     for k, colength in enumerate(colengths, start=1):
         at = min(colength, len(counts) - 1)
         if counts[at] > cap:
+            shown = counts[at] if counts[at] < bound else f"at least 2^{bits}"
             raise CapExceededError(
-                f"{counts[at]} lattices of rank {k} and colength {at} exceed the volume cap {cap}"
+                f"{shown} lattices of rank {k} and colength {at} exceed the volume cap {cap}"
             )
         total, grown = 0, []
         for c, count in enumerate(counts):
             total += q**c * count
-            grown.append(total)
+            grown.append(min(total, bound))
             if total > cap:
                 break
         counts = grown
@@ -357,7 +370,7 @@ def coordinate_intersection(lat: Lattice, m: int) -> Lattice:
     return _lattice(m, lat.q, tuple(col[:m] for col in lat.cols[:m]))
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class FlagChain:
     """A nested chain L_1 c ... c L_{n-1} with colength(L_k) = c_k(gamma)."""
 
@@ -390,7 +403,7 @@ class FlagChain:
                 raise ValueError("chain members are not nested")
 
 
-_lattice, _chain = _maker(Lattice), _maker(FlagChain)
+_lattice, _chain = Lattice._unchecked, FlagChain._unchecked
 
 
 def _check_oracle_caps(n: int, gamma: GammaVec, q: int, caps: Caps) -> None:
@@ -497,7 +510,7 @@ def mu_invariants(chain: FlagChain) -> Triangle:
     return _triangle(chain.n, "mu", rows)
 
 
-@dataclass
+@record
 class FiberCount:
     """Chain total plus the per-mu bucket counts, in mu order."""
 
@@ -545,7 +558,7 @@ def _cells(coeffs: tuple[int, ...]):
     return down(len(coeffs), (0,) * len(coeffs), (), 0)
 
 
-@dataclass(frozen=True)
+@record
 class BucketCheck:
     mu: Triangle
     expected: int
@@ -556,7 +569,7 @@ class BucketCheck:
         return self.expected == self.actual
 
 
-@dataclass(frozen=True)
+@record
 class OracleReport:
     """Outcome of checking the cell counts (see the oracle docstring) against the predicted values."""
 

@@ -31,11 +31,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Iterable
-from dataclasses import dataclass
 from itertools import accumulate, compress, product
 from operator import add, sub
 
-from .limits import Caps, DEFAULT_CAPS, require_int, require_rank, require_type
+from .limits import Caps, DEFAULT_CAPS, record, require_int, require_rank, require_type
 from .roots import GammaVec, Interval, _box, _coroots, _require_vector, interval_to_gamma
 
 
@@ -43,22 +42,7 @@ class NotInMError(ValueError):
     """A mu triangle that is not the image of any coroot partition of gamma."""
 
 
-def _maker(cls):
-    """A function that builds the frozen slotted dataclass cls from its field values, unchecked.
-
-    Generated once per class, the way dataclasses generates __init__, it
-    takes the fields positionally or by keyword and sets each slot through
-    its bound descriptor, so no __post_init__ runs. Only for values valid
-    by construction; the public constructors keep every check.
-    """
-    names = list(cls.__dataclass_fields__)
-    env = {"new": object.__new__, "cls": cls, **{f"set_{f}": getattr(cls, f).__set__ for f in names}}
-    body = "".join(f"\n    set_{f}(obj, {f})" for f in names)
-    exec(f"def make({', '.join(names)}):\n    obj = new(cls){body}\n    return obj", env)
-    return env["make"]
-
-
-@dataclass(frozen=True, slots=True)
+@record
 class KappaPartition:
     """A partition of a degree vector into positive coroots.
 
@@ -123,7 +107,7 @@ class KappaPartition:
         return "+".join(str(c) if m == 1 else f"{m}*{c}" for c, m in self.mult)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Triangle:
     """Lower-triangular integer array a_{pq}, 1 <= q <= p <= n-1.
 
@@ -185,7 +169,7 @@ class Triangle:
         return ";".join(",".join(str(a) for a in row) for row in self.rows)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class GammaPartition:
     """An unordered multiset of nonzero degree vectors, stored sorted.
 
@@ -236,8 +220,8 @@ class GammaPartition:
         return "+".join(str(p) for p in self.parts) if self.parts else "-"
 
 
-_gamma_vec, _kappa_partition = _maker(GammaVec), _maker(KappaPartition)
-_triangle, _gamma_partition = _maker(Triangle), _maker(GammaPartition)
+_gamma_vec, _kappa_partition = GammaVec._unchecked, KappaPartition._unchecked
+_triangle, _gamma_partition = Triangle._unchecked, GammaPartition._unchecked
 
 
 def kappa_partitions(gamma: GammaVec, *, caps: Caps = DEFAULT_CAPS) -> list[KappaPartition]:

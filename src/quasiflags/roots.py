@@ -10,13 +10,14 @@ nonnegative coefficients on i_1 .. i_{n-1}. All combinatorial indices are
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 from itertools import product
 
-from .limits import Caps, DEFAULT_CAPS, CapExceededError, check_rank, require_int, require_rank, require_type
+from .limits import (
+    Caps, DEFAULT_CAPS, CapExceededError, check_rank, record, require_int, require_rank, require_type,
+)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Interval:
     """The positive coroot [p, q] = i_q + ... + i_p."""
 
@@ -38,7 +39,7 @@ class Interval:
         return f"[{self.p},{self.q}]"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class GammaVec:
     """Nonnegative coefficient vector on the simple coroots i_1 .. i_{n-1}."""
 

@@ -18,18 +18,17 @@ polynomial: coefficient j contributes a summand in cohomological degree
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import sub
 
 # before `from . import kostant`, so that kostant loads by a path -X importtime logs
 from .kostant import ONE, IntPolynomial, fiber_poincare
 from . import kostant
-from .limits import Caps, DEFAULT_CAPS, require_type
-from .partitions import GammaPartition, _defect_segments, _gamma_partition, _gamma_vec, _maker
+from .limits import Caps, DEFAULT_CAPS, record, require_type
+from .partitions import GammaPartition, _defect_segments, _gamma_partition, _gamma_vec
 from .roots import GammaVec, _box, _require_vector, flag_dim
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class StratumRecord:
     """One stratum of the quasimap moduli for (n, alpha), with its numerics."""
 
@@ -42,7 +41,7 @@ class StratumRecord:
     fiber_poincare: IntPolynomial
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class SmallnessRow:
     """Per-stratum margin of the smallness inequality codim > 2 * fiber_dim.
 
@@ -55,7 +54,7 @@ class SmallnessRow:
     ok: bool
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class SmallnessReport:
     n: int
     alpha: GammaVec
@@ -68,14 +67,14 @@ class SmallnessReport:
     aggregate: tuple[tuple[int, int, bool], ...]
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class StalkEntry:
     degree: int
     twist: int
     multiplicity: int
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ICStalkTable:
     """IC stalk summands over one stratum, one entry per nonzero coefficient."""
 
@@ -88,8 +87,8 @@ class ICStalkTable:
 
 # records, rows, stalk entries and tables are valid by construction; they are built by
 # keyword, so that a reorder of the int fields cannot put a value in the wrong slot
-_record, _row = _maker(StratumRecord), _maker(SmallnessRow)
-_entry, _table = _maker(StalkEntry), _maker(ICStalkTable)
+_record, _row = StratumRecord._unchecked, SmallnessRow._unchecked
+_entry, _table = StalkEntry._unchecked, ICStalkTable._unchecked
 
 
 def moduli_dim(n: int, alpha: GammaVec) -> int:

@@ -12,6 +12,7 @@ import dataclasses
 import io
 import json
 import pickle
+from functools import cache
 from itertools import combinations, product
 
 import pytest
@@ -455,6 +456,30 @@ def lead_tested_chains(n, gamma, q):
     return partial
 
 
+def replace(value, **changes):
+    """A copy of a library value with some fields changed, built by its checked constructor.
+
+    The fields are the class's __match_args__, as for every value class.
+    """
+    fields = {name: getattr(value, name) for name in type(value).__match_args__}
+    return type(value)(**{**fields, **changes})
+
+
+@cache
+def _twin_class(cls):
+    return dataclasses.make_dataclass(cls.__name__, cls.__match_args__, frozen=True, slots=True)
+
+
+def dataclass_twin(value):
+    """The value's fields in a frozen slotted dataclass of the same name and field names.
+
+    The dataclass is the reference for what the package's generated value
+    classes keep public: repr, hash and ==.
+    """
+    cls = type(value)
+    return _twin_class(cls)(*(getattr(value, name) for name in cls.__match_args__))
+
+
 def assert_like_checked(value):
     """Assert that a value built unchecked behaves as its checked construction.
 
@@ -463,12 +488,12 @@ def assert_like_checked(value):
     pickle round trip, refuse assignment to every field, and carry no
     __dict__ beside its slots.
     """
-    fields = [f.name for f in dataclasses.fields(value)]
+    fields = type(value).__match_args__
     checked = type(value)(*(getattr(value, name) for name in fields))
     assert checked == value
     assert hash(checked) == hash(value)
     assert repr(checked) == repr(value)
-    assert dataclasses.replace(value) == value
+    assert replace(value) == value
     assert pickle.loads(pickle.dumps(value)) == value
     assert not hasattr(value, "__dict__")
     for name in fields:

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import hashlib
 import io
 import json
@@ -15,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
-from quasiflags import cli, oracle
+from quasiflags import cli, oracle, strata
 from quasiflags.cli import HANDLERS, ic_stalk_table_from_json, main, stratum_records_from_json
 from quasiflags.kostant import IntPolynomial
 from quasiflags.limits import DEFAULT_CAPS
@@ -604,12 +603,13 @@ def test_failed_smallness_exits_1_in_every_format(capsys, monkeypatch):
     def failing_report(n, alpha, *, caps):
         report = smallness_report(n, alpha, caps=caps)
         rows = tuple(
-            dataclasses.replace(row, margin=-1, ok=False) if row.record == report.witness else row
+            helpers.replace(row, margin=-1, ok=False) if row.record == report.witness else row
             for row in report.rows
         )
-        return dataclasses.replace(report, passed=False, min_margin=-1, rows=rows)
+        return helpers.replace(report, passed=False, min_margin=-1, rows=rows)
 
-    monkeypatch.setattr(cli, "smallness_report", failing_report)
+    # the handler imports the strata names when it runs
+    monkeypatch.setattr(strata, "smallness_report", failing_report)
     argv = ("smallness", "--n", "3", "--alpha", "1,1")
     assert run_cli(capsys, *argv) == (1, (
         "FAIL (min margin -1)\n"
@@ -642,10 +642,10 @@ def test_failed_smallness_exits_1_in_every_format(capsys, monkeypatch):
 def test_parity_violation_exits_1_in_every_format(capsys, monkeypatch):
     def odd_degrees(*args, **kwargs):
         table = ic_stalk_table(*args, **kwargs)
-        entries = tuple(dataclasses.replace(e, degree=e.degree + 1) for e in table.entries)
-        return dataclasses.replace(table, entries=entries)
+        entries = tuple(helpers.replace(e, degree=e.degree + 1) for e in table.entries)
+        return helpers.replace(table, entries=entries)
 
-    monkeypatch.setattr(cli, "ic_stalk_table", odd_degrees)
+    monkeypatch.setattr(strata, "ic_stalk_table", odd_degrees)
     argv = ("ic-stalks", "--n", "3", "--alpha", "1,1", "--beta", "0,0", "--parts", "1,1")
     assert run_cli(capsys, *argv) == (1, (
         "parity VIOLATED\n"

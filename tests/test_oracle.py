@@ -695,6 +695,22 @@ def test_lattice_listings_refuse_past_the_rank_and_length_caps_at_once():
     assert Lattice.full(3, 2).cols == (((1,), (), ()), ((), (1,), ()), ((), (), (1,)))
 
 
+def test_volume_error_names_a_bound_past_a_printable_count():
+    # under a raised rank cap the count at colength 1 grows by a factor q per rank, past the
+    # 4,300 digits that int-to-str allows: 2^(607 * 25) at rank 26 once raised ValueError
+    start = time.perf_counter()
+    for rank, caps, bits in (
+        (26, Caps(max_rank=30), 10_000),
+        (26, Caps(max_rank=30, max_lattice_volume=2**12000), 12_001),
+        # the counts stop growing at the bound; without that, rank 4000 took seconds
+        (4000, Caps(max_rank=4001), 10_000),
+    ):
+        with pytest.raises(CapExceededError) as info:
+            enumerate_lattices(rank, 1, 2**607 - 1, caps=caps)
+        assert str(info.value).startswith(f"at least 2^{bits} lattices of rank {rank} and colength 1 exceed")
+    assert time.perf_counter() - start < 1.0
+
+
 def test_volume_cap_is_exact():
     for q in (2, 3):
         for k in (1, 2, 3):

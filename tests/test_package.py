@@ -1,5 +1,7 @@
+import dataclasses
 import inspect
 import os
+import pickle
 import subprocess
 import sys
 import traceback
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import helpers
 import quasiflags
 from quasiflags import (
     CapExceededError, Caps, GammaPartition, GammaVec, Interval, KappaPartition, Lattice, Triangle,
@@ -91,6 +94,38 @@ def test_importtime_logs_every_module_loaded():
     )
     assert "quasiflags.gfpoly" in loaded
     assert logged == loaded
+
+
+def _new_modules(code, *argv):
+    """The modules that code adds to sys.modules, run by python -S with the package on the path.
+
+    Under -S, since a site configuration can load typing or other modules before any code runs.
+    """
+    code = (
+        "import atexit, sys\n"
+        "before = set(sys.modules)\n"
+        "atexit.register(lambda: print(*sorted(set(sys.modules) - before), file=sys.stderr))\n"
+    ) + code
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-S", "-c", code, *argv], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stderr.split())
+
+
+def test_cli_start_up_imports_no_heavy_module():
+    # what the command line loads before its handler runs; the handlers that need them load
+    # json.encoder, csv, strata and oracle, and dataclasses only raises FrozenInstanceError
+    heavy = {"dataclasses", "inspect", "json", "typing", "quasiflags.strata"}
+    loaded = _new_modules("import quasiflags.cli\n")
+    assert "quasiflags.kostant" in loaded
+    assert not loaded & heavy
+    # as `python -m quasiflags kostant --n 3 --gamma 1,1` runs
+    loaded = _new_modules(
+        "import runpy\nrunpy.run_module('quasiflags', run_name='__main__', alter_sys=True)\n",
+        "kostant", "--n", "3", "--gamma", "1,1",
+    )
+    assert "quasiflags.kostant" in loaded
+    assert not loaded & (heavy | {"quasiflags.oracle"})
 
 
 # the values of the library's classes that the adversarial strategy draws, built once
@@ -180,3 +215,57 @@ def test_every_public_callable_answers_refuses_by_name_or_hits_a_cap(data):
         frame = traceback.extract_tb(exc.__traceback__)[-1]
         assert Path(frame.filename).parent == _PACKAGE and frame.line.startswith("raise "), repr(exc)
         assert "integer string conversion" not in str(exc), repr(exc)
+
+
+def test_every_value_class_behaves_as_its_dataclass_twin():
+    from quasiflags import cli
+
+    gamma = GammaVec((1, 1))
+    report = quasiflags.smallness_report(3, gamma)
+    table = quasiflags.ic_stalk_table(3, gamma, GammaVec((0, 0)), GammaPartition.of(3, [gamma]))
+    values = _library_values() + [Caps(), Caps(max_rank=3), GammaVec((1, 0)), Interval(1, 1)]
+    values += [*report.rows, *table.entries, *quasiflags.verify_against_kostant(3, gamma, 2).buckets]
+    # the command line's Output records
+    values += [cli._cmd_kostant(None, Caps(), 3, gamma), cli._cmd_roots(None, Caps(), 3)]
+    by_class = {}
+    for value in values:
+        by_class.setdefault(type(value), []).append(value)
+    # every value class of the package: those that limits.record wrote
+    for module in quasiflags._EXPORTS:
+        getattr(quasiflags, module)
+    classes = {
+        obj
+        for name, module in list(sys.modules.items())
+        if name.startswith("quasiflags.")
+        for obj in vars(module).values()
+        if isinstance(obj, type) and "_unchecked" in obj.__dict__
+    }
+    assert set(by_class) == classes
+    for cls, members in by_class.items():
+        for value in members:
+            twin = helpers.dataclass_twin(value)
+            assert repr(value) == repr(twin)
+            assert _hash_or_error(value) == _hash_or_error(twin)
+            assert cls.__match_args__ == type(twin).__match_args__
+            # keyword construction through the checked constructor, and a pickle round trip
+            assert helpers.replace(value) == value
+            assert value.__reduce__()[0] is cls._unchecked
+            restored = pickle.loads(pickle.dumps(value))
+            assert type(restored) is cls and restored == value and repr(restored) == repr(value)
+            for name in cls.__match_args__:
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(value, name, None)
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    delattr(value, name)
+            assert not hasattr(value, "__dict__")
+            for other in members:
+                assert (value == other) is (twin == helpers.dataclass_twin(other))
+                assert (value != other) is (twin != helpers.dataclass_twin(other))
+            assert value != twin
+
+
+def _hash_or_error(value):
+    try:
+        return hash(value)
+    except TypeError as exc:
+        return str(exc)
