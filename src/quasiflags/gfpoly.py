@@ -4,8 +4,8 @@ A polynomial is a tuple of coefficients in [0, q), lowest degree first, with
 no trailing zeros; the empty tuple is zero. The canonical representation
 makes polynomials directly comparable and hashable, which the lattice code
 leans on. Only what that code needs is provided: ring operations, division
-with remainder, the extended Euclidean algorithm, and exact division by
-powers of z. The modulus q is passed explicitly and must be prime (callers
+with remainder and the extended Euclidean algorithm, plus exact division by
+powers of z, which it no longer calls (see div_z_power). The modulus q is passed explicitly and must be prime (callers
 check; leading-coefficient inversion silently assumes it).
 """
 
@@ -102,7 +102,10 @@ def xgcd(a: Poly, b: Poly, q: int) -> tuple[Poly, Poly, Poly]:
 
 
 def div_z_power(a: Poly, d: int) -> Poly | None:
-    """Exact quotient a / z**d, or None when z**d does not divide a."""
+    """Exact quotient a / z**d, or None when z**d does not divide a.
+
+    No package code calls it; it stays while bench/tracing.py counts its calls by name.
+    """
     if not a:
         return ZERO
     if len(a) <= d or any(a[:d]):

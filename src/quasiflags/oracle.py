@@ -23,11 +23,17 @@ upper-triangular k x k matrix B:
   * for i < j the entry B[i][j] is reduced modulo the pivot of *row* i,
     i.e. deg B[i][j] < d_i.
 
-The colength is d_1 + ... + d_k. Existence follows from column reduction
-over R; uniqueness of this exact reduction rule is proved exhaustively in
-the test suite by double enumeration against an independent linear-algebra
-enumeration of z-stable subspaces. So Lattice checks the form once: the
-reduction, _canonical_columns, must leave the basis unchanged.
+The colength is d_1 + ... + d_k. _canonical_columns takes two steps. It
+triangularizes any generating set, from the bottom row up gathering each
+row into one column by unimodular operations; that entry, made monic, must
+be a power of z. Then _reduce reduces each column by those to its left:
+from the bottom row up, row i is cut to its residue modulo z^(d_i), and
+the quotient times column i comes off the rows above. Listing and
+membership use the same reduction, _sublattices on each product column,
+and a vector lies in L when it reduces to zero. The form's uniqueness is
+proved exhaustively in the test suite against an independent
+linear-algebra enumeration of z-stable subspaces, so Lattice checks the
+form once: canonicalizing must leave the basis unchanged.
 
 A member of L with zero trailing k - m coordinates has zero coefficients
 on the last k - m columns (read the pivots from the bottom row up), so the
@@ -57,8 +63,8 @@ x -> B_M x maps R^k onto the lattice M, so the lattices inside M are the
 products B_M B_X over all lattices X, each reached once (the
 elementary-divisor picture of Macdonald, Symmetric Functions and Hall
 Polynomials, ch. II). The product is upper-triangular with pivots
-z^(diag M + diag X), so canonicalising it only reduces entries modulo the
-row pivots; M holds q^free(e) lattices of diagonal diag M + e, where
+z^(diag M + diag X), so canonicalizing it is the second step alone, _reduce
+on each column; M holds q^free(e) lattices of diagonal diag M + e, where
 free(e) = sum_i e_i (k-1-i) counts the residues above the pivots of a
 basis of diagonal e.
 A chain thus runs top-down through pivot diagonals (D_1, ..., D_(n-1)),
@@ -140,12 +146,9 @@ class Lattice:
     cols: Basis
 
     def __post_init__(self) -> None:
-        k = self.rank
         require_type("basis", self.cols, tuple)
-        _require_lattice(k, self.q, self.cols)
-        if len(self.cols) != k or any(len(col) != k for col in self.cols):
-            raise ValueError("basis must be a square matrix of columns")
-        canonical = _canonical_columns(list(self.cols), k, self.q)
+        # a ragged, short or long basis differs from its span's canonical one too
+        canonical = Lattice.from_generators(self.rank, self.q, self.cols).cols
         if canonical != self.cols:
             raise ValueError(f"basis is not canonical; its span's canonical basis is {canonical!r}")
 
@@ -227,23 +230,34 @@ def _canonical_columns(gens: list[Column], k: int, q: int) -> Basis:
     if any(len(col) != k for col in gens):
         raise ValueError("generator length does not match the rank")
     work = list(gens)
-    basis: list[Column] = []
+    pivots: list[Column] = []
     for row in range(k - 1, -1, -1):
         pivot, work = _pivot_row(work, row, q)
         if pivot is None:
             raise ValueError("generators do not span a full-rank submodule")
-        lead = pivot[row]
-        pivot = tuple(gf.scale(entry, pow(lead[-1], -1, q), q) for entry in pivot)
+        inv = pow(pivot[row][-1], -1, q)
+        if inv != 1:
+            pivot = tuple(gf.scale(entry, inv, q) for entry in pivot)
         if not gf.is_z_power(pivot[row]):
             raise ValueError("span is not z-local: a pivot ideal is not a power of z")
-        # reduce this row of the later columns modulo z^d; only rows above change later
-        d = gf.degree(pivot[row])
-        for j, col in enumerate(basis):
-            quo = col[row][d:]
-            if quo:
-                basis[j] = tuple(gf.sub(bc, gf.mul(quo, pc, q), q) for bc, pc in zip(col, pivot))
-        basis.insert(0, pivot)
+        pivots.append(pivot)
+    basis: list[Column] = []
+    for pivot in reversed(pivots):
+        basis.append(_reduce(pivot, basis, q))
     return tuple(basis)
+
+
+def _reduce(col, basis, q: int) -> Column:
+    """col modulo the canonical (partial) basis, bottom row first; zero when col lies in its span."""
+    v = list(col)
+    for i in range(len(basis) - 1, -1, -1):
+        d = len(basis[i][i]) - 1
+        quo = v[i][d:]
+        if quo:
+            v[i] = gf.trim(v[i][:d])
+            for r in range(i):
+                v[r] = gf.sub(v[r], gf.mul(quo, basis[i][r], q), q)
+    return tuple(v)
 
 
 def _diagonals(total: int, floor: tuple[int, ...], bounds: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -280,7 +294,8 @@ def _check_volume(colengths: tuple[int, ...], q: int, caps: Caps) -> None:
     bit length, is kept as 2^bits: a lower bound that is still past the cap.
     A count that reads less is exact, since each count is at least every
     count it sums. So the numbers stay small under a raised rank cap, and
-    the error names the bound where the count would be too long to print.
+    the error names a count or cap of 2^_EXACT_BITS or more by its bit
+    length, since int-to-str refuses numbers of over 4,300 digits.
     """
     cap = caps.max_lattice_volume
     bits = max(_EXACT_BITS, cap.bit_length())
@@ -289,9 +304,11 @@ def _check_volume(colengths: tuple[int, ...], q: int, caps: Caps) -> None:
     for k, colength in enumerate(colengths, start=1):
         at = min(colength, len(counts) - 1)
         if counts[at] > cap:
-            shown = counts[at] if counts[at] < bound else f"at least 2^{bits}"
+            big = 1 << _EXACT_BITS
+            shown = counts[at] if counts[at] < big else f"at least 2^{counts[at].bit_length() - 1}"
+            limit = cap if cap < big else f"of {cap.bit_length()} bits"
             raise CapExceededError(
-                f"{shown} lattices of rank {k} and colength {at} exceed the volume cap {cap}"
+                f"{shown} lattices of rank {k} and colength {at} exceed the volume cap {limit}"
             )
         total, grown = 0, []
         for c, count in enumerate(counts):
@@ -333,9 +350,8 @@ def contains(outer: Lattice, inner: Lattice) -> bool:
     """Whether every basis vector of inner lies in outer.
 
     inner may have smaller rank; its vectors are read inside the outer
-    module via the first-coordinates embedding. Membership is decided by
-    back substitution against the triangular basis, where each step needs
-    an exact division by the pivot z^(d_i).
+    module via the first-coordinates embedding, and each lies in outer when
+    _reduce takes it, padded with zeros, to zero.
     """
     require_type("outer", outer, Lattice)
     require_type("inner", inner, Lattice)
@@ -347,18 +363,7 @@ def contains(outer: Lattice, inner: Lattice) -> bool:
 
 
 def _contains(outer: Basis, inner: Basis, q: int) -> bool:
-    k = len(outer)
-    for col in inner:
-        v = list(col) + [gf.ZERO] * (k - len(col))
-        for i in range(k - 1, -1, -1):
-            if not v[i]:
-                continue
-            quo = gf.div_z_power(v[i], gf.degree(outer[i][i]))
-            if quo is None:
-                return False
-            for r in range(i + 1):
-                v[r] = gf.sub(v[r], gf.mul(quo, outer[i][r], q), q)
-    return True
+    return not any(any(_reduce(col + (gf.ZERO,) * (len(outer) - len(col)), outer, q)) for col in inner)
 
 
 def coordinate_intersection(lat: Lattice, m: int) -> Lattice:
@@ -480,8 +485,8 @@ def _sublattices(outer: Basis, diag: tuple[int, ...], q: int, bases):
     """Canonical bases of every L in outer with diag(L) = diag, each exactly once.
 
     L runs once through the products B_outer B_X over the lattices X of
-    diagonal diag - diag(outer) (see Counting), each column reduced from the
-    bottom row up modulo the row pivots: one layer of the chain listing's descent.
+    diagonal diag - diag(outer) (see Counting), each column reduced by _reduce
+    modulo the columns to its left: one layer of the chain listing's descent.
     """
     shift = tuple(d - e for d, e in zip(diag, _diag(outer)))
     for inner in bases(shift):
@@ -492,13 +497,7 @@ def _sublattices(outer: Basis, diag: tuple[int, ...], q: int, bases):
                 if x:
                     for r, entry in enumerate(outer[i][: i + 1]):
                         col[r] = gf.add(col[r], gf.mul(x, entry, q), q)
-            for i in range(j - 1, -1, -1):
-                quo = col[i][diag[i] :]
-                if quo:
-                    col[i] = gf.trim(col[i][: diag[i]])
-                    for r in range(i):
-                        col[r] = gf.sub(col[r], gf.mul(quo, out[i][r], q), q)
-            out.append(tuple(col))
+            out.append(_reduce(col, out, q))
         yield tuple(out)
 
 

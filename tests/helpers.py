@@ -370,6 +370,21 @@ def shift(a, d):
     return (0,) * d + a
 
 
+def plus_combination(vec, coeffs, cols, q):
+    """vec + sum_i coeffs[i] * cols[i] over F_q[z], by schoolbook arithmetic on coefficient lists."""
+    rows = [list(entry) for entry in vec]
+    for a, col in zip(coeffs, cols):
+        for row, entry in zip(rows, col):
+            for s, x in enumerate(a):
+                for t, y in enumerate(entry):
+                    row.extend([0] * (s + t + 1 - len(row)))
+                    row[s + t] = (row[s + t] + x * y) % q
+    for row in rows:
+        while row and row[-1] == 0:
+            row.pop()
+    return tuple(map(tuple, rows))
+
+
 def valuation(a):
     """Order of vanishing of a at z = 0, None for the zero polynomial."""
     for i, c in enumerate(a):

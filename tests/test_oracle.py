@@ -116,6 +116,10 @@ def test_lattice_shape_validation():
         Lattice(1, 4, ((one,),))  # composite q
     with pytest.raises(ValueError):
         Lattice(2, 2, ((one,),))  # not square
+    with pytest.raises(ValueError):
+        Lattice(2, 2, ((z, ()), (one,)))  # ragged: a column of one entry
+    with pytest.raises(ValueError):
+        Lattice(2, 2, ((one, ()), ((), one), (one, one)))  # three columns of rank 2
     ok = Lattice(2, 2, ((z, ()), (one, z)))
     assert ok.diag == (1, 1)
     assert ok.colength == 2
@@ -699,15 +703,19 @@ def test_volume_error_names_a_bound_past_a_printable_count():
     # under a raised rank cap the count at colength 1 grows by a factor q per rank, past the
     # 4,300 digits that int-to-str allows: 2^(607 * 25) at rank 26 once raised ValueError
     start = time.perf_counter()
-    for rank, caps, bits in (
-        (26, Caps(max_rank=30), 10_000),
-        (26, Caps(max_rank=30, max_lattice_volume=2**12000), 12_001),
+    for rank, caps, bits, cap in (
+        (26, Caps(max_rank=30), 10_000, "1000000"),
+        (26, Caps(max_rank=30, max_lattice_volume=2**12000), 12_001, "of 12001 bits"),
         # the counts stop growing at the bound; without that, rank 4000 took seconds
-        (4000, Caps(max_rank=4001), 10_000),
+        (4000, Caps(max_rank=4001), 10_000, "1000000"),
+        # a cap past 4,300 digits is named by its bits too; printing it once raised ValueError
+        (30, Caps(max_rank=31, max_lattice_volume=10**5000), 16_610, "of 16610 bits"),
     ):
         with pytest.raises(CapExceededError) as info:
             enumerate_lattices(rank, 1, 2**607 - 1, caps=caps)
-        assert str(info.value).startswith(f"at least 2^{bits} lattices of rank {rank} and colength 1 exceed")
+        assert str(info.value) == (
+            f"at least 2^{bits} lattices of rank {rank} and colength 1 exceed the volume cap {cap}"
+        )
     assert time.perf_counter() - start < 1.0
 
 
@@ -792,6 +800,30 @@ def test_from_generators_is_invariant_under_unimodular_column_operations(case):
 
 
 lattices = lru_cache(maxsize=None)(enumerate_lattices)
+
+
+@st.composite
+def lattice_cosets(draw):
+    # a lattice of rank <= 3 and colength <= 3, a vector v and v + sum_i a_i B_i with random a_i
+    q = draw(st.sampled_from((2, 3)))
+    k = draw(st.integers(1, 3))
+    lat = draw(st.sampled_from(lattices(k, draw(st.integers(0, 3)), q)))
+
+    def poly():
+        return gf.trim(draw(st.lists(st.integers(0, q - 1), max_size=5)))
+
+    vec = tuple(poly() for _ in range(k))
+    return lat, vec, helpers.plus_combination(vec, [poly() for _ in range(k)], lat.cols, q)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(lattice_cosets())
+def test_reduction_gives_one_residue_per_coset(case):
+    lat, vec, moved = case
+    reduced = oracle._reduce(vec, lat.cols, lat.q)
+    # row i is a residue modulo the pivot z^(d_i)
+    assert all(gf.degree(entry) < d for entry, d in zip(reduced, lat.diag))
+    assert oracle._reduce(moved, lat.cols, lat.q) == reduced
 
 
 @st.composite
