@@ -370,27 +370,39 @@ def gamma_partitions(alpha: GammaVec, *, caps: Caps = DEFAULT_CAPS) -> list[Gamm
     return [_gamma_partition(alpha.n, parts) for parts in seqs[-1]]
 
 
-def _defect_segments(box: list[tuple[int, ...]], strides: list[int]):
+def _defect_segments(box: list[tuple[int, ...]], strides: list[int], known=None):
     """(d, segments) per nonzero defect d in the box of roots._box, in increasing lex order.
 
     Vectors are named by box index. The partitions of d in canonical order
     are, for each (v, start) in segments, part v prepended to those of d - v
     from position start on, whose leading parts are lex <= v; as the leading
-    parts along a list do not increase, start is found by bisection.
+    parts along a list do not increase, start is found by bisection. Each
+    segment prepends v to at least one partition. known(d), when given and
+    not None, is taken as d's segments instead of searching for them.
     """
     # per defect index: (minus v, start) of the run of its list led by v, for
     # each segment's v (0 for the empty partition of 0), then (0, its length)
     runs = [[(0, 0), (0, 1)]]
     for d in range(1, len(box)):
-        segments, d_runs, size = [], [], 0
-        # the nonzero v <= d, by box index, in decreasing lex order
-        for v in map(sum, product(*(range(x * s, -1, -s) for x, s in zip(box[d], strides)))):
-            if not v:
-                break
-            tail_runs = runs[d - v]
-            start = tail_runs[bisect_left(tail_runs, (-v,))][1]
-            segments.append((v, start))
-            d_runs.append((-v, size))
-            size += tail_runs[-1][1] - start
+        segments = None if known is None else known(d)
+        d_runs, size = [], 0
+        if segments is None:
+            segments = []
+            # the nonzero v <= d, by box index, in decreasing lex order
+            for v in map(sum, product(*(range(x * s, -1, -s) for x, s in zip(box[d], strides)))):
+                if not v:
+                    break
+                tail_runs = runs[d - v]
+                start = tail_runs[bisect_left(tail_runs, (-v,))][1]
+                # a v that leads no partition has no run: the bisection for a
+                # smaller one finds the same start at the next run
+                if start < tail_runs[-1][1]:
+                    segments.append((v, start))
+                    d_runs.append((-v, size))
+                    size += tail_runs[-1][1] - start
+        else:
+            for v, start in segments:
+                d_runs.append((-v, size))
+                size += runs[d - v][-1][1] - start
         runs.append(d_runs + [(0, size)])
         yield d, segments

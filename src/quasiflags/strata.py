@@ -18,6 +18,7 @@ polynomial: coefficient j contributes a summand in cohomological degree
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from operator import sub
 
 # before `from . import kostant`, so that kostant loads by a path -X importtime logs
@@ -91,6 +92,17 @@ _record, _row = StratumRecord._unchecked, SmallnessRow._unchecked
 _entry, _table = StalkEntry._unchecked, ICStalkTable._unchecked
 
 
+# at least 4,241, the partitions of the distinct defects in an atlas pass of the benchmark
+# (seeds 1-10), and 3,274, the strata of the largest listing among its command-line outputs
+PARTITION_CACHE_SIZE = 8192
+# defect coefficients -> (its gamma partitions in canonical order, its segments (v, start)
+# with v by coefficients), oldest listing first; after each listing, at most
+# PARTITION_CACHE_SIZE partitions in all. Every access is one OrderedDict call, so threads
+# share it without a lock, as they share kostant's K cache: a race can cost a rebuild,
+# never a wrong record.
+_PARTITIONS: OrderedDict = OrderedDict()
+
+
 def moduli_dim(n: int, alpha: GammaVec) -> int:
     """2|alpha| + dim B."""
     require_type("alpha", alpha, GammaVec)
@@ -108,10 +120,15 @@ def enumerate_strata(n: int, alpha: GammaVec, *, caps: Caps = DEFAULT_CAPS) -> l
 
     The caps are checked once, and K_v(t) is read through the public
     kostant_poly once per nonzero box vector v <= alpha, alpha first, so
-    that one count fills the cache for the whole box. The records of a
+    that one count fills the cache for the whole box. The partitions of a
     defect d = alpha - beta are those of d - v with part v prepended, over
-    the segments (v, start) of partitions._defect_segments, so each stratum
-    costs one product K_v(t) * tail.
+    the segments (v, start) of partitions._defect_segments, and their fiber
+    polynomials are K_v(t) times those of d - v. The partitions and the
+    segments of d depend on d alone: a module cache keeps them, keyed by d
+    and bounded by PARTITION_CACHE_SIZE, so a later call whose box holds d
+    neither builds them nor searches them again. The polynomials are not
+    kept: every call reads K afresh and multiplies each of its few distinct
+    products K_v(t) * tail once.
     """
     _require_vector("alpha", alpha, caps, n)
     dim_b = flag_dim(n)
@@ -120,41 +137,96 @@ def enumerate_strata(n: int, alpha: GammaVec, *, caps: Caps = DEFAULT_CAPS) -> l
     kpolys = [ONE] * len(vecs)
     for i in range(len(vecs) - 1, 0, -1):
         kpolys[i] = kostant.kostant_poly(vecs[i], caps=caps)
-    open_stratum = _record(
+    empty = _gamma_partition(n, ())
+    out = [_record(
         beta=alpha,
-        parts=_gamma_partition(n, ()),
+        parts=empty,
         m=0,
         stratum_dim=2 * alpha.length + dim_b,
         codim=0,
         fiber_dim=0,
         fiber_poincare=ONE,
-    )
-    # per defect index, its records in canonical order
-    records = [[open_stratum]]
-    for d, segments in _defect_segments(box, strides):
+    )]
+    # each defect's cache entry, read once, so that no trim can take it away mid-listing
+    entries = [None, *map(_PARTITIONS.get, box[1:])]
+    known = None
+    if any(entries):
+        index = {v: i for i, v in enumerate(box)}
+
+        def known(d):
+            # a cached defect's segments, with each v by its index in this box
+            entry = entries[d]
+            return None if entry is None else [(index[v], start) for v, start in entry[1]]
+
+    # per defect index, its partitions and their fiber polynomials in canonical order
+    partitions, polys = [(empty,)], [[ONE]]
+    # per K_v(t), by coefficients: tail coefficients -> K_v(t) * tail, for this call only;
+    # per box index v, the memo of K_v(t), or None where K_v(t) = 1 leaves every tail as it is
+    products: dict = {}
+    memos = [None if k.coeffs == (1,) else products.setdefault(k.coeffs, {}) for k in kpolys]
+    added = False
+    for d, segments in _defect_segments(box, strides, known):
         # alpha - defect sits at the index of alpha minus that of defect
         defect, beta = vecs[d], vecs[-1 - d]
         beta_dim = 2 * beta.length + dim_b
         defect_codim = 2 * defect.length
-        recs = []
+        entry, d_polys = entries[d], []
+        # on a miss, the defect's partitions and its segments, v by coefficients
+        built, kept = ([], []) if entry is None else (None, None)
         for v, start in segments:
-            part, kpoly = (vecs[v],), kpolys[v]
-            for tail in records[d - v][start:]:
-                m = tail.m + 1
-                poly = kpoly * tail.fiber_poincare
-                recs.append(_record(
-                    beta=beta,
-                    parts=_gamma_partition(n, part + tail.parts.parts),
-                    m=m,
-                    stratum_dim=beta_dim + m,
-                    codim=defect_codim - m,
-                    # every K_v(t) is nonzero, so fiber_dim, poly's degree, is its length less one
-                    fiber_dim=len(poly.coeffs) - 1,
-                    fiber_poincare=poly,
-                ))
-        records.append(recs)
-    # the defects increase, so beta decreases
-    return [rec for recs in records for rec in recs]
+            memo = memos[v]
+            if memo is None:
+                d_polys += polys[d - v][start:]
+            else:
+                for tail in polys[d - v][start:]:
+                    poly = memo.get(tail.coeffs)
+                    if poly is None:
+                        poly = memo[tail.coeffs] = kpolys[v] * tail
+                    d_polys.append(poly)
+            if built is not None:
+                head = (vecs[v],)
+                for tail in partitions[d - v][start:]:
+                    built.append(_gamma_partition(n, head + tail.parts))
+                kept.append((box[v], start))
+        if built is not None:
+            entry = (built, kept)
+            # a defect with more partitions than the cache holds would only empty it;
+            # no list is changed once cached
+            if len(built) <= PARTITION_CACHE_SIZE:
+                _PARTITIONS[box[d]] = entry
+                added = True
+        d_parts = entry[0]
+        partitions.append(d_parts)
+        polys.append(d_polys)
+        # the defects increase, so beta decreases
+        for p, poly in zip(d_parts, d_polys):
+            m = len(p.parts)
+            out.append(_record(
+                beta=beta,
+                parts=p,
+                m=m,
+                stratum_dim=beta_dim + m,
+                codim=defect_codim - m,
+                # every K_v(t) is nonzero, so fiber_dim, poly's degree, is its length less one
+                fiber_dim=len(poly.coeffs) - 1,
+                fiber_poincare=poly,
+            ))
+    if added:
+        _trim_partitions()
+    return out
+
+
+def _trim_partitions() -> None:
+    """Drop the oldest defects until at most PARTITION_CACHE_SIZE partitions are held."""
+    # list() copies the entries in one call, so another thread's listing cannot change them
+    # under the sum; it can at worst make this drop more defects, or fewer, than needed
+    held = sum([len(parts) for parts, _ in list(_PARTITIONS.values())])
+    while held > PARTITION_CACHE_SIZE:
+        try:
+            held -= len(_PARTITIONS.popitem(last=False)[1][0])
+        except KeyError:
+            # another thread emptied the cache
+            return
 
 
 def smallness_report(n: int, alpha: GammaVec, *, caps: Caps = DEFAULT_CAPS) -> SmallnessReport:

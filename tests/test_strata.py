@@ -1,11 +1,14 @@
+import sys
+import threading
 from collections import OrderedDict
 from itertools import product
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
-from quasiflags import kostant
+from quasiflags import kostant, strata
 from quasiflags.kostant import IntPolynomial, fiber_poincare
 from quasiflags.limits import CapExceededError, Caps
 from quasiflags.partitions import GammaPartition, gamma_partitions
@@ -158,6 +161,117 @@ def test_kostant_poly_is_read_once_per_box_vector(monkeypatch):
     assert [r.fiber_poincare != c.fiber_poincare for r, c in zip(recs, corrupted)] == [
         r.m > 0 for r in recs
     ]
+
+
+def _cold_listing(n, alpha):
+    strata._PARTITIONS.clear()
+    return enumerate_strata(n, alpha)
+
+
+def _held():
+    return sum(len(parts) for parts, _ in strata._PARTITIONS.values())
+
+
+@settings(derandomize=True, deadline=None)
+@given(
+    st.tuples(helpers.small_alphas(), helpers.small_alphas()).filter(lambda pair: pair[0].n == pair[1].n)
+)
+def test_warm_listings_equal_cold_ones(pair):
+    first, alpha = pair
+    n = alpha.n
+    cold_records = _cold_listing(n, alpha)
+    strata._PARTITIONS.clear()
+    cold_report = smallness_report(n, alpha)
+    # alpha's box overlaps first's, so the listings of alpha read partitions first's listing cached
+    shared = {
+        (tuple(a - b for a, b in zip(first.coeffs, r.beta.coeffs)), r.parts): r.parts
+        for r in _cold_listing(n, first)
+    }
+    warm_records = enumerate_strata(n, alpha)
+    warm_report = smallness_report(n, alpha)
+    assert warm_records == cold_records
+    assert warm_report == cold_report
+    for rec in warm_records:
+        defect = tuple(a - b for a, b in zip(alpha.coeffs, rec.beta.coeffs))
+        if (defect, rec.parts) in shared and rec.m:
+            assert rec.parts is shared[defect, rec.parts]
+
+
+def test_a_warm_listing_still_reads_kostant_poly(monkeypatch):
+    # partitions are cached across listings, fiber polynomials are not: a corrupted
+    # public kostant_poly reaches every record with parts of a listing whose box is cached
+    _cold_listing(3, GammaVec((2, 2)))
+    alpha = GammaVec((2, 1))
+    assert all(d in strata._PARTITIONS for d in product(range(3), range(2)) if any(d))
+    recs = enumerate_strata(3, alpha)
+    original = kostant.kostant_poly
+
+    def corrupted_poly(gamma, **kwargs):
+        return IntPolynomial(original(gamma, **kwargs).coeffs + (1,))
+
+    monkeypatch.setattr(kostant, "kostant_poly", corrupted_poly)
+    corrupted = enumerate_strata(3, alpha)
+    assert len(corrupted) == len(recs)
+    assert [r.fiber_poincare != c.fiber_poincare for r, c in zip(recs, corrupted)] == [
+        r.m > 0 for r in recs
+    ]
+    assert [r.parts for r in corrupted] == [r.parts for r in recs]
+
+
+_OVERLAPPING = [
+    (4, GammaVec(coeffs))
+    for coeffs in ((2, 2, 1), (1, 2, 2), (2, 1, 2), (3, 1, 1), (1, 1, 3), (2, 2, 2), (1, 3, 1))
+]
+
+
+@pytest.mark.parametrize("bound", [0, 1, 7, 60, 200])
+def test_the_partition_cache_stays_within_its_bound(monkeypatch, bound):
+    expected = [_cold_listing(n, alpha) for n, alpha in _OVERLAPPING]
+    # a listing of more strata than the bound must trim the partitions it added
+    assert max(map(len, expected)) > 200
+    strata._PARTITIONS.clear()
+    monkeypatch.setattr(strata, "PARTITION_CACHE_SIZE", bound)
+    # each alpha twice, the second time after its neighbours
+    for (n, alpha), records in [*zip(_OVERLAPPING, expected), *zip(_OVERLAPPING, expected)]:
+        assert enumerate_strata(n, alpha) == records
+        assert _held() <= bound
+        assert [row.record for row in smallness_report(n, alpha).rows] == records
+        assert _held() <= bound
+    if not bound:
+        assert not strata._PARTITIONS
+
+
+@pytest.mark.parametrize("bound", [strata.PARTITION_CACHE_SIZE, 150])
+def test_threads_share_the_partition_cache(monkeypatch, bound):
+    expected = [_cold_listing(n, alpha) for n, alpha in _OVERLAPPING]
+    strata._PARTITIONS.clear()
+    monkeypatch.setattr(strata, "PARTITION_CACHE_SIZE", bound)
+    start, results = threading.Barrier(4), {}
+
+    def lister(k):
+        start.wait(timeout=60)
+        # each thread starts at another alpha, so they list overlapping boxes at once
+        order = [(k + i) % len(_OVERLAPPING) for i in range(len(_OVERLAPPING))]
+        results[k] = [(i, enumerate_strata(*_OVERLAPPING[i])) for i in order]
+
+    threads = [threading.Thread(target=lister, args=(k,)) for k in range(4)]
+    # switch threads often, so that their listings interleave between the cache's calls
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(results) == [0, 1, 2, 3]
+    for listings in results.values():
+        assert len(listings) == len(_OVERLAPPING)
+        for i, records in listings:
+            assert records == expected[i]
+    assert _held() <= bound
 
 
 @settings(derandomize=True, deadline=None)
