@@ -4,9 +4,11 @@ A polynomial is a tuple of coefficients in [0, q), lowest degree first, with
 no trailing zeros; the empty tuple is zero. The canonical representation
 makes polynomials directly comparable and hashable, which the lattice code
 leans on. Only what that code needs is provided: ring operations, division
-with remainder and the extended Euclidean algorithm, plus exact division by
-powers of z, which it no longer calls (see div_z_power). The modulus q is passed explicitly and must be prime (callers
-check; leading-coefficient inversion silently assumes it).
+with remainder and the extended Euclidean algorithm. div_z_power, exact
+division by a power of z, is called by no package code; it stays only for
+the call counter of bench/tracing.py. The modulus q is passed explicitly
+and must be prime (callers check; leading-coefficient inversion silently
+assumes it).
 """
 
 from __future__ import annotations
@@ -102,10 +104,7 @@ def xgcd(a: Poly, b: Poly, q: int) -> tuple[Poly, Poly, Poly]:
 
 
 def div_z_power(a: Poly, d: int) -> Poly | None:
-    """Exact quotient a / z**d, or None when z**d does not divide a.
-
-    No package code calls it; it stays while bench/tracing.py counts its calls by name.
-    """
+    """Exact quotient a / z**d, or None when z**d does not divide a."""
     if not a:
         return ZERO
     if len(a) <= d or any(a[:d]):

@@ -47,25 +47,40 @@ class SmallnessRow:
     """Per-stratum margin of the smallness inequality codim > 2 * fiber_dim.
 
     margin is codim - 2*fiber_dim for strata with positive fiber dimension
-    and None on strata where the inequality is vacuous.
+    and None on strata where the inequality is vacuous. The verdict ok is
+    read from it.
     """
 
     record: StratumRecord
     margin: int | None
-    ok: bool
+
+    @property
+    def ok(self) -> bool:
+        return self.margin is None or self.margin > 0
 
 
 @record
 class SmallnessReport:
+    """The smallness rows of (n, alpha), their first tightest stratum and its margin.
+
+    The verdicts passed and vacuous are read from witness and min_margin.
+    """
+
     n: int
     alpha: GammaVec
-    passed: bool
-    vacuous: bool
     min_margin: int | None
     witness: StratumRecord | None
     rows: tuple[SmallnessRow, ...]
     # one row (f, min codim over strata with fiber_dim >= f, ok) per occurring f > 0
     aggregate: tuple[tuple[int, int, bool], ...]
+
+    @property
+    def passed(self) -> bool:
+        return self.witness is None or self.min_margin > 0
+
+    @property
+    def vacuous(self) -> bool:
+        return self.witness is None
 
 
 @record
@@ -234,8 +249,22 @@ def smallness_report(n: int, alpha: GammaVec, *, caps: Caps = DEFAULT_CAPS) -> S
 
     The aggregated form, min codim over strata with fiber_dim >= f above 2f
     for each f > 0, follows (codim > 2 * fiber_dim >= 2f) and is reported for
-    display. A pass with no constrained stratum at all is flagged vacuous;
-    otherwise min_margin and witness report the first tightest stratum.
+    display. min_margin and witness report the first tightest stratum, or
+    None when no stratum has fiber_dim > 0; such a report is vacuous.
+
+    On this function's output the check cannot fail. A stratum with m > 0
+    parts v of defect d has codim 2|d| - m, and its fiber_dim is the degree
+    of a product, sum_v deg K_v. Since deg K_v <= |v| - 1, with equality iff
+    v is a coroot (kostant_poly),
+
+        codim - 2 fiber_dim = 2|d| - m - 2 sum_v deg K_v
+                            = sum_v (2|v| - 1 - 2 deg K_v) >= m,
+
+    with equality iff every part is a coroot. So passed is always true, and
+    the margin is 1 exactly on the one-part strata whose part is a coroot of
+    length >= 2. There is such a stratum iff some stratum has fiber_dim > 0,
+    iff alpha has two adjacent nonzero coefficients, so min_margin is 1
+    exactly when the report is not vacuous.
     """
     rows = []
     # f -> min codim over the strata with fiber_dim exactly f > 0
@@ -244,7 +273,7 @@ def smallness_report(n: int, alpha: GammaVec, *, caps: Caps = DEFAULT_CAPS) -> S
     for rec in enumerate_strata(n, alpha, caps=caps):
         f = rec.fiber_dim
         margin = rec.codim - 2 * f if f > 0 else None
-        rows.append(_row(record=rec, margin=margin, ok=margin is None or margin > 0))
+        rows.append(_row(record=rec, margin=margin))
         if f > 0:
             min_codim[f] = min(min_codim.get(f, rec.codim), rec.codim)
             if witness is None or margin < min_margin:
@@ -257,8 +286,6 @@ def smallness_report(n: int, alpha: GammaVec, *, caps: Caps = DEFAULT_CAPS) -> S
     return SmallnessReport(
         n=n,
         alpha=alpha,
-        passed=witness is None or min_margin > 0,
-        vacuous=witness is None,
         min_margin=min_margin,
         witness=witness,
         rows=tuple(rows),

@@ -117,6 +117,12 @@ def fiber_coeffs_brute(n, parts):
     return out
 
 
+def is_coroot_coeffs(coeffs):
+    """True when the coefficients are one run of 1s among 0s: a positive coroot's expansion."""
+    support = [i for i, c in enumerate(coeffs) if c]
+    return bool(support) and support[-1] - support[0] + 1 == len(support) == sum(coeffs)
+
+
 def kostant_count(n, gamma):
     """Number of coroot partitions of gamma, by unbounded-knapsack DP."""
     cells = sorted(product(*(range(a + 1) for a in gamma.coeffs)))

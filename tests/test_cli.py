@@ -603,10 +603,10 @@ def test_failed_smallness_exits_1_in_every_format(capsys, monkeypatch):
     def failing_report(n, alpha, *, caps):
         report = smallness_report(n, alpha, caps=caps)
         rows = tuple(
-            helpers.replace(row, margin=-1, ok=False) if row.record == report.witness else row
+            helpers.replace(row, margin=-1) if row.record == report.witness else row
             for row in report.rows
         )
-        return helpers.replace(report, passed=False, min_margin=-1, rows=rows)
+        return helpers.replace(report, min_margin=-1, rows=rows)
 
     # the handler imports the strata names when it runs
     monkeypatch.setattr(strata, "smallness_report", failing_report)

@@ -1,9 +1,12 @@
+import ast
 import dataclasses
 import inspect
+import io
 import os
 import pickle
 import subprocess
 import sys
+import tokenize
 import traceback
 from pathlib import Path
 
@@ -262,6 +265,60 @@ def test_every_value_class_behaves_as_its_dataclass_twin():
                 assert (value == other) is (twin == helpers.dataclass_twin(other))
                 assert (value != other) is (twin != helpers.dataclass_twin(other))
             assert value != twin
+
+
+def test_verdicts_are_read_from_the_numbers_they_judge():
+    # a verdict is a property, not a field: no constructor takes it, and repr, ==, hash and
+    # __match_args__ leave it out, so no value holds a verdict that its numbers contradict
+    from quasiflags.oracle import BucketCheck, FiberCount, OracleReport
+    from quasiflags.strata import SmallnessReport, SmallnessRow
+
+    derived = {
+        SmallnessRow: ("ok",),
+        SmallnessReport: ("passed", "vacuous"),
+        OracleReport: ("missing_mu", "passed"),
+        FiberCount: ("total",),
+    }
+    for cls, names in derived.items():
+        for name in names:
+            assert isinstance(vars(cls)[name], property) and name not in cls.__match_args__, name
+    gamma = GammaVec((1, 1))
+    report = quasiflags.smallness_report(3, gamma)
+    with pytest.raises(TypeError):
+        helpers.replace(report, passed=False)
+    (tight,) = [row for row in report.rows if row.record == report.witness]
+    failing = helpers.replace(report, min_margin=-1, rows=(helpers.replace(tight, margin=-1),))
+    assert (failing.passed, failing.vacuous, failing.rows[0].ok) == (False, False, False)
+    assert "passed=" not in repr(failing) and "ok=" not in repr(failing.rows[0])
+    assert helpers.replace(report, witness=None, min_margin=None).vacuous
+    oracle = quasiflags.verify_against_kostant(3, gamma, 2)
+    first, *rest = oracle.buckets
+    emptied = helpers.replace(oracle, buckets=(BucketCheck(first.mu, first.expected, 0), *rest))
+    assert (emptied.missing_mu, emptied.passed) == ((first.mu,), False)
+    assert oracle.missing_mu == () and oracle.passed
+    count = quasiflags.fiber_point_count(3, gamma, 2)
+    assert count.total == 3 and FiberCount(count.buckets) == count
+
+
+def test_readme_library_quickstart_runs_as_written():
+    # README's quickstart block, statement by statement; each expression must equal the
+    # literal in its trailing comment
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## Library quickstart", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    tokens = tokenize.generate_tokens(io.StringIO(block).readline)
+    comments = {t.start[0]: t.string[1:].strip() for t in tokens if t.type == tokenize.COMMENT}
+    namespace, checked = {}, []
+    for stmt in ast.parse(block).body:
+        if isinstance(stmt, ast.Expr):
+            source = ast.unparse(stmt)
+            assert stmt.end_lineno in comments, f"no value shown for {source}"
+            value = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace)
+            assert value == ast.literal_eval(comments[stmt.end_lineno]), source
+            checked.append(source)
+        else:
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+    assert "(report.passed, report.min_margin)" in checked
+    assert "(oracle.passed, oracle.total_actual)" in checked
 
 
 def _hash_or_error(value):

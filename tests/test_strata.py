@@ -325,6 +325,28 @@ def test_smallness_grid():
             assert smallness_report(n, alpha).passed, alpha
 
 
+@settings(derandomize=True, deadline=None)
+@given(helpers.small_alphas())
+def test_smallness_margin_is_at_least_the_part_count(alpha):
+    # codim - 2 fiber_dim = 2|d| - m - 2 sum_v deg K_v = sum_v (2|v| - 1 - 2 deg K_v) >= m,
+    # with equality iff every part is a coroot; degrees and coroots from the helpers
+    rep = smallness_report(alpha.n, alpha)
+    for row in rep.rows:
+        rec = row.record
+        parts = rec.parts.parts
+        if not parts:
+            continue
+        fiber_degree = len(helpers.fiber_coeffs_brute(alpha.n, parts)) - 1
+        margin = rec.codim - 2 * rec.fiber_dim
+        assert margin == 2 * sum(v.length for v in parts) - len(parts) - 2 * fiber_degree, rec
+        assert margin >= len(parts), rec
+        assert (margin == len(parts)) == all(helpers.is_coroot_coeffs(v.coeffs) for v in parts), rec
+        assert row.margin == (margin if rec.fiber_dim > 0 else None) and row.ok, rec
+    adjacent = any(a and b for a, b in zip(alpha.coeffs, alpha.coeffs[1:]))
+    assert rep.vacuous == (not adjacent), alpha
+    assert rep.passed and rep.min_margin == (1 if adjacent else None), alpha
+
+
 def test_smallness_margin_definition():
     # a margin is reported exactly on the strata with positive fiber_dim
     rep = smallness_report(3, GammaVec((2, 2)))
