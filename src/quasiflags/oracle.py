@@ -566,9 +566,16 @@ class BucketCheck:
     expected: int
     actual: int
 
+    def __post_init__(self) -> None:
+        require_int("expected", self.expected, 0)
+        require_int("actual", self.actual, 0)
+
     @property
     def ok(self) -> bool:
         return self.expected == self.actual
+
+
+_bucket = BucketCheck._unchecked
 
 
 @record
@@ -617,6 +624,9 @@ def verify_against_kostant(
     counts = _mu_row_counts(n, gamma, q)
     expected_rows = {mu.rows for mu in expected_mus}
     unexpected = tuple(_triangle(n, "mu", r) for r in counts if r not in expected_rows)
-    checks = tuple(BucketCheck(mu, q ** stratum_dim(mu), counts.get(mu.rows, 0)) for mu in expected_mus)
+    # the counts are nonnegative ints by construction
+    checks = tuple(
+        _bucket(mu=mu, expected=q ** stratum_dim(mu), actual=counts.get(mu.rows, 0)) for mu in expected_mus
+    )
     total = sum(counts.values())
     return OracleReport(n, gamma, q, total_expected, total, unexpected, checks)

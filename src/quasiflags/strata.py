@@ -18,13 +18,12 @@ polynomial: coefficient j contributes a summand in cohomological degree
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from operator import sub
 
 # before `from . import kostant`, so that kostant loads by a path -X importtime logs
 from .kostant import ONE, IntPolynomial, fiber_poincare
 from . import kostant
-from .limits import Caps, DEFAULT_CAPS, record, require_type
+from .limits import Caps, DEFAULT_CAPS, record, require_int, require_type
 from .partitions import GammaPartition, _defect_segments, _gamma_partition, _gamma_vec
 from .roots import GammaVec, _box, _require_vector, flag_dim
 
@@ -74,6 +73,16 @@ class SmallnessReport:
     # one row (f, min codim over strata with fiber_dim >= f, ok) per occurring f > 0
     aggregate: tuple[tuple[int, int, bool], ...]
 
+    def __post_init__(self) -> None:
+        # a report names a witness exactly when it has a margin, so no verdict is left unread
+        if (self.witness is None) is not (self.min_margin is None):
+            raise ValueError(
+                f"min_margin must be None exactly when witness is, got min_margin={self.min_margin!r}"
+            )
+        if self.witness is not None:
+            require_type("witness", self.witness, StratumRecord)
+            require_int("min_margin", self.min_margin, None)
+
     @property
     def passed(self) -> bool:
         return self.witness is None or self.min_margin > 0
@@ -101,21 +110,21 @@ class ICStalkTable:
     entries: tuple[StalkEntry, ...]
 
 
-# records, rows, stalk entries and tables are valid by construction; they are built by
-# keyword, so that a reorder of the int fields cannot put a value in the wrong slot
-_record, _row = StratumRecord._unchecked, SmallnessRow._unchecked
+# records, rows, reports, stalk entries and tables are valid by construction; they are built
+# by keyword, so that a reorder of the int fields cannot put a value in the wrong slot
+_record, _row, _report = StratumRecord._unchecked, SmallnessRow._unchecked, SmallnessReport._unchecked
 _entry, _table = StalkEntry._unchecked, ICStalkTable._unchecked
 
 
-# at least 4,241, the partitions of the distinct defects in an atlas pass of the benchmark
-# (seeds 1-10), and 3,274, the strata of the largest listing among its command-line outputs
+# at least 566, the strata of the largest alpha in the benchmark's atlas pool, and 3,274,
+# the strata of the largest listing among its command-line outputs
 PARTITION_CACHE_SIZE = 8192
-# defect coefficients -> (its gamma partitions in canonical order, its segments (v, start)
-# with v by coefficients), oldest listing first; after each listing, at most
-# PARTITION_CACHE_SIZE partitions in all. Every access is one OrderedDict call, so threads
-# share it without a lock, as they share kostant's K cache: a race can cost a rebuild,
-# never a wrong record.
-_PARTITIONS: OrderedDict = OrderedDict()
+# None, or the last listed box of at most PARTITION_CACHE_SIZE strata besides the open one:
+# (alpha's coefficients, per defect index its gamma partitions in canonical order, per
+# defect index its segments (v, start) with v by box index). It is set by one assignment and
+# no list in it is changed once set, so threads share it without a lock: a race can cost a
+# rebuild, never a wrong record.
+_LAST = None
 
 
 def moduli_dim(n: int, alpha: GammaVec) -> int:
@@ -139,12 +148,14 @@ def enumerate_strata(n: int, alpha: GammaVec, *, caps: Caps = DEFAULT_CAPS) -> l
     defect d = alpha - beta are those of d - v with part v prepended, over
     the segments (v, start) of partitions._defect_segments, and their fiber
     polynomials are K_v(t) times those of d - v. The partitions and the
-    segments of d depend on d alone: a module cache keeps them, keyed by d
-    and bounded by PARTITION_CACHE_SIZE, so a later call whose box holds d
+    segments of the last listed box are kept, when it has at most
+    PARTITION_CACHE_SIZE strata besides the open one, so that the next call
+    for the same alpha, such as smallness_report's after enumerate_strata's,
     neither builds them nor searches them again. The polynomials are not
     kept: every call reads K afresh and multiplies each of its few distinct
     products K_v(t) * tail once.
     """
+    global _LAST
     _require_vector("alpha", alpha, caps, n)
     dim_b = flag_dim(n)
     box, strides = _box(alpha.coeffs)
@@ -162,32 +173,28 @@ def enumerate_strata(n: int, alpha: GammaVec, *, caps: Caps = DEFAULT_CAPS) -> l
         fiber_dim=0,
         fiber_poincare=ONE,
     )]
-    # each defect's cache entry, read once, so that no trim can take it away mid-listing
-    entries = [None, *map(_PARTITIONS.get, box[1:])]
-    known = None
-    if any(entries):
-        index = {v: i for i, v in enumerate(box)}
-
-        def known(d):
-            # a cached defect's segments, with each v by its index in this box
-            entry = entries[d]
-            return None if entry is None else [(index[v], start) for v, start in entry[1]]
-
-    # per defect index, its partitions and their fiber polynomials in canonical order
-    partitions, polys = [(empty,)], [[ONE]]
+    # per defect index, its partitions in canonical order and its segments: the kept box's,
+    # read once, or built here
+    last = _LAST
+    cold = last is None or last[0] != alpha.coeffs
+    if cold:
+        partitions, kept = [(empty,)], [()]
+        walk = _defect_segments(box, strides)
+    else:
+        _, partitions, kept = last
+        walk = enumerate(kept[1:], 1)
+    # per defect index, the fiber polynomials of its partitions
+    polys = [[ONE]]
     # per K_v(t), by coefficients: tail coefficients -> K_v(t) * tail, for this call only;
     # per box index v, the memo of K_v(t), or None where K_v(t) = 1 leaves every tail as it is
     products: dict = {}
     memos = [None if k.coeffs == (1,) else products.setdefault(k.coeffs, {}) for k in kpolys]
-    added = False
-    for d, segments in _defect_segments(box, strides, known):
+    for d, segments in walk:
         # alpha - defect sits at the index of alpha minus that of defect
         defect, beta = vecs[d], vecs[-1 - d]
         beta_dim = 2 * beta.length + dim_b
         defect_codim = 2 * defect.length
-        entry, d_polys = entries[d], []
-        # on a miss, the defect's partitions and its segments, v by coefficients
-        built, kept = ([], []) if entry is None else (None, None)
+        d_parts, d_polys = [] if cold else partitions[d], []
         for v, start in segments:
             memo = memos[v]
             if memo is None:
@@ -198,20 +205,13 @@ def enumerate_strata(n: int, alpha: GammaVec, *, caps: Caps = DEFAULT_CAPS) -> l
                     if poly is None:
                         poly = memo[tail.coeffs] = kpolys[v] * tail
                     d_polys.append(poly)
-            if built is not None:
+            if cold:
                 head = (vecs[v],)
                 for tail in partitions[d - v][start:]:
-                    built.append(_gamma_partition(n, head + tail.parts))
-                kept.append((box[v], start))
-        if built is not None:
-            entry = (built, kept)
-            # a defect with more partitions than the cache holds would only empty it;
-            # no list is changed once cached
-            if len(built) <= PARTITION_CACHE_SIZE:
-                _PARTITIONS[box[d]] = entry
-                added = True
-        d_parts = entry[0]
-        partitions.append(d_parts)
+                    d_parts.append(_gamma_partition(n, head + tail.parts))
+        if cold:
+            partitions.append(d_parts)
+            kept.append(segments)
         polys.append(d_polys)
         # the defects increase, so beta decreases
         for p, poly in zip(d_parts, d_polys):
@@ -226,22 +226,10 @@ def enumerate_strata(n: int, alpha: GammaVec, *, caps: Caps = DEFAULT_CAPS) -> l
                 fiber_dim=len(poly.coeffs) - 1,
                 fiber_poincare=poly,
             ))
-    if added:
-        _trim_partitions()
+    # a box of more strata than the bound is not kept; no kept list is changed again
+    if cold and len(out) - 1 <= PARTITION_CACHE_SIZE:
+        _LAST = (alpha.coeffs, partitions, kept)
     return out
-
-
-def _trim_partitions() -> None:
-    """Drop the oldest defects until at most PARTITION_CACHE_SIZE partitions are held."""
-    # list() copies the entries in one call, so another thread's listing cannot change them
-    # under the sum; it can at worst make this drop more defects, or fewer, than needed
-    held = sum([len(parts) for parts, _ in list(_PARTITIONS.values())])
-    while held > PARTITION_CACHE_SIZE:
-        try:
-            held -= len(_PARTITIONS.popitem(last=False)[1][0])
-        except KeyError:
-            # another thread emptied the cache
-            return
 
 
 def smallness_report(n: int, alpha: GammaVec, *, caps: Caps = DEFAULT_CAPS) -> SmallnessReport:
@@ -283,7 +271,7 @@ def smallness_report(n: int, alpha: GammaVec, *, caps: Caps = DEFAULT_CAPS) -> S
     # least codim at fiber_dim exactly f rises strictly with f: it is the
     # least over fiber_dim >= f
     aggregate = [(f, min_codim[f], min_codim[f] > 2 * f) for f in sorted(min_codim)]
-    return SmallnessReport(
+    return _report(
         n=n,
         alpha=alpha,
         min_margin=min_margin,

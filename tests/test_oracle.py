@@ -15,6 +15,7 @@ import quasiflags.oracle as oracle
 from quasiflags.kostant import IntPolynomial
 from quasiflags.limits import CapExceededError, Caps
 from quasiflags.oracle import (
+    BucketCheck,
     FlagChain,
     Lattice,
     contains,
@@ -426,6 +427,8 @@ def test_unchecked_buckets_and_chains_equal_their_checked_construction():
             for gamma in helpers.vectors_with_length_at_most(n, 3):
                 for mu in fiber_point_count(n, gamma, q).buckets:
                     helpers.assert_like_checked(mu)
+                for bucket in verify_against_kostant(n, gamma, q).buckets:
+                    helpers.assert_like_checked(bucket)
                 for chain in enumerate_fiber_chains(n, gamma, q):
                     helpers.assert_like_checked(chain)
                     helpers.assert_like_checked(mu_invariants(chain))
@@ -440,7 +443,7 @@ def test_listing_chains_and_blocks_never_run_the_lattice_checks(monkeypatch):
 
     # the inputs are built before GammaVec's checks are patched to raise
     gammas = [GammaVec((2, 3, 1)), GammaVec((1, 2, 1))]
-    for cls in (GammaVec, GammaPartition, IntPolynomial, KappaPartition, Triangle, Lattice, FlagChain):
+    for cls in (GammaVec, GammaPartition, IntPolynomial, KappaPartition, Triangle, Lattice, FlagChain, BucketCheck):
         monkeypatch.setattr(cls, "__post_init__", refuse)
     # a fresh cache, so that K_gamma(t) is counted and not read
     monkeypatch.setattr(kostant, "_CACHE", OrderedDict())
@@ -464,6 +467,14 @@ def test_chain_counts_match_hand_values():
     assert len(enumerate_fiber_chains(2, GammaVec((2,)), 3)) == 1
     assert len(enumerate_fiber_chains(3, GammaVec((1, 1)), 2)) == 3
     assert len(enumerate_fiber_chains(3, GammaVec((1, 1)), 3)) == 4
+
+
+def test_a_bucket_refuses_a_count_that_is_not_a_nonnegative_int():
+    mu = verify_against_kostant(3, GammaVec((1, 1)), 2).buckets[0].mu
+    assert BucketCheck(mu, 2, 0).ok is False
+    for expected, actual in ((-1, 0), (0, -1), (True, 1), (1, 1.0), (None, 0)):
+        with pytest.raises(ValueError, match="expected|actual"):
+            BucketCheck(mu, expected, actual)
 
 
 def test_bucket_hand_case():

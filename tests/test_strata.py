@@ -15,6 +15,7 @@ from quasiflags.partitions import GammaPartition, gamma_partitions
 from quasiflags.roots import GammaVec, gamma_as_coroot
 from quasiflags.strata import (
     ICStalkTable,
+    SmallnessReport,
     StalkEntry,
     enumerate_strata,
     ic_stalk_table,
@@ -164,12 +165,13 @@ def test_kostant_poly_is_read_once_per_box_vector(monkeypatch):
 
 
 def _cold_listing(n, alpha):
-    strata._PARTITIONS.clear()
+    strata._LAST = None
     return enumerate_strata(n, alpha)
 
 
 def _held():
-    return sum(len(parts) for parts, _ in strata._PARTITIONS.values())
+    # the partitions of the kept box, the open stratum's left out
+    return 0 if strata._LAST is None else sum(len(parts) for parts in strata._LAST[1][1:])
 
 
 @settings(derandomize=True, deadline=None)
@@ -180,29 +182,28 @@ def test_warm_listings_equal_cold_ones(pair):
     first, alpha = pair
     n = alpha.n
     cold_records = _cold_listing(n, alpha)
-    strata._PARTITIONS.clear()
+    strata._LAST = None
     cold_report = smallness_report(n, alpha)
-    # alpha's box overlaps first's, so the listings of alpha read partitions first's listing cached
-    shared = {
-        (tuple(a - b for a, b in zip(first.coeffs, r.beta.coeffs)), r.parts): r.parts
-        for r in _cold_listing(n, first)
-    }
+    # first's box is kept, so the first listing of alpha finds another box unless first
+    # is alpha; the second one, smallness_report's, reads the partitions the first one kept
+    _cold_listing(n, first)
     warm_records = enumerate_strata(n, alpha)
+    assert strata._LAST[0] == alpha.coeffs
     warm_report = smallness_report(n, alpha)
     assert warm_records == cold_records
     assert warm_report == cold_report
-    for rec in warm_records:
-        defect = tuple(a - b for a, b in zip(alpha.coeffs, rec.beta.coeffs))
-        if (defect, rec.parts) in shared and rec.m:
-            assert rec.parts is shared[defect, rec.parts]
+    for rec, row in zip(warm_records, warm_report.rows):
+        if rec.m:
+            assert row.record.parts is rec.parts
 
 
 def test_a_warm_listing_still_reads_kostant_poly(monkeypatch):
-    # partitions are cached across listings, fiber polynomials are not: a corrupted
-    # public kostant_poly reaches every record with parts of a listing whose box is cached
-    _cold_listing(3, GammaVec((2, 2)))
+    # partitions are kept across listings, fiber polynomials are not: a corrupted public
+    # kostant_poly reaches every record with parts of a listing whose box is kept
     alpha = GammaVec((2, 1))
-    assert all(d in strata._PARTITIONS for d in product(range(3), range(2)) if any(d))
+    _cold_listing(3, alpha)
+    kept = strata._LAST
+    assert kept[0] == alpha.coeffs
     recs = enumerate_strata(3, alpha)
     original = kostant.kostant_poly
 
@@ -211,6 +212,7 @@ def test_a_warm_listing_still_reads_kostant_poly(monkeypatch):
 
     monkeypatch.setattr(kostant, "kostant_poly", corrupted_poly)
     corrupted = enumerate_strata(3, alpha)
+    assert strata._LAST is kept
     assert len(corrupted) == len(recs)
     assert [r.fiber_poincare != c.fiber_poincare for r, c in zip(recs, corrupted)] == [
         r.m > 0 for r in recs
@@ -227,9 +229,9 @@ _OVERLAPPING = [
 @pytest.mark.parametrize("bound", [0, 1, 7, 60, 200])
 def test_the_partition_cache_stays_within_its_bound(monkeypatch, bound):
     expected = [_cold_listing(n, alpha) for n, alpha in _OVERLAPPING]
-    # a listing of more strata than the bound must trim the partitions it added
+    # a listing of more strata than the bound must not keep its box
     assert max(map(len, expected)) > 200
-    strata._PARTITIONS.clear()
+    strata._LAST = None
     monkeypatch.setattr(strata, "PARTITION_CACHE_SIZE", bound)
     # each alpha twice, the second time after its neighbours
     for (n, alpha), records in [*zip(_OVERLAPPING, expected), *zip(_OVERLAPPING, expected)]:
@@ -238,24 +240,26 @@ def test_the_partition_cache_stays_within_its_bound(monkeypatch, bound):
         assert [row.record for row in smallness_report(n, alpha).rows] == records
         assert _held() <= bound
     if not bound:
-        assert not strata._PARTITIONS
+        assert strata._LAST is None
 
 
 @pytest.mark.parametrize("bound", [strata.PARTITION_CACHE_SIZE, 150])
 def test_threads_share_the_partition_cache(monkeypatch, bound):
     expected = [_cold_listing(n, alpha) for n, alpha in _OVERLAPPING]
-    strata._PARTITIONS.clear()
+    strata._LAST = None
     monkeypatch.setattr(strata, "PARTITION_CACHE_SIZE", bound)
     start, results = threading.Barrier(4), {}
 
     def lister(k):
         start.wait(timeout=60)
-        # each thread starts at another alpha, so they list overlapping boxes at once
-        order = [(k + i) % len(_OVERLAPPING) for i in range(len(_OVERLAPPING))]
+        # each thread starts at another alpha, so they list overlapping boxes at once, and
+        # lists each alpha twice in a row, so that its second listing reads the kept box
+        # unless another thread's listing has replaced it
+        order = [(k + i) % len(_OVERLAPPING) for i in range(len(_OVERLAPPING)) for _ in range(2)]
         results[k] = [(i, enumerate_strata(*_OVERLAPPING[i])) for i in order]
 
     threads = [threading.Thread(target=lister, args=(k,)) for k in range(4)]
-    # switch threads often, so that their listings interleave between the cache's calls
+    # switch threads often, so that their listings interleave
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -268,7 +272,7 @@ def test_threads_share_the_partition_cache(monkeypatch, bound):
     assert not any(thread.is_alive() for thread in threads)
     assert sorted(results) == [0, 1, 2, 3]
     for listings in results.values():
-        assert len(listings) == len(_OVERLAPPING)
+        assert len(listings) == 2 * len(_OVERLAPPING)
         for i, records in listings:
             assert records == expected[i]
     assert _held() <= bound
@@ -317,6 +321,23 @@ def test_smallness_vacuous_rank_two():
     assert rep.witness is None
     assert rep.aggregate == ()
     assert all(row.margin is None and row.ok for row in rep.rows)
+
+
+def test_a_report_that_contradicts_itself_is_refused():
+    r = smallness_report(3, GammaVec((1, 1)))
+    # a witness without its margin, and a margin without its witness
+    for min_margin, witness in ((None, r.witness), (5, None)):
+        with pytest.raises(ValueError, match="min_margin must be None exactly when witness is"):
+            SmallnessReport(3, r.alpha, min_margin, witness, r.rows, r.aggregate)
+    with pytest.raises(TypeError, match="witness must be a StratumRecord"):
+        SmallnessReport(3, r.alpha, 1, r.rows[0], r.rows, r.aggregate)
+    for min_margin in (True, 1.0, "1"):
+        with pytest.raises(ValueError, match="min_margin must be an integer"):
+            SmallnessReport(3, r.alpha, min_margin, r.witness, r.rows, r.aggregate)
+    assert SmallnessReport(3, r.alpha, -1, r.witness, r.rows, r.aggregate).passed is False
+    # smallness_report builds its reports unchecked; the checked constructor takes them
+    for report in (r, smallness_report(2, GammaVec((3,)))):
+        helpers.assert_like_checked(report)
 
 
 def test_smallness_grid():
