@@ -515,9 +515,18 @@ class FiberCount:
 
     buckets: dict[Triangle, int]
 
+    def __post_init__(self) -> None:
+        require_type("buckets", self.buckets, dict)
+        for mu, count in self.buckets.items():
+            require_type("bucket mu", mu, Triangle)
+            require_int("bucket count", count, 0)
+
     @property
     def total(self) -> int:
         return sum(self.buckets.values())
+
+
+_fiber_count = FiberCount._unchecked
 
 
 def fiber_point_count(
@@ -532,8 +541,8 @@ def fiber_point_count(
     """
     _check_oracle_caps(n, gamma, q, caps)
     counts = _mu_row_counts(n, gamma, q)
-    buckets = {_triangle(n, "mu", rows): count for rows, count in counts.items()}
-    return FiberCount(buckets=buckets)
+    # the counts are powers of q by construction
+    return _fiber_count(buckets={_triangle(n, "mu", rows): count for rows, count in counts.items()})
 
 
 def _mu_row_counts(n: int, gamma: GammaVec, q: int) -> dict:
@@ -590,6 +599,16 @@ class OracleReport:
     unexpected_mu: tuple[Triangle, ...]
     buckets: tuple[BucketCheck, ...]
 
+    def __post_init__(self) -> None:
+        require_int("total_expected", self.total_expected, 0)
+        require_int("total_actual", self.total_actual, 0)
+        require_type("unexpected_mu", self.unexpected_mu, tuple)
+        for mu in self.unexpected_mu:
+            require_type("unexpected mu", mu, Triangle)
+        require_type("buckets", self.buckets, tuple)
+        for bucket in self.buckets:
+            require_type("bucket", bucket, BucketCheck)
+
     @property
     def missing_mu(self) -> tuple[Triangle, ...]:
         """The mu of each bucket with no chain, in bucket order.
@@ -604,6 +623,9 @@ class OracleReport:
     def passed(self) -> bool:
         same_total = self.total_expected == self.total_actual
         return not self.unexpected_mu and same_total and all(b.ok for b in self.buckets)
+
+
+_oracle_report = OracleReport._unchecked
 
 
 def verify_against_kostant(
@@ -628,5 +650,12 @@ def verify_against_kostant(
     checks = tuple(
         _bucket(mu=mu, expected=q ** stratum_dim(mu), actual=counts.get(mu.rows, 0)) for mu in expected_mus
     )
-    total = sum(counts.values())
-    return OracleReport(n, gamma, q, total_expected, total, unexpected, checks)
+    return _oracle_report(
+        n=n,
+        gamma=gamma,
+        q=q,
+        total_expected=total_expected,
+        total_actual=sum(counts.values()),
+        unexpected_mu=unexpected,
+        buckets=checks,
+    )

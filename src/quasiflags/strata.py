@@ -119,11 +119,10 @@ _entry, _table = StalkEntry._unchecked, ICStalkTable._unchecked
 # at least 566, the strata of the largest alpha in the benchmark's atlas pool, and 3,274,
 # the strata of the largest listing among its command-line outputs
 PARTITION_CACHE_SIZE = 8192
-# None, or the last listed box of at most PARTITION_CACHE_SIZE strata besides the open one:
-# (alpha's coefficients, per defect index its gamma partitions in canonical order, per
-# defect index its segments (v, start) with v by box index). It is set by one assignment and
-# no list in it is changed once set, so threads share it without a lock: a race can cost a
-# rebuild, never a wrong record.
+# None, or the last listing of at most PARTITION_CACHE_SIZE strata besides the open one, with
+# what it is a function of: (alpha's coefficients, the K_v(t) it read by box index, its
+# records). It is set by one assignment and nothing in it is changed once set, so threads
+# share it without a lock: a race can cost a listing, never a wrong record.
 _LAST = None
 
 
@@ -144,25 +143,28 @@ def enumerate_strata(n: int, alpha: GammaVec, *, caps: Caps = DEFAULT_CAPS) -> l
 
     The caps are checked once, and K_v(t) is read through the public
     kostant_poly once per nonzero box vector v <= alpha, alpha first, so
-    that one count fills the cache for the whole box. The partitions of a
-    defect d = alpha - beta are those of d - v with part v prepended, over
-    the segments (v, start) of partitions._defect_segments, and their fiber
-    polynomials are K_v(t) times those of d - v. The partitions and the
-    segments of the last listed box are kept, when it has at most
-    PARTITION_CACHE_SIZE strata besides the open one, so that the next call
-    for the same alpha, such as smallness_report's after enumerate_strata's,
-    neither builds them nor searches them again. The polynomials are not
-    kept: every call reads K afresh and multiplies each of its few distinct
-    products K_v(t) * tail once.
+    that one count fills the cache for the whole box. The records are a
+    function of alpha's coefficients and those K_v(t) alone, so the last
+    listing of at most PARTITION_CACHE_SIZE strata besides the open one is
+    kept with both, and a call that reads the same K for the same alpha,
+    such as smallness_report's after enumerate_strata's, returns a new list
+    of the kept records. Any other call lists: the partitions of a defect
+    d = alpha - beta are those of d - v with part v prepended, over the
+    segments (v, start) of partitions._defect_segments, and their fiber
+    polynomials are K_v(t) times those of d - v, each of the few distinct
+    products multiplied once.
     """
     global _LAST
     _require_vector("alpha", alpha, caps, n)
-    dim_b = flag_dim(n)
     box, strides = _box(alpha.coeffs)
     vecs = [_gamma_vec(v) for v in box]
     kpolys = [ONE] * len(vecs)
     for i in range(len(vecs) - 1, 0, -1):
         kpolys[i] = kostant.kostant_poly(vecs[i], caps=caps)
+    last = _LAST
+    if last is not None and last[0] == alpha.coeffs and last[1] == kpolys:
+        return list(last[2])
+    dim_b = flag_dim(n)
     empty = _gamma_partition(n, ())
     out = [_record(
         beta=alpha,
@@ -173,28 +175,18 @@ def enumerate_strata(n: int, alpha: GammaVec, *, caps: Caps = DEFAULT_CAPS) -> l
         fiber_dim=0,
         fiber_poincare=ONE,
     )]
-    # per defect index, its partitions in canonical order and its segments: the kept box's,
-    # read once, or built here
-    last = _LAST
-    cold = last is None or last[0] != alpha.coeffs
-    if cold:
-        partitions, kept = [(empty,)], [()]
-        walk = _defect_segments(box, strides)
-    else:
-        _, partitions, kept = last
-        walk = enumerate(kept[1:], 1)
-    # per defect index, the fiber polynomials of its partitions
-    polys = [[ONE]]
+    # per defect index, its partitions in canonical order and their fiber polynomials
+    partitions, polys = [(empty,)], [[ONE]]
     # per K_v(t), by coefficients: tail coefficients -> K_v(t) * tail, for this call only;
     # per box index v, the memo of K_v(t), or None where K_v(t) = 1 leaves every tail as it is
     products: dict = {}
     memos = [None if k.coeffs == (1,) else products.setdefault(k.coeffs, {}) for k in kpolys]
-    for d, segments in walk:
+    for d, segments in _defect_segments(box, strides):
         # alpha - defect sits at the index of alpha minus that of defect
         defect, beta = vecs[d], vecs[-1 - d]
         beta_dim = 2 * beta.length + dim_b
         defect_codim = 2 * defect.length
-        d_parts, d_polys = [] if cold else partitions[d], []
+        d_parts, d_polys = [], []
         for v, start in segments:
             memo = memos[v]
             if memo is None:
@@ -205,13 +197,10 @@ def enumerate_strata(n: int, alpha: GammaVec, *, caps: Caps = DEFAULT_CAPS) -> l
                     if poly is None:
                         poly = memo[tail.coeffs] = kpolys[v] * tail
                     d_polys.append(poly)
-            if cold:
-                head = (vecs[v],)
-                for tail in partitions[d - v][start:]:
-                    d_parts.append(_gamma_partition(n, head + tail.parts))
-        if cold:
-            partitions.append(d_parts)
-            kept.append(segments)
+            head = (vecs[v],)
+            for tail in partitions[d - v][start:]:
+                d_parts.append(_gamma_partition(n, head + tail.parts))
+        partitions.append(d_parts)
         polys.append(d_polys)
         # the defects increase, so beta decreases
         for p, poly in zip(d_parts, d_polys):
@@ -226,9 +215,9 @@ def enumerate_strata(n: int, alpha: GammaVec, *, caps: Caps = DEFAULT_CAPS) -> l
                 fiber_dim=len(poly.coeffs) - 1,
                 fiber_poincare=poly,
             ))
-    # a box of more strata than the bound is not kept; no kept list is changed again
-    if cold and len(out) - 1 <= PARTITION_CACHE_SIZE:
-        _LAST = (alpha.coeffs, partitions, kept)
+    # a listing of more strata than the bound is not kept; the caller gets its own list
+    if len(out) - 1 <= PARTITION_CACHE_SIZE:
+        _LAST = (alpha.coeffs, kpolys, tuple(out))
     return out
 
 

@@ -16,8 +16,10 @@ from quasiflags.kostant import IntPolynomial
 from quasiflags.limits import CapExceededError, Caps
 from quasiflags.oracle import (
     BucketCheck,
+    FiberCount,
     FlagChain,
     Lattice,
+    OracleReport,
     contains,
     coordinate_intersection,
     enumerate_fiber_chains,
@@ -443,7 +445,8 @@ def test_listing_chains_and_blocks_never_run_the_lattice_checks(monkeypatch):
 
     # the inputs are built before GammaVec's checks are patched to raise
     gammas = [GammaVec((2, 3, 1)), GammaVec((1, 2, 1))]
-    for cls in (GammaVec, GammaPartition, IntPolynomial, KappaPartition, Triangle, Lattice, FlagChain, BucketCheck):
+    checked = (GammaVec, GammaPartition, IntPolynomial, KappaPartition, Triangle, Lattice, FlagChain, BucketCheck)
+    for cls in (*checked, FiberCount, OracleReport):
         monkeypatch.setattr(cls, "__post_init__", refuse)
     # a fresh cache, so that K_gamma(t) is counted and not read
     monkeypatch.setattr(kostant, "_CACHE", OrderedDict())
@@ -475,6 +478,23 @@ def test_a_bucket_refuses_a_count_that_is_not_a_nonnegative_int():
     for expected, actual in ((-1, 0), (0, -1), (True, 1), (1, 1.0), (None, 0)):
         with pytest.raises(ValueError, match="expected|actual"):
             BucketCheck(mu, expected, actual)
+
+
+def test_reports_and_counts_refuse_fields_of_the_wrong_kind():
+    gamma = GammaVec((1, 1))
+    report = verify_against_kostant(3, gamma, 2)
+    assert OracleReport(*(getattr(report, f) for f in OracleReport.__match_args__)) == report
+    count = fiber_point_count(3, gamma, 2)
+    with pytest.raises(TypeError, match="bucket must be a BucketCheck"):
+        OracleReport(3, gamma, 2, 3, 3, (), (1, 2))
+    with pytest.raises(ValueError, match="total_expected must be a nonnegative integer"):
+        OracleReport(3, gamma, 2, -3, "x", (), ())
+    for buckets in ({1: "x"}, {"a": -5}):
+        with pytest.raises(TypeError, match="bucket mu must be a Triangle"):
+            FiberCount(buckets=buckets)
+    for bad in ("x", -5, True):
+        with pytest.raises(ValueError, match="bucket count must be a nonnegative integer"):
+            FiberCount(buckets={next(iter(count.buckets)): bad})
 
 
 def test_bucket_hand_case():

@@ -152,6 +152,10 @@ def test_kostant_poly_is_read_once_per_box_vector(monkeypatch):
     alpha = GammaVec((2, 1))
     recs = enumerate_strata(3, alpha)
     assert sorted(calls) == [(0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]
+    # a second listing of alpha, whose records are kept, reads the same K once each
+    calls.clear()
+    assert enumerate_strata(3, alpha) == recs
+    assert sorted(calls) == [(0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]
 
     # a corrupted public kostant_poly must reach every record with parts
     def corrupted_poly(gamma, **kwargs):
@@ -170,8 +174,8 @@ def _cold_listing(n, alpha):
 
 
 def _held():
-    # the partitions of the kept box, the open stratum's left out
-    return 0 if strata._LAST is None else sum(len(parts) for parts in strata._LAST[1][1:])
+    # the strata of the kept listing, the open stratum left out
+    return 0 if strata._LAST is None else len(strata._LAST[2]) - 1
 
 
 @settings(derandomize=True, deadline=None)
@@ -184,8 +188,8 @@ def test_warm_listings_equal_cold_ones(pair):
     cold_records = _cold_listing(n, alpha)
     strata._LAST = None
     cold_report = smallness_report(n, alpha)
-    # first's box is kept, so the first listing of alpha finds another box unless first
-    # is alpha; the second one, smallness_report's, reads the partitions the first one kept
+    # first's listing is kept, so the first listing of alpha finds another alpha unless
+    # first is alpha; the second one, smallness_report's, returns the records the first kept
     _cold_listing(n, first)
     warm_records = enumerate_strata(n, alpha)
     assert strata._LAST[0] == alpha.coeffs
@@ -193,17 +197,33 @@ def test_warm_listings_equal_cold_ones(pair):
     assert warm_records == cold_records
     assert warm_report == cold_report
     for rec, row in zip(warm_records, warm_report.rows):
-        if rec.m:
-            assert row.record.parts is rec.parts
+        assert row.record is rec
+
+
+@pytest.mark.parametrize(
+    "mutate", [lambda recs: recs.append(recs[0]), list.clear, lambda recs: recs.__delitem__(0)]
+)
+def test_a_returned_listing_is_the_callers_own(mutate):
+    # the kept records are a tuple, and each call returns a new list of them, so a caller
+    # that changes its list changes no later listing
+    alpha = GammaVec((2, 1))
+    cold_records = list(_cold_listing(3, alpha))
+    strata._LAST = None
+    cold_rows = smallness_report(3, alpha).rows
+    mutate(_cold_listing(3, alpha))
+    warm_records = enumerate_strata(3, alpha)
+    assert warm_records == cold_records
+    mutate(warm_records)
+    assert enumerate_strata(3, alpha) == cold_records
+    assert smallness_report(3, alpha).rows == cold_rows
 
 
 def test_a_warm_listing_still_reads_kostant_poly(monkeypatch):
-    # partitions are kept across listings, fiber polynomials are not: a corrupted public
-    # kostant_poly reaches every record with parts of a listing whose box is kept
+    # a listing is kept with the K it read, so a corrupted public kostant_poly reaches every
+    # record with parts of a listing whose records are kept
     alpha = GammaVec((2, 1))
     _cold_listing(3, alpha)
-    kept = strata._LAST
-    assert kept[0] == alpha.coeffs
+    assert strata._LAST[0] == alpha.coeffs
     recs = enumerate_strata(3, alpha)
     original = kostant.kostant_poly
 
@@ -212,12 +232,14 @@ def test_a_warm_listing_still_reads_kostant_poly(monkeypatch):
 
     monkeypatch.setattr(kostant, "kostant_poly", corrupted_poly)
     corrupted = enumerate_strata(3, alpha)
-    assert strata._LAST is kept
     assert len(corrupted) == len(recs)
     assert [r.fiber_poincare != c.fiber_poincare for r, c in zip(recs, corrupted)] == [
         r.m > 0 for r in recs
     ]
     assert [r.parts for r in corrupted] == [r.parts for r in recs]
+    # the corrupted listing may take the slot, but it never reaches a listing of the true K
+    monkeypatch.setattr(kostant, "kostant_poly", original)
+    assert enumerate_strata(3, alpha) == recs
 
 
 _OVERLAPPING = [
