@@ -105,7 +105,12 @@ _SCHEMA = {
 
 
 def stratum_records_from_json(payload: dict) -> list:
-    """Rebuild the records (StratumRecord) of a `strata --format json` payload."""
+    """Rebuild the records (StratumRecord) of a `strata --format json` payload.
+
+    Each record goes through the checked constructor, which refuses fields
+    of the wrong kind and numbers that disagree with beta, the parts and
+    the fiber polynomial, raising TypeError or ValueError.
+    """
     from .strata import StratumRecord
 
     records = []

@@ -576,6 +576,7 @@ class BucketCheck:
     actual: int
 
     def __post_init__(self) -> None:
+        require_type("mu", self.mu, Triangle)
         require_int("expected", self.expected, 0)
         require_int("actual", self.actual, 0)
 

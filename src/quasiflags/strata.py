@@ -23,7 +23,7 @@ from operator import sub
 # before `from . import kostant`, so that kostant loads by a path -X importtime logs
 from .kostant import ONE, IntPolynomial, fiber_poincare
 from . import kostant
-from .limits import Caps, DEFAULT_CAPS, record, require_int, require_type
+from .limits import Caps, DEFAULT_CAPS, record, require_int, require_rank, require_type
 from .partitions import GammaPartition, _defect_segments, _gamma_partition, _gamma_vec
 from .roots import GammaVec, _box, _require_vector, flag_dim
 
@@ -40,6 +40,28 @@ class StratumRecord:
     fiber_dim: int
     fiber_poincare: IntPolynomial
 
+    def __post_init__(self) -> None:
+        # the kinds of the fields, then the module docstring's identities between them
+        require_type("beta", self.beta, GammaVec)
+        require_type("parts", self.parts, GammaPartition)
+        if self.parts.n != self.beta.n:
+            raise ValueError("parts rank context does not match beta")
+        for name in ("m", "stratum_dim", "codim", "fiber_dim"):
+            require_int(name, getattr(self, name), None)
+        require_type("fiber_poincare", self.fiber_poincare, IntPolynomial)
+        if not self.fiber_poincare.coeffs:
+            raise ValueError("fiber_poincare must be nonzero")
+        m = len(self.parts.parts)
+        expected = {
+            "m": m,
+            "stratum_dim": 2 * self.beta.length + flag_dim(self.beta.n) + m,
+            "codim": 2 * self.parts.total.length - m,
+            "fiber_dim": self.fiber_poincare.degree,
+        }
+        for name, value in expected.items():
+            if getattr(self, name) != value:
+                raise ValueError(f"{name} must be {value} on this stratum, got {getattr(self, name)!r}")
+
 
 @record
 class SmallnessRow:
@@ -52,6 +74,15 @@ class SmallnessRow:
 
     record: StratumRecord
     margin: int | None
+
+    def __post_init__(self) -> None:
+        require_type("record", self.record, StratumRecord)
+        # any int, so that a failing row can be stated; its relation to the record is not checked
+        if self.record.fiber_dim == 0:
+            if self.margin is not None:
+                raise ValueError(f"margin must be None where fiber_dim is 0, got {self.margin!r}")
+        else:
+            require_int("margin", self.margin, None)
 
     @property
     def ok(self) -> bool:
@@ -98,6 +129,11 @@ class StalkEntry:
     twist: int
     multiplicity: int
 
+    def __post_init__(self) -> None:
+        require_int("degree", self.degree, None)
+        require_int("twist", self.twist, 0)
+        require_int("multiplicity", self.multiplicity, 1)
+
 
 @record
 class ICStalkTable:
@@ -108,6 +144,18 @@ class ICStalkTable:
     beta: GammaVec
     parts: GammaPartition
     entries: tuple[StalkEntry, ...]
+
+    def __post_init__(self) -> None:
+        # the kinds of the fields only: parity_check judges the degrees
+        require_rank(self.n)
+        require_type("alpha", self.alpha, GammaVec)
+        require_type("beta", self.beta, GammaVec)
+        require_type("parts", self.parts, GammaPartition)
+        if (self.alpha.n, self.beta.n, self.parts.n) != (self.n,) * 3:
+            raise ValueError("rank contexts do not match n")
+        require_type("entries", self.entries, tuple)
+        for entry in self.entries:
+            require_type("entry", entry, StalkEntry)
 
 
 # records, rows, reports, stalk entries and tables are valid by construction; they are built
@@ -148,11 +196,12 @@ def enumerate_strata(n: int, alpha: GammaVec, *, caps: Caps = DEFAULT_CAPS) -> l
     listing of at most PARTITION_CACHE_SIZE strata besides the open one is
     kept with both, and a call that reads the same K for the same alpha,
     such as smallness_report's after enumerate_strata's, returns a new list
-    of the kept records. Any other call lists: the partitions of a defect
-    d = alpha - beta are those of d - v with part v prepended, over the
-    segments (v, start) of partitions._defect_segments, and their fiber
-    polynomials are K_v(t) times those of d - v, each of the few distinct
-    products multiplied once.
+    of the kept records. Any other call lists, and builds each stratum of
+    defect d = alpha - beta from a stratum it has listed already: for each
+    segment (v, start) of partitions._defect_segments, every stratum of
+    defect d - v from position start on gives one of defect d, with part v
+    prepended to its partition and K_v(t) times its fiber polynomial, each
+    of the few distinct products multiplied once.
     """
     global _LAST
     _require_vector("alpha", alpha, caps, n)
@@ -165,18 +214,18 @@ def enumerate_strata(n: int, alpha: GammaVec, *, caps: Caps = DEFAULT_CAPS) -> l
     if last is not None and last[0] == alpha.coeffs and last[1] == kpolys:
         return list(last[2])
     dim_b = flag_dim(n)
-    empty = _gamma_partition(n, ())
     out = [_record(
         beta=alpha,
-        parts=empty,
+        parts=_gamma_partition(n, ()),
         m=0,
         stratum_dim=2 * alpha.length + dim_b,
         codim=0,
         fiber_dim=0,
         fiber_poincare=ONE,
     )]
-    # per defect index, its partitions in canonical order and their fiber polynomials
-    partitions, polys = [(empty,)], [[ONE]]
+    # per defect index, the slice (lo, hi) of out that holds its strata; the open stratum is
+    # the zero defect's one partition, the empty one, with fiber polynomial 1
+    spans = [(0, 1)]
     # per K_v(t), by coefficients: tail coefficients -> K_v(t) * tail, for this call only;
     # per box index v, the memo of K_v(t), or None where K_v(t) = 1 leaves every tail as it is
     products: dict = {}
@@ -186,35 +235,28 @@ def enumerate_strata(n: int, alpha: GammaVec, *, caps: Caps = DEFAULT_CAPS) -> l
         defect, beta = vecs[d], vecs[-1 - d]
         beta_dim = 2 * beta.length + dim_b
         defect_codim = 2 * defect.length
-        d_parts, d_polys = [], []
-        for v, start in segments:
-            memo = memos[v]
-            if memo is None:
-                d_polys += polys[d - v][start:]
-            else:
-                for tail in polys[d - v][start:]:
-                    poly = memo.get(tail.coeffs)
-                    if poly is None:
-                        poly = memo[tail.coeffs] = kpolys[v] * tail
-                    d_polys.append(poly)
-            head = (vecs[v],)
-            for tail in partitions[d - v][start:]:
-                d_parts.append(_gamma_partition(n, head + tail.parts))
-        partitions.append(d_parts)
-        polys.append(d_polys)
         # the defects increase, so beta decreases
-        for p, poly in zip(d_parts, d_polys):
-            m = len(p.parts)
-            out.append(_record(
-                beta=beta,
-                parts=p,
-                m=m,
-                stratum_dim=beta_dim + m,
-                codim=defect_codim - m,
-                # every K_v(t) is nonzero, so fiber_dim, poly's degree, is its length less one
-                fiber_dim=len(poly.coeffs) - 1,
-                fiber_poincare=poly,
-            ))
+        lo = len(out)
+        for v, start in segments:
+            memo, head = memos[v], (vecs[v],)
+            tail_lo, tail_hi = spans[d - v]
+            # a slice, not an iterator: out grows in this loop
+            for tail in out[tail_lo + start:tail_hi]:
+                poly = tail.fiber_poincare
+                if memo is not None:
+                    poly = memo.get(poly.coeffs) or memo.setdefault(poly.coeffs, kpolys[v] * poly)
+                m = tail.m + 1
+                out.append(_record(
+                    beta=beta,
+                    parts=_gamma_partition(n, head + tail.parts.parts),
+                    m=m,
+                    stratum_dim=beta_dim + m,
+                    codim=defect_codim - m,
+                    # every K_v(t) is nonzero, so fiber_dim, poly's degree, is its length less one
+                    fiber_dim=len(poly.coeffs) - 1,
+                    fiber_poincare=poly,
+                ))
+        spans.append((lo, len(out)))
     # a listing of more strata than the bound is not kept; the caller gets its own list
     if len(out) - 1 <= PARTITION_CACHE_SIZE:
         _LAST = (alpha.coeffs, kpolys, tuple(out))

@@ -192,6 +192,8 @@ _CALLABLES = [
     for obj in map(quasiflags.__getattr__, quasiflags.__all__)
     if callable(obj) and not (isinstance(obj, type) and issubclass(obj, Exception))
 ] + [Lattice.full, Lattice.from_generators, GammaPartition.of, KappaPartition.of, Triangle.from_flat, GammaVec.zero]
+# value classes with a verdict property that the package does not re-export
+_CALLABLES += [quasiflags.strata.SmallnessRow, quasiflags.oracle.BucketCheck]
 _PACKAGE = Path(quasiflags.__file__).parent
 
 
@@ -210,7 +212,13 @@ def test_every_public_callable_answers_refuses_by_name_or_hits_a_cap(data):
                 values = values.filter(lambda v: not (type(v) is int and v > 64))
             args.append(data.draw(values, label=param.name))
     try:
-        func(*args, **kwargs)
+        result = func(*args, **kwargs)
+        # every property of each package value returned, alone or in a list or tuple
+        for value in result if type(result) in (list, tuple) else (result,):
+            if "_unchecked" in vars(type(value)):
+                for name, attr in vars(type(value)).items():
+                    if isinstance(attr, property):
+                        getattr(value, name)
     except CapExceededError:
         pass
     except (TypeError, ValueError) as exc:

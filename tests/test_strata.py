@@ -16,7 +16,9 @@ from quasiflags.roots import GammaVec, gamma_as_coroot
 from quasiflags.strata import (
     ICStalkTable,
     SmallnessReport,
+    SmallnessRow,
     StalkEntry,
+    StratumRecord,
     enumerate_strata,
     ic_stalk_table,
     moduli_dim,
@@ -166,6 +168,32 @@ def test_kostant_poly_is_read_once_per_box_vector(monkeypatch):
     assert [r.fiber_poincare != c.fiber_poincare for r, c in zip(recs, corrupted)] == [
         r.m > 0 for r in recs
     ]
+
+
+@pytest.mark.parametrize("coeffs, products", [((2, 3, 1), 11), ((4, 4), 11), ((1, 2, 1, 1, 1), 12)])
+def test_each_distinct_product_is_multiplied_once(monkeypatch, coeffs, products):
+    # a listing multiplies once per distinct (K of the first part, fiber polynomial of the
+    # rest) with that K not 1, the polynomials counted apart from the library
+    alpha = GammaVec(coeffs)
+    n = alpha.n
+    # this listing also fills the K cache, so that the counted one reads every K_v(t)
+    recs = _cold_listing(n, alpha)
+    pairs = set()
+    for rec in recs[1:]:
+        head, *rest = rec.parts.parts
+        k = helpers.kostant_poly_brute(n, head).coeffs
+        if k != (1,):
+            pairs.add((k, tuple(helpers.fiber_coeffs_brute(n, rest))))
+    original, calls = IntPolynomial.__mul__, []
+
+    def counted(self, other):
+        calls.append((self.coeffs, other.coeffs))
+        return original(self, other)
+
+    monkeypatch.setattr(IntPolynomial, "__mul__", counted)
+    assert _cold_listing(n, alpha) == recs
+    assert len(calls) == len(pairs) == products
+    assert set(calls) == pairs
 
 
 def _cold_listing(n, alpha):
@@ -360,6 +388,78 @@ def test_a_report_that_contradicts_itself_is_refused():
     # smallness_report builds its reports unchecked; the checked constructor takes them
     for report in (r, smallness_report(2, GammaVec((3,)))):
         helpers.assert_like_checked(report)
+
+
+def test_atlas_values_refuse_fields_that_disagree():
+    from quasiflags import cli
+    from quasiflags.oracle import BucketCheck
+
+    alpha = GammaVec((1, 1))
+    opened, *_ = recs = enumerate_strata(3, alpha)
+    (rec,) = [r for r in recs if r.fiber_dim > 0]
+    bad_records = [
+        {"beta": (0, 0)},
+        {"parts": GammaPartition(4, ())},
+        {"m": 2},
+        {"m": True},
+        {"stratum_dim": rec.stratum_dim + 1},
+        {"codim": rec.codim - 2},
+        {"fiber_dim": 3},
+        {"fiber_poincare": (1, 1)},
+        {"fiber_poincare": IntPolynomial(())},
+        {"fiber_poincare": IntPolynomial((1, 0, 1))},
+    ]
+    for change in bad_records:
+        with pytest.raises((TypeError, ValueError)):
+            helpers.replace(rec, **change)
+    bad_values = [
+        lambda: SmallnessRow(rec, "x"),
+        lambda: SmallnessRow(rec, 1.5),
+        lambda: SmallnessRow(rec, None),
+        lambda: SmallnessRow(opened, 0),
+        lambda: SmallnessRow("x", None),
+        lambda: StalkEntry(1.5, "x", -3),
+        lambda: StalkEntry(-6, -1, 1),
+        lambda: StalkEntry(-6, 0, 0),
+        lambda: ICStalkTable(3, (1, 1), None, 5, [1]),
+        lambda: ICStalkTable(3, alpha, GammaVec((0, 0, 0)), rec.parts, ()),
+        lambda: ICStalkTable(3, alpha, rec.beta, rec.parts, [StalkEntry(-7, 0, 1)]),
+        lambda: BucketCheck("x", 1, 1),
+    ]
+    for build in bad_values:
+        with pytest.raises((TypeError, ValueError)):
+            build()
+    # the JSON readers build through the checked constructors
+    stratum = {"beta": [0, 0], "parts": [], "m": 2, "stratum_dim": 5, "codim": 0, "fiber_dim": 3}
+    with pytest.raises(ValueError, match="m must be 0"):
+        cli.stratum_records_from_json({"result": {"strata": [{**stratum, "fiber_poincare": [1]}]}})
+    table = {"params": {"n": 3, "alpha": [1, 1], "beta": [0, 0], "parts": [[1, 1]]}}
+    entry = {"degree": "-5", "twist": 0, "multiplicity": 1}
+    with pytest.raises(ValueError, match="degree must be an integer"):
+        cli.ic_stalk_table_from_json({**table, "result": {"entries": [entry]}})
+    # a failing row, with a margin that disagrees with its record, can still be stated
+    assert SmallnessRow(rec, -1).ok is False and SmallnessRow(rec, 0).ok is False
+
+
+def test_listings_and_reports_never_run_the_atlas_checks(monkeypatch):
+    # the library builds its records, rows, entries and tables unchecked
+    def refuse(self):
+        raise AssertionError(f"{type(self).__name__}.__post_init__ ran")
+
+    alpha = GammaVec((2, 3, 1))
+    for cls in (StratumRecord, SmallnessRow, StalkEntry, ICStalkTable):
+        monkeypatch.setattr(cls, "__post_init__", refuse)
+    # a fresh cache and no kept listing, so that both listings are cold
+    monkeypatch.setattr(kostant, "_CACHE", OrderedDict())
+    monkeypatch.setattr(strata, "_LAST", None)
+    recs = enumerate_strata(4, alpha)
+    strata._LAST = None
+    report = smallness_report(4, alpha)
+    assert [row.record for row in report.rows] == recs and report.passed
+    assert all(ic_stalk_table(4, alpha, rec.beta, rec.parts).entries for rec in recs)
+    # the patch is live: the public constructors still run the checks
+    with pytest.raises(AssertionError, match="StalkEntry.__post_init__ ran"):
+        StalkEntry(0, 0, 1)
 
 
 def test_smallness_grid():
