@@ -345,20 +345,22 @@ def _cmd_smallness(args, caps, n, alpha) -> Output:
         }
         for row in report.rows
     ]
+    # each summary is a pass over the rows, so each is read once
+    passed, vacuous, min_margin, witness = report.passed, report.vacuous, report.min_margin, report.witness
     result = {
-        "passed": report.passed,
-        "vacuous": report.vacuous,
-        "min_margin": report.min_margin,
-        "witness": _stratum(report.witness) if report.witness else None,
+        "passed": passed,
+        "vacuous": vacuous,
+        "min_margin": min_margin,
+        "witness": _stratum(witness) if witness else None,
         "rows": rows,
         "aggregate": [
             {"fiber_dim": f, "min_codim": c, "ok": ok} for f, c, ok in report.aggregate
         ],
     }
-    outcome = "PASS" if report.passed else "FAIL"
-    verdict = "PASS (vacuous)" if report.vacuous else f"{outcome} (min margin {report.min_margin})"
+    outcome = "PASS" if passed else "FAIL"
+    verdict = "PASS (vacuous)" if vacuous else f"{outcome} (min margin {min_margin})"
     headers = ("beta", "parts", "codim", "fiber_dim", "margin", "ok")
-    return Output(result, headers, rows, prefix=(verdict,), code=0 if report.passed else 1)
+    return Output(result, headers, rows, prefix=(verdict,), code=0 if passed else 1)
 
 
 def _cmd_ic_stalks(args, caps, n, alpha, beta) -> Output:

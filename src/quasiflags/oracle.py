@@ -601,6 +601,11 @@ class OracleReport:
     buckets: tuple[BucketCheck, ...]
 
     def __post_init__(self) -> None:
+        require_rank(self.n)
+        require_type("gamma", self.gamma, GammaVec)
+        if self.gamma.n != self.n:
+            raise ValueError("gamma rank context does not match n")
+        _require_prime(self.q)
         require_int("total_expected", self.total_expected, 0)
         require_int("total_actual", self.total_actual, 0)
         require_type("unexpected_mu", self.unexpected_mu, tuple)

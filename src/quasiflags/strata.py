@@ -91,36 +91,56 @@ class SmallnessRow:
 
 @record
 class SmallnessReport:
-    """The smallness rows of (n, alpha), their first tightest stratum and its margin.
+    """The smallness rows of (n, alpha), one per stratum, and the summaries read from them.
 
-    The verdicts passed and vacuous are read from witness and min_margin.
+    min_margin is the least margin of a row and witness the record of the
+    first row with it, both None on a vacuous report, where no row has one.
     """
 
     n: int
     alpha: GammaVec
-    min_margin: int | None
-    witness: StratumRecord | None
     rows: tuple[SmallnessRow, ...]
-    # one row (f, min codim over strata with fiber_dim >= f, ok) per occurring f > 0
-    aggregate: tuple[tuple[int, int, bool], ...]
 
     def __post_init__(self) -> None:
-        # a report names a witness exactly when it has a margin, so no verdict is left unread
-        if (self.witness is None) is not (self.min_margin is None):
-            raise ValueError(
-                f"min_margin must be None exactly when witness is, got min_margin={self.min_margin!r}"
-            )
-        if self.witness is not None:
-            require_type("witness", self.witness, StratumRecord)
-            require_int("min_margin", self.min_margin, None)
+        require_rank(self.n)
+        require_type("alpha", self.alpha, GammaVec)
+        if self.alpha.n != self.n:
+            raise ValueError("alpha rank context does not match n")
+        require_type("rows", self.rows, tuple)
+        for row in self.rows:
+            require_type("row", row, SmallnessRow)
+
+    @property
+    def min_margin(self) -> int | None:
+        return min((row.margin for row in self.rows if row.margin is not None), default=None)
+
+    @property
+    def witness(self) -> StratumRecord | None:
+        # min keeps the first of equal margins
+        rows = (row for row in self.rows if row.margin is not None)
+        tight = min(rows, key=lambda row: row.margin, default=None)
+        return None if tight is None else tight.record
 
     @property
     def passed(self) -> bool:
-        return self.witness is None or self.min_margin > 0
+        return all(row.ok for row in self.rows)
 
     @property
     def vacuous(self) -> bool:
-        return self.witness is None
+        return self.min_margin is None
+
+    @property
+    def aggregate(self) -> tuple[tuple[int, int, bool], ...]:
+        # one row (f, min codim over the rows with fiber_dim f, ok) per occurring f > 0; cutting
+        # the last simple coroot off a coroot of length >= 2 in a part's fewest-coroot cover
+        # lowers codim by 2 and fiber_dim by 0 or 1, so over all strata of an alpha the least
+        # codim at fiber_dim exactly f rises strictly with f: it is the least over fiber_dim >= f
+        min_codim: dict[int, int] = {}
+        for row in self.rows:
+            f, codim = row.record.fiber_dim, row.record.codim
+            if f > 0:
+                min_codim[f] = min(min_codim.get(f, codim), codim)
+        return tuple((f, c, c > 2 * f) for f, c in sorted(min_codim.items()))
 
 
 @record
@@ -266,10 +286,11 @@ def enumerate_strata(n: int, alpha: GammaVec, *, caps: Caps = DEFAULT_CAPS) -> l
 def smallness_report(n: int, alpha: GammaVec, *, caps: Caps = DEFAULT_CAPS) -> SmallnessReport:
     """Check codim > 2 * fiber_dim on every stratum of (n, alpha) with fiber_dim > 0.
 
-    The aggregated form, min codim over strata with fiber_dim >= f above 2f
-    for each f > 0, follows (codim > 2 * fiber_dim >= 2f) and is reported for
-    display. min_margin and witness report the first tightest stratum, or
-    None when no stratum has fiber_dim > 0; such a report is vacuous.
+    Each stratum gives a row with margin codim - 2 * fiber_dim, or None where
+    fiber_dim is 0, and the report reads its summaries from the rows: the
+    first tightest stratum and its margin, None on a vacuous report, and the
+    aggregated form, min codim over strata with fiber_dim >= f above 2f for
+    each f > 0, which follows (codim > 2 * fiber_dim >= 2f).
 
     On this function's output the check cannot fail. A stratum with m > 0
     parts v of defect d has codim 2|d| - m, and its fiber_dim is the degree
@@ -285,31 +306,11 @@ def smallness_report(n: int, alpha: GammaVec, *, caps: Caps = DEFAULT_CAPS) -> S
     iff alpha has two adjacent nonzero coefficients, so min_margin is 1
     exactly when the report is not vacuous.
     """
-    rows = []
-    # f -> min codim over the strata with fiber_dim exactly f > 0
-    min_codim: dict[int, int] = {}
-    min_margin = witness = None
-    for rec in enumerate_strata(n, alpha, caps=caps):
-        f = rec.fiber_dim
-        margin = rec.codim - 2 * f if f > 0 else None
-        rows.append(_row(record=rec, margin=margin))
-        if f > 0:
-            min_codim[f] = min(min_codim.get(f, rec.codim), rec.codim)
-            if witness is None or margin < min_margin:
-                min_margin, witness = margin, rec
-    # cutting the last simple coroot off a coroot of length >= 2 in a part's
-    # fewest-coroot cover lowers codim by 2 and fiber_dim by 0 or 1, so the
-    # least codim at fiber_dim exactly f rises strictly with f: it is the
-    # least over fiber_dim >= f
-    aggregate = [(f, min_codim[f], min_codim[f] > 2 * f) for f in sorted(min_codim)]
-    return _report(
-        n=n,
-        alpha=alpha,
-        min_margin=min_margin,
-        witness=witness,
-        rows=tuple(rows),
-        aggregate=tuple(aggregate),
+    rows = tuple(
+        _row(record=rec, margin=rec.codim - 2 * rec.fiber_dim if rec.fiber_dim > 0 else None)
+        for rec in enumerate_strata(n, alpha, caps=caps)
     )
+    return _report(n=n, alpha=alpha, rows=rows)
 
 
 def ic_stalk_table(

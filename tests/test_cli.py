@@ -606,7 +606,7 @@ def test_failed_smallness_exits_1_in_every_format(capsys, monkeypatch):
             helpers.replace(row, margin=-1) if row.record == report.witness else row
             for row in report.rows
         )
-        return helpers.replace(report, min_margin=-1, rows=rows)
+        return helpers.replace(report, rows=rows)
 
     # the handler imports the strata names when it runs
     monkeypatch.setattr(strata, "smallness_report", failing_report)

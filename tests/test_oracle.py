@@ -489,6 +489,16 @@ def test_reports_and_counts_refuse_fields_of_the_wrong_kind():
         OracleReport(3, gamma, 2, 3, 3, (), (1, 2))
     with pytest.raises(ValueError, match="total_expected must be a nonnegative integer"):
         OracleReport(3, gamma, 2, -3, "x", (), ())
+    for fields, error, match in (
+        (("x", 5, 1.5, 0, 0, (), ()), ValueError, "rank parameter n must be an integer >= 2"),
+        ((3, (1, 1), 2, 3, 3, (), ()), TypeError, "gamma must be a GammaVec"),
+        ((4, gamma, 2, 3, 3, (), ()), ValueError, "gamma rank context does not match n"),
+        ((3, gamma, 1.5, 3, 3, (), ()), ValueError, "q must be a prime"),
+        ((3, gamma, 4, 3, 3, (), ()), ValueError, "q must be a prime"),
+        ((3, gamma, 2, 3, 3, (5,), ()), TypeError, "unexpected mu must be a Triangle"),
+    ):
+        with pytest.raises(error, match=match):
+            OracleReport(*fields)
     for buckets in ({1: "x"}, {"a": -5}):
         with pytest.raises(TypeError, match="bucket mu must be a Triangle"):
             FiberCount(buckets=buckets)

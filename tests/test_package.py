@@ -283,7 +283,7 @@ def test_verdicts_are_read_from_the_numbers_they_judge():
 
     derived = {
         SmallnessRow: ("ok",),
-        SmallnessReport: ("passed", "vacuous"),
+        SmallnessReport: ("min_margin", "witness", "aggregate", "passed", "vacuous"),
         OracleReport: ("missing_mu", "passed"),
         FiberCount: ("total",),
     }
@@ -292,13 +292,15 @@ def test_verdicts_are_read_from_the_numbers_they_judge():
             assert isinstance(vars(cls)[name], property) and name not in cls.__match_args__, name
     gamma = GammaVec((1, 1))
     report = quasiflags.smallness_report(3, gamma)
-    with pytest.raises(TypeError):
-        helpers.replace(report, passed=False)
+    for name in ("passed", "min_margin", "witness", "aggregate"):
+        with pytest.raises(TypeError):
+            helpers.replace(report, **{name: None})
     (tight,) = [row for row in report.rows if row.record == report.witness]
-    failing = helpers.replace(report, min_margin=-1, rows=(helpers.replace(tight, margin=-1),))
+    failing = helpers.replace(report, rows=(helpers.replace(tight, margin=-1),))
     assert (failing.passed, failing.vacuous, failing.rows[0].ok) == (False, False, False)
+    assert (failing.min_margin, failing.witness) == (-1, tight.record)
     assert "passed=" not in repr(failing) and "ok=" not in repr(failing.rows[0])
-    assert helpers.replace(report, witness=None, min_margin=None).vacuous
+    assert helpers.replace(report, rows=tuple(row for row in report.rows if row is not tight)).vacuous
     oracle = quasiflags.verify_against_kostant(3, gamma, 2)
     first, *rest = oracle.buckets
     emptied = helpers.replace(oracle, buckets=(BucketCheck(first.mu, first.expected, 0), *rest))

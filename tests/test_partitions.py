@@ -79,6 +79,9 @@ def test_kappa_partition_validation():
         KappaPartition(3, ((Interval(1, 1), 0),))
     with pytest.raises(ValueError):
         KappaPartition(3, ((Interval(2, 2), 1), (Interval(1, 1), 1)))
+    for mult in ((5,), ((Interval(1, 1), 1, 0),), ([Interval(1, 1), 1],)):
+        with pytest.raises(TypeError, match=r"mult entries must be \(coroot, multiplicity\) pairs"):
+            KappaPartition(3, mult)
     k = KappaPartition.of(3, {Interval(1, 1): 2, Interval(2, 2): 0})
     assert k.multiplicity(Interval(1, 1)) == 2
     assert k.multiplicity(Interval(2, 2)) == 0

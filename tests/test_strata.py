@@ -375,19 +375,60 @@ def test_smallness_vacuous_rank_two():
 
 def test_a_report_that_contradicts_itself_is_refused():
     r = smallness_report(3, GammaVec((1, 1)))
-    # a witness without its margin, and a margin without its witness
-    for min_margin, witness in ((None, r.witness), (5, None)):
-        with pytest.raises(ValueError, match="min_margin must be None exactly when witness is"):
-            SmallnessReport(3, r.alpha, min_margin, witness, r.rows, r.aggregate)
-    with pytest.raises(TypeError, match="witness must be a StratumRecord"):
-        SmallnessReport(3, r.alpha, 1, r.rows[0], r.rows, r.aggregate)
-    for min_margin in (True, 1.0, "1"):
-        with pytest.raises(ValueError, match="min_margin must be an integer"):
-            SmallnessReport(3, r.alpha, min_margin, r.witness, r.rows, r.aggregate)
-    assert SmallnessReport(3, r.alpha, -1, r.witness, r.rows, r.aggregate).passed is False
+    (tight,) = [row for row in r.rows if row.margin is not None]
+    rows = tuple(helpers.replace(row, margin=-1) if row is tight else row for row in r.rows)
+    # the six-field forms that stored min_margin, witness and aggregate beside the rows: a
+    # failing row under a passing margin, a row with a margin in a vacuous report, and a
+    # witness of fiber_dim 0 with an aggregate that claims 0 > 14; no constructor takes them
+    for min_margin, witness, rows_given, aggregate in (
+        (1, r.witness, rows, r.aggregate),
+        (None, None, rows, r.aggregate),
+        (1, r.rows[0].record, r.rows, ((7, 0, True),)),
+    ):
+        with pytest.raises(TypeError):
+            SmallnessReport(3, r.alpha, min_margin, witness, rows_given, aggregate)
+        with pytest.raises(TypeError):
+            SmallnessReport(3, r.alpha, rows_given, min_margin=min_margin, witness=witness)
+    # the summaries follow the rows; aggregate reads the records, which are unchanged
+    failing = SmallnessReport(3, r.alpha, rows)
+    assert (failing.passed, failing.vacuous) == (False, False)
+    assert (failing.min_margin, failing.witness, failing.aggregate) == (-1, tight.record, r.aggregate)
+    # fields of the wrong kind
+    for fields, error, match in (
+        (("x", 5, "x"), ValueError, "rank parameter n must be an integer >= 2"),
+        ((True, r.alpha, r.rows), ValueError, "rank parameter n must be an integer >= 2"),
+        ((3, (1, 1), r.rows), TypeError, "alpha must be a GammaVec"),
+        ((4, r.alpha, r.rows), ValueError, "alpha rank context does not match n"),
+        ((3, r.alpha, list(r.rows)), TypeError, "rows must be a tuple"),
+        ((3, r.alpha, 7), TypeError, "rows must be a tuple"),
+        ((3, r.alpha, (tight.record,)), TypeError, "row must be a SmallnessRow"),
+    ):
+        with pytest.raises(error, match=match):
+            SmallnessReport(*fields)
     # smallness_report builds its reports unchecked; the checked constructor takes them
     for report in (r, smallness_report(2, GammaVec((3,)))):
         helpers.assert_like_checked(report)
+
+
+@settings(derandomize=True, deadline=None)
+@given(helpers.small_alphas(), st.data())
+def test_a_hand_built_report_reads_its_summaries_from_its_rows(alpha, data):
+    # drawn margins, negatives and ties included, on some rows with fiber_dim > 0, in a drawn
+    # order; the expected summaries are read off the rows here, not through the properties
+    rows = []
+    for row in smallness_report(alpha.n, alpha).rows:
+        if row.margin is not None and data.draw(st.booleans()):
+            row = SmallnessRow(row.record, data.draw(st.integers(-3, 3)))
+        rows.append(row)
+    rows = data.draw(st.permutations(rows))
+    report = SmallnessReport(alpha.n, alpha, tuple(rows))
+    least = witness = None
+    for row in rows:
+        if row.margin is not None and (least is None or row.margin < least):
+            least, witness = row.margin, row.record
+    assert (report.min_margin, report.witness) == (least, witness)
+    assert report.passed is all(row.margin is None or row.margin > 0 for row in rows)
+    assert report.vacuous is (least is None)
 
 
 def test_atlas_values_refuse_fields_that_disagree():
@@ -442,12 +483,12 @@ def test_atlas_values_refuse_fields_that_disagree():
 
 
 def test_listings_and_reports_never_run_the_atlas_checks(monkeypatch):
-    # the library builds its records, rows, entries and tables unchecked
+    # the library builds its records, rows, reports, entries and tables unchecked
     def refuse(self):
         raise AssertionError(f"{type(self).__name__}.__post_init__ ran")
 
     alpha = GammaVec((2, 3, 1))
-    for cls in (StratumRecord, SmallnessRow, StalkEntry, ICStalkTable):
+    for cls in (StratumRecord, SmallnessRow, SmallnessReport, StalkEntry, ICStalkTable):
         monkeypatch.setattr(cls, "__post_init__", refuse)
     # a fresh cache and no kept listing, so that both listings are cold
     monkeypatch.setattr(kostant, "_CACHE", OrderedDict())
