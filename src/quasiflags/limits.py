@@ -16,10 +16,14 @@ class CapExceededError(Exception):
     """An input lies beyond the configured enumeration limits."""
 
 
-# the code record writes per class, in one exec; "own" is the field tuple's items, "self.a, self.b, "
+# the code record writes per class, in one exec; "own" is the field tuple's items, "self.a, self.b, ".
+# The maker fills a value of the unfrozen slots base _base with plain stores, then gives it the
+# frozen class _cls, which CPython allows as _cls adds nothing to _base's layout; __init__ runs on
+# a value of _cls, so it sets each slot through the slot's descriptor
 _RECORD = """
 def _unchecked({params}):
-    obj = _new(_cls){set_obj}
+    obj = _new(_base){set_obj}
+    obj.__class__ = _cls
     return obj
 def __init__(self, {params}):{set_self}{check}
 def __eq__(self, other):
@@ -56,10 +60,13 @@ def record(cls: type) -> type:
     cls defines one; __eq__ on the field tuples of two values of one class;
     __hash__, the hash of the field tuple; the dataclass __repr__;
     __setattr__ and __delattr__ that raise dataclasses.FrozenInstanceError;
-    and __match_args__, the field names. The maker, cls._unchecked, takes
-    the same arguments and sets each slot through its bound descriptor, so
-    no check runs; it is only for values valid by construction. __reduce__
-    goes through it, so pickling does not rerun the checks either.
+    and __match_args__, the field names. The slots live on a private,
+    unfrozen base class that no module binds, and cls adds none of its own
+    (its __slots__ is ()). The maker, cls._unchecked, takes the same
+    arguments, makes a value of the base, fills each slot with a plain
+    store and then sets the value's __class__ to cls, so no check runs; it
+    is only for values valid by construction. __reduce__ goes through it,
+    so pickling does not rerun the checks either.
     """
     names = tuple(cls.__annotations__)
     # the fields become slots, so their defaults and the instance dict leave the class body
@@ -69,7 +76,7 @@ def record(cls: type) -> type:
     own = "".join(f"self.{f}, " for f in names)
     exec(_RECORD.format(
         params=", ".join(f"{f}=_default_{f}" if f"_default_{f}" in env else f for f in names),
-        set_obj="".join(f"\n    _set_{f}(obj, {f})" for f in names),
+        set_obj="".join(f"\n    obj.{f} = {f}" for f in names),
         set_self="".join(f"\n    _set_{f}(self, {f})" for f in names),
         check="\n    self.__post_init__()" if "__post_init__" in body else "",
         own=own,
@@ -81,12 +88,14 @@ def record(cls: type) -> type:
         body[name] = env[name]
     # a static method, by whose qualified name pickle finds the maker that __reduce__ returns
     body["_unchecked"] = staticmethod(env["_unchecked"])
-    body.update(__slots__=names, __match_args__=names)
+    body.update(__slots__=(), __match_args__=names)
     body.update(__setattr__=_frozen_setattr, __delattr__=_frozen_delattr)
-    new = type(cls)(cls.__name__, cls.__bases__, body)
+    slots = {"__slots__": names, "__module__": cls.__module__}
+    base = type(cls)(f"_{cls.__name__}Slots", cls.__bases__, slots)
+    new = type(cls)(cls.__name__, (base,), body)
     new.__qualname__ = cls.__qualname__
     # the functions read these globals when called, so they can be bound after the class is made
-    env["_cls"] = new
+    env.update(_base=base, _cls=new)
     env.update({f"_set_{f}": getattr(new, f).__set__ for f in names})
     return new
 

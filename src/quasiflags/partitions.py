@@ -376,25 +376,30 @@ def _defect_segments(box: list[tuple[int, ...]], strides: list[int]):
     Vectors are named by box index. The partitions of d in canonical order
     are, for each (v, start) in segments, part v prepended to those of d - v
     from position start on, whose leading parts are lex <= v; as the leading
-    parts along a list do not increase, start is found by bisection. Each
-    segment prepends v to at least one partition.
+    parts along a list do not increase, start is found by bisection. The v
+    walked, in decreasing lex order, are the v <= d that are nonzero at d's
+    first nonzero coordinate i, and these are exactly the leading parts of
+    d's partitions: such a v leads v followed by d - v cut into unit
+    vectors, each lex <= v, while every partition of d has a part nonzero
+    at i, lex above any v that is zero there. So each segment prepends v to
+    at least one partition, and no bisection is spent on a v that leads none.
     """
-    # per defect index: (minus v, start) of the run of its list led by v, for
-    # each segment's v (0 for the empty partition of 0), then (0, its length)
-    runs = [[(0, 0), (0, 1)]]
+    # per defect index: the keys, minus v of the run of its list led by v for each segment's v
+    # (0 for the empty partition of 0), then 0; and the starts of those runs, then its length
+    keys, starts = [[0, 0]], [[0, 1]]
     for d in range(1, len(box)):
-        segments, d_runs, size = [], [], 0
-        # the nonzero v <= d, by box index, in decreasing lex order
-        for v in map(sum, product(*(range(x * s, -1, -s) for x, s in zip(box[d], strides)))):
-            if not v:
-                break
-            tail_runs = runs[d - v]
-            start = tail_runs[bisect_left(tail_runs, (-v,))][1]
-            # a v that leads no partition has no run: the bisection for a
-            # smaller one finds the same start at the next run
-            if start < tail_runs[-1][1]:
-                segments.append((v, start))
-                d_runs.append((-v, size))
-                size += tail_runs[-1][1] - start
-        runs.append(d_runs + [(0, size)])
+        segments, d_keys, d_starts, size = [], [], [], 0
+        ranges = [range(x * s, -1, -s) for x, s in zip(box[d], strides)]
+        # v is nonzero at d's first nonzero coordinate
+        i = next(i for i, x in enumerate(box[d]) if x)
+        ranges[i] = ranges[i][:-1]
+        for v in map(sum, product(*ranges)):
+            tail_starts = starts[d - v]
+            start = tail_starts[bisect_left(keys[d - v], -v)]
+            segments.append((v, start))
+            d_keys.append(-v)
+            d_starts.append(size)
+            size += tail_starts[-1] - start
+        keys.append(d_keys + [0])
+        starts.append(d_starts + [size])
         yield d, segments

@@ -257,6 +257,27 @@ def vector_partition_count(alpha):
     return dp[tuple(alpha)]
 
 
+def gamma_partitions_reference(coeffs):
+    """The multisets of nonzero vectors summing to coeffs, each as its parts in decreasing lex order.
+
+    By recursion on the largest part v: v prepended to every multiset of
+    d - v whose parts are lex <= v.
+    """
+    return _partitions_below(tuple(coeffs), tuple(coeffs))
+
+
+@cache
+def _partitions_below(d, bound):
+    if not any(d):
+        return ((),)
+    return tuple(
+        (v,) + tail
+        for v in product(*(range(x + 1) for x in d))
+        if any(v) and v <= bound
+        for tail in _partitions_below(tuple(a - b for a, b in zip(d, v)), v)
+    )
+
+
 def min_codim_by_fiber_dim(alpha):
     """f -> least codim over the strata of alpha with fiber_dim exactly f > 0.
 
@@ -504,13 +525,17 @@ def dataclass_twin(value):
 def assert_like_checked(value):
     """Assert that a value built unchecked behaves as its checked construction.
 
-    The checked constructor must accept its fields and give a value that
-    equals, hashes and prints the same; it must also survive replace and a
-    pickle round trip, refuse assignment to every field, and carry no
-    __dict__ beside its slots.
+    The value must be of a class that limits.record wrote, and its checked
+    constructor must accept its fields and give a value that equals, hashes
+    and prints the same; it must also survive replace and a pickle round
+    trip, refuse assignment to every field, and carry no __dict__ beside
+    its slots.
     """
-    fields = type(value).__match_args__
-    checked = type(value)(*(getattr(value, name) for name in fields))
+    cls = type(value)
+    # a value that the maker left in its class's slots base is of no value class
+    assert "_unchecked" in vars(cls), f"{cls.__qualname__} is not a value class"
+    fields = cls.__match_args__
+    checked = cls(*(getattr(value, name) for name in fields))
     assert checked == value
     assert hash(checked) == hash(value)
     assert repr(checked) == repr(value)

@@ -228,7 +228,8 @@ def test_every_public_callable_answers_refuses_by_name_or_hits_a_cap(data):
         assert "integer string conversion" not in str(exc), repr(exc)
 
 
-def test_every_value_class_behaves_as_its_dataclass_twin():
+def _values_by_class():
+    """Package values per value class, with every class that limits.record wrote as a key."""
     from quasiflags import cli
 
     gamma = GammaVec((1, 1))
@@ -252,6 +253,11 @@ def test_every_value_class_behaves_as_its_dataclass_twin():
         if isinstance(obj, type) and "_unchecked" in obj.__dict__
     }
     assert set(by_class) == classes
+    return by_class
+
+
+def test_every_value_class_behaves_as_its_dataclass_twin():
+    by_class = _values_by_class()
     for cls, members in by_class.items():
         for value in members:
             twin = helpers.dataclass_twin(value)
@@ -273,6 +279,26 @@ def test_every_value_class_behaves_as_its_dataclass_twin():
                 assert (value == other) is (twin == helpers.dataclass_twin(other))
                 assert (value != other) is (twin != helpers.dataclass_twin(other))
             assert value != twin
+
+
+def test_every_value_class_adopts_its_values_from_an_unbound_slots_base():
+    # the maker fills a value of the unfrozen base with plain stores, then assigns __class__,
+    # which CPython allows only when the class adds nothing to the base's layout
+    by_class = _values_by_class()
+    bound = [
+        obj
+        for name, module in list(sys.modules.items())
+        if name.startswith("quasiflags.")
+        for obj in vars(module).values()
+    ]
+    for cls, (value, *_) in by_class.items():
+        base = cls.__mro__[1]
+        assert cls.__slots__ == ()
+        assert cls.__mro__ == (cls, base, object)
+        assert base.__slots__ == cls.__match_args__
+        assert not any(obj is base for obj in bound), base
+        made = cls._unchecked(**{name: getattr(value, name) for name in cls.__match_args__})
+        assert type(made) is cls and made == value
 
 
 def test_verdicts_are_read_from_the_numbers_they_judge():

@@ -17,8 +17,9 @@ from quasiflags.partitions import (
     mu_triangles,
     nu_to_mu,
     stratum_dim,
+    _defect_segments,
 )
-from quasiflags.roots import GammaVec, Interval
+from quasiflags.roots import GammaVec, Interval, _box
 from quasiflags.strata import smallness_report
 
 
@@ -315,6 +316,23 @@ def test_gamma_partitions_count_and_order(alpha):
         assert all(any(part) for part in key)
         assert list(key) == sorted(key, reverse=True)
         assert tuple(map(sum, zip((0,) * len(alpha.coeffs), *key))) == alpha.coeffs
+
+
+@settings(derandomize=True, deadline=None)
+@given(helpers.small_alphas())
+def test_defect_segments_walk_exactly_the_leading_parts(alpha):
+    # per defect d, the segments' v are the leading parts of d's reference partitions in
+    # decreasing lex order, and each prepends v to at least one partition of d - v: those
+    # from start on, past the ones led by a part lex above v
+    box, strides = _box(alpha.coeffs)
+    assert len(helpers.gamma_partitions_reference(alpha.coeffs)) == helpers.vector_partition_count(alpha.coeffs)
+    for d, segments in _defect_segments(box, strides):
+        leads = {parts[0] for parts in helpers.gamma_partitions_reference(box[d])}
+        assert [box[v] for v, _ in segments] == sorted(leads, reverse=True)
+        for v, start in segments:
+            tails = helpers.gamma_partitions_reference(box[d - v])
+            assert start < len(tails)
+            assert start == sum(1 for tail in tails if tail and tail[0] > box[v])
 
 
 def test_gamma_partitions_share_equal_parts():
