@@ -108,23 +108,27 @@ def stratum_records_from_json(payload: dict) -> list:
     """Rebuild the records (StratumRecord) of a `strata --format json` payload.
 
     Each record goes through the checked constructor, which refuses fields
-    of the wrong kind and numbers that disagree with beta, the parts and
-    the fiber polynomial, raising TypeError or ValueError.
+    of the wrong kind with TypeError or ValueError. The payload's m,
+    stratum_dim, codim and fiber_dim must be the ints that the record reads
+    from beta, the parts and the fiber polynomial; any other is refused
+    with ValueError.
     """
     from .strata import StratumRecord
 
     records = []
     for obj in payload["result"]["strata"]:
         beta = GammaVec(tuple(obj["beta"]))
-        records.append(StratumRecord(
+        rec = StratumRecord(
             beta=beta,
             parts=GammaPartition.of(beta.n, [GammaVec(tuple(p)) for p in obj["parts"]]),
-            m=obj["m"],
-            stratum_dim=obj["stratum_dim"],
-            codim=obj["codim"],
-            fiber_dim=obj["fiber_dim"],
             fiber_poincare=IntPolynomial(tuple(obj["fiber_poincare"])),
-        ))
+        )
+        for name in ("m", "stratum_dim", "codim", "fiber_dim"):
+            # an exact type test, as True == 1 and 1.0 == 1
+            value, given = getattr(rec, name), obj[name]
+            if type(given) is not int or given != value:
+                raise ValueError(f"{name} must be {value} on this stratum, got {given!r}")
+        records.append(rec)
     return records
 
 
@@ -331,22 +335,24 @@ def _cmd_strata(args, caps, n, alpha) -> Output:
 
 
 def _cmd_smallness(args, caps, n, alpha) -> Output:
-    from .strata import smallness_report
+    from .strata import _margin_ok, smallness_report
 
     report = smallness_report(n, alpha, caps=caps)
-    rows = [
-        {
-            "beta": row.record.beta,
-            "parts": row.record.parts,
-            "codim": row.record.codim,
-            "fiber_dim": row.record.fiber_dim,
-            "margin": row.margin,
-            "ok": row.ok,
-        }
-        for row in report.rows
-    ]
-    # each summary is a pass over the rows, so each is read once
-    passed, vacuous, min_margin, witness = report.passed, report.vacuous, report.min_margin, report.witness
+    # each number is a property of the row's record, so each is read once per row
+    rows = []
+    for row in report.rows:
+        rec, margin = row.record, row.margin
+        rows.append({
+            "beta": rec.beta,
+            "parts": rec.parts,
+            "codim": rec.codim,
+            "fiber_dim": rec.fiber_dim,
+            "margin": margin,
+            # SmallnessRow.ok, on the margin read above
+            "ok": _margin_ok(margin),
+        })
+    # the four summaries come from one pass over the rows
+    min_margin, witness, passed, vacuous = report._summaries()
     result = {
         "passed": passed,
         "vacuous": vacuous,

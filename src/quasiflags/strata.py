@@ -10,10 +10,11 @@ alpha - beta into m nonzero degree vectors:
 so the two always add up to the moduli dimension. The fiber of the
 resolution over a stratum point has Poincare polynomial
 prod_r K_{gamma_r}(t) over the parts of Gamma, whose degree f is the fiber
-dimension. The resolution is small exactly when codim > 2f on every stratum
-with f > 0, and the IC stalk at the stratum is read off the same
-polynomial: coefficient j contributes a summand in cohomological degree
--2|alpha| - dim B + 2j with Tate twist j.
+dimension. A StratumRecord holds beta, Gamma and that polynomial, and
+reads every other number of the stratum from them. The resolution is small
+exactly when codim > 2f on every stratum with f > 0, and the IC stalk at
+the stratum is read off the same polynomial: coefficient j contributes a
+summand in cohomological degree -2|alpha| - dim B + 2j with Tate twist j.
 """
 
 from __future__ import annotations
@@ -30,63 +31,76 @@ from .roots import GammaVec, _box, _require_vector, flag_dim
 
 @record
 class StratumRecord:
-    """One stratum of the quasimap moduli for (n, alpha), with its numerics."""
+    """One stratum (beta, Gamma) of the quasimap moduli for (n, alpha), with its fiber polynomial.
+
+    m, stratum_dim, codim and fiber_dim are read-only properties of the
+    fields, read from their coefficient tuples.
+    """
 
     beta: GammaVec
     parts: GammaPartition
-    m: int
-    stratum_dim: int
-    codim: int
-    fiber_dim: int
     fiber_poincare: IntPolynomial
 
     def __post_init__(self) -> None:
-        # the kinds of the fields, then the module docstring's identities between them
+        # the kinds of the fields; the numbers are read from them, so none can disagree
         require_type("beta", self.beta, GammaVec)
         require_type("parts", self.parts, GammaPartition)
         if self.parts.n != self.beta.n:
             raise ValueError("parts rank context does not match beta")
-        for name in ("m", "stratum_dim", "codim", "fiber_dim"):
-            require_int(name, getattr(self, name), None)
         require_type("fiber_poincare", self.fiber_poincare, IntPolynomial)
         if not self.fiber_poincare.coeffs:
             raise ValueError("fiber_poincare must be nonzero")
-        m = len(self.parts.parts)
-        expected = {
-            "m": m,
-            "stratum_dim": 2 * self.beta.length + flag_dim(self.beta.n) + m,
-            "codim": 2 * self.parts.total.length - m,
-            "fiber_dim": self.fiber_poincare.degree,
-        }
-        for name, value in expected.items():
-            if getattr(self, name) != value:
-                raise ValueError(f"{name} must be {value} on this stratum, got {getattr(self, name)!r}")
+
+    @property
+    def m(self) -> int:
+        return len(self.parts.parts)
+
+    @property
+    def stratum_dim(self) -> int:
+        # 2|beta| + dim B + m, where dim B = n(n-1)/2 and beta has n - 1 coefficients
+        r = len(self.beta.coeffs)
+        return 2 * sum(self.beta.coeffs) + (r + 1) * r // 2 + len(self.parts.parts)
+
+    @property
+    def codim(self) -> int:
+        # 2|sum of the parts| - m
+        parts = self.parts.parts
+        return 2 * sum([sum(part.coeffs) for part in parts]) - len(parts)
+
+    @property
+    def fiber_dim(self) -> int:
+        # the polynomial is nonzero, so its degree is its length less one
+        return len(self.fiber_poincare.coeffs) - 1
+
+
+def _margin_ok(margin: int | None) -> bool:
+    """The verdict on a smallness margin: vacuous (None) or positive."""
+    return margin is None or margin > 0
 
 
 @record
 class SmallnessRow:
-    """Per-stratum margin of the smallness inequality codim > 2 * fiber_dim.
+    """One stratum's row of the smallness inequality codim > 2 * fiber_dim.
 
-    margin is codim - 2*fiber_dim for strata with positive fiber dimension
-    and None on strata where the inequality is vacuous. The verdict ok is
-    read from it.
+    margin, codim - 2 * fiber_dim where fiber_dim > 0 and None elsewhere,
+    and the verdict ok are read-only properties of the record, so a failing
+    row is stated by a record whose polynomial has too high a degree.
     """
 
     record: StratumRecord
-    margin: int | None
 
     def __post_init__(self) -> None:
         require_type("record", self.record, StratumRecord)
-        # any int, so that a failing row can be stated; its relation to the record is not checked
-        if self.record.fiber_dim == 0:
-            if self.margin is not None:
-                raise ValueError(f"margin must be None where fiber_dim is 0, got {self.margin!r}")
-        else:
-            require_int("margin", self.margin, None)
+
+    @property
+    def margin(self) -> int | None:
+        rec = self.record
+        f = rec.fiber_dim
+        return rec.codim - 2 * f if f else None
 
     @property
     def ok(self) -> bool:
-        return self.margin is None or self.margin > 0
+        return _margin_ok(self.margin)
 
 
 @record
@@ -95,6 +109,8 @@ class SmallnessReport:
 
     min_margin is the least margin of a row and witness the record of the
     first row with it, both None on a vacuous report, where no row has one.
+    passed says that row is ok, or that there is none, and vacuous that
+    there is none.
     """
 
     n: int
@@ -110,24 +126,21 @@ class SmallnessReport:
         for row in self.rows:
             require_type("row", row, SmallnessRow)
 
-    @property
-    def min_margin(self) -> int | None:
-        return min((row.margin for row in self.rows if row.margin is not None), default=None)
+    def _summaries(self) -> tuple:
+        """(min_margin, witness, passed, vacuous), read off the first row of least margin."""
+        tight = least = None
+        for row in self.rows:
+            margin = row.margin
+            if margin is not None and (least is None or margin < least):
+                tight, least = row, margin
+        if tight is None:
+            return None, None, True, True
+        return least, tight.record, tight.ok, False
 
-    @property
-    def witness(self) -> StratumRecord | None:
-        # min keeps the first of equal margins
-        rows = (row for row in self.rows if row.margin is not None)
-        tight = min(rows, key=lambda row: row.margin, default=None)
-        return None if tight is None else tight.record
-
-    @property
-    def passed(self) -> bool:
-        return all(row.ok for row in self.rows)
-
-    @property
-    def vacuous(self) -> bool:
-        return self.min_margin is None
+    min_margin = property(lambda self: self._summaries()[0])
+    witness = property(lambda self: self._summaries()[1])
+    passed = property(lambda self: self._summaries()[2])
+    vacuous = property(lambda self: self._summaries()[3])
 
     @property
     def aggregate(self) -> tuple[tuple[int, int, bool], ...]:
@@ -137,8 +150,10 @@ class SmallnessReport:
         # codim at fiber_dim exactly f rises strictly with f: it is the least over fiber_dim >= f
         min_codim: dict[int, int] = {}
         for row in self.rows:
-            f, codim = row.record.fiber_dim, row.record.codim
+            rec = row.record
+            f = rec.fiber_dim
             if f > 0:
+                codim = rec.codim
                 min_codim[f] = min(min_codim.get(f, codim), codim)
         return tuple((f, c, c > 2 * f) for f, c in sorted(min_codim.items()))
 
@@ -179,7 +194,7 @@ class ICStalkTable:
 
 
 # records, rows, reports, stalk entries and tables are valid by construction; they are built
-# by keyword, so that a reorder of the int fields cannot put a value in the wrong slot
+# by keyword, so that a reorder of the fields cannot put a value in the wrong slot
 _record, _row, _report = StratumRecord._unchecked, SmallnessRow._unchecked, SmallnessReport._unchecked
 _entry, _table = StalkEntry._unchecked, ICStalkTable._unchecked
 
@@ -233,16 +248,7 @@ def enumerate_strata(n: int, alpha: GammaVec, *, caps: Caps = DEFAULT_CAPS) -> l
     last = _LAST
     if last is not None and last[0] == alpha.coeffs and last[1] == kpolys:
         return list(last[2])
-    dim_b = flag_dim(n)
-    out = [_record(
-        beta=alpha,
-        parts=_gamma_partition(n, ()),
-        m=0,
-        stratum_dim=2 * alpha.length + dim_b,
-        codim=0,
-        fiber_dim=0,
-        fiber_poincare=ONE,
-    )]
+    out = [_record(beta=alpha, parts=_gamma_partition(n, ()), fiber_poincare=ONE)]
     # per defect index, the slice (lo, hi) of out that holds its strata; the open stratum is
     # the zero defect's one partition, the empty one, with fiber polynomial 1
     spans = [(0, 1)]
@@ -251,11 +257,9 @@ def enumerate_strata(n: int, alpha: GammaVec, *, caps: Caps = DEFAULT_CAPS) -> l
     products: dict = {}
     memos = [None if k.coeffs == (1,) else products.setdefault(k.coeffs, {}) for k in kpolys]
     for d, segments in _defect_segments(box, strides):
-        # alpha - defect sits at the index of alpha minus that of defect
-        defect, beta = vecs[d], vecs[-1 - d]
-        beta_dim = 2 * beta.length + dim_b
-        defect_codim = 2 * defect.length
-        # the defects increase, so beta decreases
+        # alpha - defect sits at the index of alpha minus that of defect; the defects
+        # increase, so beta decreases
+        beta = vecs[-1 - d]
         lo = len(out)
         for v, start in segments:
             memo, head = memos[v], (vecs[v],)
@@ -265,17 +269,8 @@ def enumerate_strata(n: int, alpha: GammaVec, *, caps: Caps = DEFAULT_CAPS) -> l
                 poly = tail.fiber_poincare
                 if memo is not None:
                     poly = memo.get(poly.coeffs) or memo.setdefault(poly.coeffs, kpolys[v] * poly)
-                m = tail.m + 1
-                out.append(_record(
-                    beta=beta,
-                    parts=_gamma_partition(n, head + tail.parts.parts),
-                    m=m,
-                    stratum_dim=beta_dim + m,
-                    codim=defect_codim - m,
-                    # every K_v(t) is nonzero, so fiber_dim, poly's degree, is its length less one
-                    fiber_dim=len(poly.coeffs) - 1,
-                    fiber_poincare=poly,
-                ))
+                parts = _gamma_partition(n, head + tail.parts.parts)
+                out.append(_record(beta=beta, parts=parts, fiber_poincare=poly))
         spans.append((lo, len(out)))
     # a listing of more strata than the bound is not kept; the caller gets its own list
     if len(out) - 1 <= PARTITION_CACHE_SIZE:
@@ -286,11 +281,12 @@ def enumerate_strata(n: int, alpha: GammaVec, *, caps: Caps = DEFAULT_CAPS) -> l
 def smallness_report(n: int, alpha: GammaVec, *, caps: Caps = DEFAULT_CAPS) -> SmallnessReport:
     """Check codim > 2 * fiber_dim on every stratum of (n, alpha) with fiber_dim > 0.
 
-    Each stratum gives a row with margin codim - 2 * fiber_dim, or None where
-    fiber_dim is 0, and the report reads its summaries from the rows: the
-    first tightest stratum and its margin, None on a vacuous report, and the
-    aggregated form, min codim over strata with fiber_dim >= f above 2f for
-    each f > 0, which follows (codim > 2 * fiber_dim >= 2f).
+    Each stratum gives a row of its record alone, which reads its margin
+    codim - 2 * fiber_dim, or None where fiber_dim is 0, from the record. The
+    report reads its summaries from the rows: the first tightest stratum and
+    its margin, None on a vacuous report, and the aggregated form, min codim
+    over strata with fiber_dim >= f above 2f for each f > 0, which follows
+    (codim > 2 * fiber_dim >= 2f).
 
     On this function's output the check cannot fail. A stratum with m > 0
     parts v of defect d has codim 2|d| - m, and its fiber_dim is the degree
@@ -306,10 +302,7 @@ def smallness_report(n: int, alpha: GammaVec, *, caps: Caps = DEFAULT_CAPS) -> S
     iff alpha has two adjacent nonzero coefficients, so min_margin is 1
     exactly when the report is not vacuous.
     """
-    rows = tuple(
-        _row(record=rec, margin=rec.codim - 2 * rec.fiber_dim if rec.fiber_dim > 0 else None)
-        for rec in enumerate_strata(n, alpha, caps=caps)
-    )
+    rows = tuple(_row(record=rec) for rec in enumerate_strata(n, alpha, caps=caps))
     return _report(n=n, alpha=alpha, rows=rows)
 
 

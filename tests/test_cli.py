@@ -601,9 +601,12 @@ def test_failed_verification_exits_1_in_every_format(capsys, monkeypatch):
 
 def test_failed_smallness_exits_1_in_every_format(capsys, monkeypatch):
     def failing_report(n, alpha, *, caps):
+        # the tight row's record with a fiber polynomial of degree 2: codim 3, margin -1
         report = smallness_report(n, alpha, caps=caps)
+        too_big = IntPolynomial((1, 1, 1))
         rows = tuple(
-            helpers.replace(row, margin=-1) if row.record == report.witness else row
+            strata.SmallnessRow(helpers.replace(row.record, fiber_poincare=too_big))
+            if row.record == report.witness else row
             for row in report.rows
         )
         return helpers.replace(report, rows=rows)
@@ -618,7 +621,7 @@ def test_failed_smallness_exits_1_in_every_format(capsys, monkeypatch):
         "(1,1)  -            0      0          -       yes\n"
         "(1,0)  (0,1)        1      0          -       yes\n"
         "(0,1)  (1,0)        1      0          -       yes\n"
-        "(0,0)  (1,1)        3      1          -1      NO\n"
+        "(0,0)  (1,1)        3      2          -1      NO\n"
         "(0,0)  (1,0)+(0,1)  2      0          -       yes\n"
     ), "")
     assert run_cli(capsys, *argv, "--format", "csv") == (1, (
@@ -626,7 +629,7 @@ def test_failed_smallness_exits_1_in_every_format(capsys, monkeypatch):
         '"(1,1)",-,0,0,-,yes\n'
         '"(1,0)","(0,1)",1,0,-,yes\n'
         '"(0,1)","(1,0)",1,0,-,yes\n'
-        '"(0,0)","(1,1)",3,1,-1,NO\n'
+        '"(0,0)","(1,1)",3,2,-1,NO\n'
         '"(0,0)","(1,0)+(0,1)",2,0,-,yes\n'
     ), "")
     code, out, err = run_cli(capsys, *argv, "--format", "json")
@@ -634,7 +637,7 @@ def test_failed_smallness_exits_1_in_every_format(capsys, monkeypatch):
     result = json.loads(out)["result"]
     assert (result["passed"], result["min_margin"]) == (False, -1)
     assert result["rows"][3] == {
-        "beta": [0, 0], "parts": [[1, 1]], "codim": 3, "fiber_dim": 1, "margin": -1, "ok": False,
+        "beta": [0, 0], "parts": [[1, 1]], "codim": 3, "fiber_dim": 2, "margin": -1, "ok": False,
     }
     assert result["rows"][0]["margin"] is None
 

@@ -302,13 +302,15 @@ def test_every_value_class_adopts_its_values_from_an_unbound_slots_base():
 
 
 def test_verdicts_are_read_from_the_numbers_they_judge():
-    # a verdict is a property, not a field: no constructor takes it, and repr, ==, hash and
-    # __match_args__ leave it out, so no value holds a verdict that its numbers contradict
+    # a verdict, or a number read from other fields, is a property, not a field: no constructor
+    # takes it, and repr, ==, hash and __match_args__ leave it out, so no value holds a verdict
+    # that its numbers contradict
     from quasiflags.oracle import BucketCheck, FiberCount, OracleReport
-    from quasiflags.strata import SmallnessReport, SmallnessRow
+    from quasiflags.strata import SmallnessReport, SmallnessRow, StratumRecord
 
     derived = {
-        SmallnessRow: ("ok",),
+        StratumRecord: ("m", "stratum_dim", "codim", "fiber_dim"),
+        SmallnessRow: ("margin", "ok"),
         SmallnessReport: ("min_margin", "witness", "aggregate", "passed", "vacuous"),
         OracleReport: ("missing_mu", "passed"),
         FiberCount: ("total",),
@@ -322,10 +324,19 @@ def test_verdicts_are_read_from_the_numbers_they_judge():
         with pytest.raises(TypeError):
             helpers.replace(report, **{name: None})
     (tight,) = [row for row in report.rows if row.record == report.witness]
-    failing = helpers.replace(report, rows=(helpers.replace(tight, margin=-1),))
+    for name in ("m", "stratum_dim", "codim", "fiber_dim"):
+        with pytest.raises(TypeError):
+            helpers.replace(tight.record, **{name: 0})
+    for name in ("margin", "ok"):
+        with pytest.raises(TypeError):
+            helpers.replace(tight, **{name: -1})
+    # a failing row is stated by its record: a fiber polynomial of degree 2 under codim 3
+    record = helpers.replace(tight.record, fiber_poincare=quasiflags.IntPolynomial((1, 1, 1)))
+    failing = helpers.replace(report, rows=(SmallnessRow(record),))
     assert (failing.passed, failing.vacuous, failing.rows[0].ok) == (False, False, False)
-    assert (failing.min_margin, failing.witness) == (-1, tight.record)
+    assert (failing.min_margin, failing.witness, failing.aggregate) == (-1, record, ((2, 3, False),))
     assert "passed=" not in repr(failing) and "ok=" not in repr(failing.rows[0])
+    assert "codim=" not in repr(record) and "margin=" not in repr(failing.rows[0])
     assert helpers.replace(report, rows=tuple(row for row in report.rows if row is not tight)).vacuous
     oracle = quasiflags.verify_against_kostant(3, gamma, 2)
     first, *rest = oracle.buckets

@@ -376,7 +376,12 @@ def test_smallness_vacuous_rank_two():
 def test_a_report_that_contradicts_itself_is_refused():
     r = smallness_report(3, GammaVec((1, 1)))
     (tight,) = [row for row in r.rows if row.margin is not None]
-    rows = tuple(helpers.replace(row, margin=-1) if row is tight else row for row in r.rows)
+    # a row takes no margin beside its record, so none can disagree with it
+    with pytest.raises(TypeError):
+        helpers.replace(tight, margin=-1)
+    # a failing row: the tight record with a fiber polynomial of degree 2, so codim 3 and margin -1
+    failing_record = helpers.replace(tight.record, fiber_poincare=IntPolynomial((1, 1, 1)))
+    rows = tuple(SmallnessRow(failing_record) if row is tight else row for row in r.rows)
     # the six-field forms that stored min_margin, witness and aggregate beside the rows: a
     # failing row under a passing margin, a row with a margin in a vacuous report, and a
     # witness of fiber_dim 0 with an aggregate that claims 0 > 14; no constructor takes them
@@ -389,10 +394,11 @@ def test_a_report_that_contradicts_itself_is_refused():
             SmallnessReport(3, r.alpha, min_margin, witness, rows_given, aggregate)
         with pytest.raises(TypeError):
             SmallnessReport(3, r.alpha, rows_given, min_margin=min_margin, witness=witness)
-    # the summaries follow the rows; aggregate reads the records, which are unchanged
+    # the summaries follow the rows, and aggregate, read from the same records, agrees
     failing = SmallnessReport(3, r.alpha, rows)
     assert (failing.passed, failing.vacuous) == (False, False)
-    assert (failing.min_margin, failing.witness, failing.aggregate) == (-1, tight.record, r.aggregate)
+    assert (failing.min_margin, failing.witness) == (-1, failing_record)
+    assert failing.aggregate == ((2, 3, False),)
     # fields of the wrong kind
     for fields, error, match in (
         (("x", 5, "x"), ValueError, "rank parameter n must be an integer >= 2"),
@@ -413,22 +419,50 @@ def test_a_report_that_contradicts_itself_is_refused():
 @settings(derandomize=True, deadline=None)
 @given(helpers.small_alphas(), st.data())
 def test_a_hand_built_report_reads_its_summaries_from_its_rows(alpha, data):
-    # drawn margins, negatives and ties included, on some rows with fiber_dim > 0, in a drawn
-    # order; the expected summaries are read off the rows here, not through the properties
-    rows = []
+    # drawn fiber polynomial degrees, so margins negative, tied or gone, on some rows with
+    # fiber_dim > 0, in a drawn order; the expected margins are read off alpha, beta, the number
+    # of parts and the drawn degree here, not through the properties
+    pairs = []
     for row in smallness_report(alpha.n, alpha).rows:
-        if row.margin is not None and data.draw(st.booleans()):
-            row = SmallnessRow(row.record, data.draw(st.integers(-3, 3)))
-        rows.append(row)
-    rows = data.draw(st.permutations(rows))
-    report = SmallnessReport(alpha.n, alpha, tuple(rows))
+        rec = row.record
+        degree = len(rec.fiber_poincare.coeffs) - 1
+        if degree > 0 and data.draw(st.booleans()):
+            degree = data.draw(st.integers(0, 4))
+            rec = helpers.replace(rec, fiber_poincare=IntPolynomial((1,) * (degree + 1)))
+            row = SmallnessRow(rec)
+        codim = 2 * (alpha.length - rec.beta.length) - len(rec.parts.parts)
+        pairs.append((row, codim - 2 * degree if degree else None))
+    pairs = data.draw(st.permutations(pairs))
+    report = SmallnessReport(alpha.n, alpha, tuple(row for row, _ in pairs))
     least = witness = None
-    for row in rows:
-        if row.margin is not None and (least is None or row.margin < least):
-            least, witness = row.margin, row.record
+    for row, margin in pairs:
+        if margin is not None and (least is None or margin < least):
+            least, witness = margin, row.record
     assert (report.min_margin, report.witness) == (least, witness)
-    assert report.passed is all(row.margin is None or row.margin > 0 for row in rows)
+    assert report.passed is all(margin is None or margin > 0 for _, margin in pairs)
     assert report.vacuous is (least is None)
+
+
+@settings(derandomize=True, deadline=None)
+@given(helpers.small_alphas(), st.data())
+def test_hand_built_rows_read_their_margins_from_their_records(alpha, data):
+    # every record of alpha with a drawn fiber polynomial degree; no row takes a margin of its own
+    rows = smallness_report(alpha.n, alpha).rows
+    with pytest.raises(TypeError):
+        SmallnessRow(rows[0].record, -1)
+    drawn = []
+    for row in rows:
+        degree = data.draw(st.integers(0, 4))
+        rec = helpers.replace(row.record, fiber_poincare=IntPolynomial((1,) * (degree + 1)))
+        codim = 2 * (alpha.length - rec.beta.length) - len(rec.parts.parts)
+        assert (rec.fiber_dim, rec.codim) == (degree, codim)
+        drawn.append(SmallnessRow(rec))
+    report = SmallnessReport(alpha.n, alpha, tuple(drawn))
+    for row in report.rows:
+        rec = row.record
+        assert row.margin == (rec.codim - 2 * rec.fiber_dim if rec.fiber_dim else None)
+        assert row.ok is (row.margin is None or row.margin > 0)
+    assert report.passed == all(ok for *_, ok in report.aggregate)
 
 
 def test_atlas_values_refuse_fields_that_disagree():
@@ -441,24 +475,28 @@ def test_atlas_values_refuse_fields_that_disagree():
     bad_records = [
         {"beta": (0, 0)},
         {"parts": GammaPartition(4, ())},
-        {"m": 2},
-        {"m": True},
-        {"stratum_dim": rec.stratum_dim + 1},
-        {"codim": rec.codim - 2},
-        {"fiber_dim": 3},
         {"fiber_poincare": (1, 1)},
         {"fiber_poincare": IntPolynomial(())},
-        {"fiber_poincare": IntPolynomial((1, 0, 1))},
     ]
     for change in bad_records:
         with pytest.raises((TypeError, ValueError)):
             helpers.replace(rec, **change)
+    # the numbers are read from beta, the parts and the polynomial, so no constructor takes them
+    numbers = ({"m": 2}, {"m": True}, {"stratum_dim": 5}, {"codim": 1}, {"fiber_dim": 3})
+    for change in numbers:
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            helpers.replace(rec, **change)
+    # nor the seven-field form, here with a fiber_dim of 3 beside a polynomial of degree 2
+    with pytest.raises(TypeError):
+        StratumRecord(rec.beta, rec.parts, 1, 4, 3, 3, IntPolynomial((1, 0, 1)))
     bad_values = [
         lambda: SmallnessRow(rec, "x"),
         lambda: SmallnessRow(rec, 1.5),
         lambda: SmallnessRow(rec, None),
         lambda: SmallnessRow(opened, 0),
         lambda: SmallnessRow("x", None),
+        lambda: SmallnessRow("x"),
+        lambda: SmallnessRow(record=rec, margin=1),
         lambda: StalkEntry(1.5, "x", -3),
         lambda: StalkEntry(-6, -1, 1),
         lambda: StalkEntry(-6, 0, 0),
@@ -470,16 +508,30 @@ def test_atlas_values_refuse_fields_that_disagree():
     for build in bad_values:
         with pytest.raises((TypeError, ValueError)):
             build()
-    # the JSON readers build through the checked constructors
+    # the JSON readers build through the checked constructors, and the strata reader refuses
+    # numbers that disagree with the ones its record reads
     stratum = {"beta": [0, 0], "parts": [], "m": 2, "stratum_dim": 5, "codim": 0, "fiber_dim": 3}
     with pytest.raises(ValueError, match="m must be 0"):
         cli.stratum_records_from_json({"result": {"strata": [{**stratum, "fiber_poincare": [1]}]}})
+    tight = {
+        "beta": [0, 0], "parts": [[1, 1]], "m": 1, "stratum_dim": 4, "codim": 3, "fiber_dim": 1,
+        "fiber_poincare": [1, 1],
+    }
+    assert cli.stratum_records_from_json({"result": {"strata": [tight]}}) == [rec]
+    wrong_numbers = (("m", True), ("stratum_dim", 5), ("codim", 1), ("fiber_dim", 2), ("fiber_dim", 1.0))
+    for name, wrong in wrong_numbers:
+        with pytest.raises(ValueError, match=f"^{name} must be {tight[name]} on this stratum, got {wrong}$"):
+            cli.stratum_records_from_json({"result": {"strata": [{**tight, name: wrong}]}})
     table = {"params": {"n": 3, "alpha": [1, 1], "beta": [0, 0], "parts": [[1, 1]]}}
     entry = {"degree": "-5", "twist": 0, "multiplicity": 1}
     with pytest.raises(ValueError, match="degree must be an integer"):
         cli.ic_stalk_table_from_json({**table, "result": {"entries": [entry]}})
-    # a failing row, with a margin that disagrees with its record, can still be stated
-    assert SmallnessRow(rec, -1).ok is False and SmallnessRow(rec, 0).ok is False
+    # a failing row is stated by a record whose polynomial's degree is too high: margin -1 on
+    # codim 3 at degree 2, and margin 0 on codim 2, the two parts (1,0) and (0,1), at degree 1
+    failing = SmallnessRow(helpers.replace(rec, fiber_poincare=IntPolynomial((1, 0, 1))))
+    (split,) = [r for r in recs if r.m == 2]
+    tied = SmallnessRow(helpers.replace(split, fiber_poincare=IntPolynomial((1, 1))))
+    assert (failing.margin, failing.ok, tied.margin, tied.ok) == (-1, False, 0, False)
 
 
 def test_listings_and_reports_never_run_the_atlas_checks(monkeypatch):
