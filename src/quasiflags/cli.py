@@ -351,8 +351,8 @@ def _cmd_smallness(args, caps, n, alpha) -> Output:
             # SmallnessRow.ok, on the margin read above
             "ok": _margin_ok(margin),
         })
-    # the four summaries come from one pass over the rows
-    min_margin, witness, passed, vacuous = report._summaries()
+    # the five summaries come from one pass over the rows
+    min_margin, witness, passed, vacuous, aggregate = report._summaries()
     result = {
         "passed": passed,
         "vacuous": vacuous,
@@ -360,7 +360,7 @@ def _cmd_smallness(args, caps, n, alpha) -> Output:
         "witness": _stratum(witness) if witness else None,
         "rows": rows,
         "aggregate": [
-            {"fiber_dim": f, "min_codim": c, "ok": ok} for f, c, ok in report.aggregate
+            {"fiber_dim": f, "min_codim": c, "ok": ok} for f, c, ok in aggregate
         ],
     }
     outcome = "PASS" if passed else "FAIL"

@@ -38,11 +38,12 @@ class IntPolynomial:
     def __post_init__(self) -> None:
         require_type("coeffs", self.coeffs, Iterable)
         coeffs = tuple(self.coeffs)
+        # every coefficient before the strip, as 0.0 == 0 and False == 0
+        for c in coeffs:
+            require_int("coefficient", c, 0)
         while coeffs and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
         object.__setattr__(self, "coeffs", coeffs)
-        for c in coeffs:
-            require_int("coefficient", c, 0)
 
     @property
     def degree(self) -> int | None:

@@ -110,7 +110,8 @@ class SmallnessReport:
     min_margin is the least margin of a row and witness the record of the
     first row with it, both None on a vacuous report, where no row has one.
     passed says that row is ok, or that there is none, and vacuous that
-    there is none.
+    there is none. aggregate has one row (f, least codim of a row with
+    fiber_dim f, ok) per occurring f > 0.
     """
 
     n: int
@@ -127,35 +128,32 @@ class SmallnessReport:
             require_type("row", row, SmallnessRow)
 
     def _summaries(self) -> tuple:
-        """(min_margin, witness, passed, vacuous), read off the first row of least margin."""
+        """(min_margin, witness, passed, vacuous, aggregate), from one pass over the rows."""
+        # cutting the last simple coroot off a coroot of length >= 2 in a part's fewest-coroot
+        # cover lowers codim by 2 and fiber_dim by 0 or 1, so over all strata of an alpha the
+        # least codim at fiber_dim exactly f rises strictly with f: it is the least over
+        # fiber_dim >= f
         tight = least = None
+        min_codim: dict[int, int] = {}
         for row in self.rows:
             margin = row.margin
-            if margin is not None and (least is None or margin < least):
-                tight, least = row, margin
+            if margin is not None:
+                if least is None or margin < least:
+                    tight, least = row, margin
+                # margin is codim - 2 * f on a row with f > 0, so codim is not read again
+                f = row.record.fiber_dim
+                codim = margin + 2 * f
+                min_codim[f] = min(min_codim.get(f, codim), codim)
+        aggregate = tuple((f, c, c > 2 * f) for f, c in sorted(min_codim.items()))
         if tight is None:
-            return None, None, True, True
-        return least, tight.record, tight.ok, False
+            return None, None, True, True, aggregate
+        return least, tight.record, _margin_ok(least), False, aggregate
 
     min_margin = property(lambda self: self._summaries()[0])
     witness = property(lambda self: self._summaries()[1])
     passed = property(lambda self: self._summaries()[2])
     vacuous = property(lambda self: self._summaries()[3])
-
-    @property
-    def aggregate(self) -> tuple[tuple[int, int, bool], ...]:
-        # one row (f, min codim over the rows with fiber_dim f, ok) per occurring f > 0; cutting
-        # the last simple coroot off a coroot of length >= 2 in a part's fewest-coroot cover
-        # lowers codim by 2 and fiber_dim by 0 or 1, so over all strata of an alpha the least
-        # codim at fiber_dim exactly f rises strictly with f: it is the least over fiber_dim >= f
-        min_codim: dict[int, int] = {}
-        for row in self.rows:
-            rec = row.record
-            f = rec.fiber_dim
-            if f > 0:
-                codim = rec.codim
-                min_codim[f] = min(min_codim.get(f, codim), codim)
-        return tuple((f, c, c > 2 * f) for f, c in sorted(min_codim.items()))
+    aggregate = property(lambda self: self._summaries()[4])
 
 
 @record

@@ -114,6 +114,16 @@ def test_strata_json_round_trip(capsys):
     assert records == enumerate_strata(3, GammaVec((1, 1)))
 
 
+def test_strata_json_reader_refuses_non_int_trailing_zeros():
+    # the open stratum of (3, (1,1)), whose fiber polynomial is 1
+    opened = {"beta": [1, 1], "parts": [], "m": 0, "stratum_dim": 7, "codim": 0, "fiber_dim": 0}
+    assert stratum_records_from_json({"result": {"strata": [{**opened, "fiber_poincare": [1, 0]}]}})
+    for zero in (0.0, False):
+        payload = {"result": {"strata": [{**opened, "fiber_poincare": [1, zero]}]}}
+        with pytest.raises(ValueError, match="coefficient must be a nonnegative integer"):
+            stratum_records_from_json(payload)
+
+
 def test_ic_stalks_json_round_trip(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -18,6 +18,14 @@ def test_poly_normalization():
         IntPolynomial((1, -1))
 
 
+def test_poly_refuses_non_int_trailing_zeros():
+    # each coefficient is checked before the trailing zeros are stripped
+    for coeffs in ((1, 0.0), (1, False)):
+        with pytest.raises(ValueError, match="coefficient must be a nonnegative integer"):
+            IntPolynomial(coeffs)
+    assert IntPolynomial((1, 0)).coeffs == (1,)
+
+
 def test_poly_coefficient_access():
     p = IntPolynomial((1, 2, 1))
     assert p.coefficient(0) == 1

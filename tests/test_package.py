@@ -1,5 +1,7 @@
 import ast
 import dataclasses
+import fnmatch
+import hashlib
 import inspect
 import io
 import os
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import gates
 import helpers
 import quasiflags
 from quasiflags import (
@@ -373,3 +376,69 @@ def _hash_or_error(value):
         return hash(value)
     except TypeError as exc:
         return str(exc)
+
+
+def _ran(stdout=b"", code=0):
+    return subprocess.CompletedProcess([], code, stdout, b"")
+
+
+def test_each_gate_check_names_the_expected_and_the_actual_value_on_a_miss():
+    # kind, expected, a process that matches, one that misses, and the (expected, actual) of the miss
+    other = hashlib.sha256(b"other\n").hexdigest()
+    cases = [
+        ("sha256", hashlib.sha256(b"out\n").hexdigest(), _ran(b"out\n"), _ran(b"other\n"), None, other),
+        ("first_line", "PASS", _ran(b"PASS\nrows\n"), _ran(b"FAIL\nrows\n"), None, "FAIL"),
+        ("stdout", "1 + t", _ran(b"1 + t\n\n"), _ran(b"1 + t\nmore\n"), None, "1 + t\nmore"),
+        ("exit", 2, _ran(code=2), _ran(code=3), 2, 3),
+        ("summary", None, _ran(b'run\n{"correct": true, "failed": 0}\n'),
+         _ran(b'{"correct": 1, "failed": 2}\n'), (True, 0), (False, 2)),
+        ("print", "x", _ran(b"anything"), _ran(code=1), 0, 1),
+    ]
+    with pytest.raises(ValueError, match="unknown check 'sha'"):
+        gates.check(gates.Gate("row", ["true"], 1, "sha", "x"), _ran())
+    assert {gate.kind for gate in gates.GATES} == {case[0] for case in cases}
+    for kind, expected, hit, miss, want, got in cases:
+        gate = gates.Gate("row", ["true"], 1, kind, expected)
+        assert gates.check(gate, hit) is None, kind
+        message = gates.check(gate, miss)
+        assert message and repr(expected if want is None else want) in message and repr(got) in message, kind
+        # every kind but "exit" also requires exit 0
+        if kind != "exit":
+            assert "expected 0, got 1" in gates.check(gate, _ran(hit.stdout, 1)), kind
+
+
+def test_a_gate_row_fails_on_a_wrong_value_or_past_its_timeout():
+    row = gates.Gate("row", [sys.executable, "-c", "print('1 + t')"], 60, "stdout", "1 + t")
+    gates.test_gate(row)
+    with pytest.raises(AssertionError, match=r"^row: stdout: expected '1 \+ 2t', got '1 \+ t'"):
+        gates.test_gate(row._replace(expected="1 + 2t"))
+    with pytest.raises(subprocess.TimeoutExpired):
+        gates.test_gate(row._replace(argv=[sys.executable, "-c", "import time; time.sleep(30)"], timeout=0.5))
+
+
+def test_gate_names_are_unique_and_each_picks_its_row_alone():
+    names = [gate.name for gate in gates.GATES]
+    assert len(set(names)) == len(names)
+    # -k NAME picks a row whose name holds NAME, so no name may hold another
+    assert all(name.isidentifier() and not any(name in other for other in names if other != name) for name in names)
+
+
+def test_every_gate_argv_parses_without_running_it():
+    from quasiflags.cli import build_parser
+
+    console = [gate for gate in gates.GATES if gate.argv[0] == "quasiflags"]
+    assert len(console) >= 15
+    for gate in console:
+        try:
+            build_parser(gate.argv[1]).parse_args(gate.argv[1:])
+        except SystemExit:
+            pytest.fail(f"{gate.name}: {gate.argv[1:]} does not parse")
+    for gate in gates.GATES:
+        if "-c" in gate.argv:
+            compile(gate.argv[gate.argv.index("-c") + 1], gate.name, "exec")
+
+
+def test_tier1_collects_no_gate(pytestconfig):
+    # the tier-1 run names no file, so pytest collects by the python_files patterns
+    assert gates.__file__.endswith("gates.py")
+    assert not any(fnmatch.fnmatch("gates.py", pattern) for pattern in pytestconfig.getini("python_files"))
