@@ -338,15 +338,17 @@ def _cmd_smallness(args, caps, n, alpha) -> Output:
     from .strata import _margin_ok, smallness_report
 
     report = smallness_report(n, alpha, caps=caps)
-    # each number is a property of the row's record, so each is read once per row
+    # each number is a property of the row's record, so each is read once per row; margin is
+    # codim - 2 * fiber_dim where fiber_dim > 0, so only a row of fiber_dim 0 reads codim
     rows = []
     for row in report.rows:
         rec, margin = row.record, row.margin
+        f = rec.fiber_dim
         rows.append({
             "beta": rec.beta,
             "parts": rec.parts,
-            "codim": rec.codim,
-            "fiber_dim": rec.fiber_dim,
+            "codim": rec.codim if margin is None else margin + 2 * f,
+            "fiber_dim": f,
             "margin": margin,
             # SmallnessRow.ok, on the margin read above
             "ok": _margin_ok(margin),
@@ -434,15 +436,23 @@ _METAVARS = {"alpha": "a1,a2,..", "beta": "b1,b2,..", "gamma": "c1,c2,.."}
 
 
 def build_parser(command=None) -> argparse.ArgumentParser:
-    """All eight subcommands; only `command`, which main takes from argv, gets its flags."""
+    """The parser of `command`, which main takes from argv: its subparser alone, with its flags.
+
+    A command not in HANDLERS gets all eight subparsers, without flags, for
+    the help text and the invalid-choice error.
+    """
     parser = argparse.ArgumentParser(
         prog="quasiflags",
         description="Coroot partition combinatorics and finite-field fiber counting for SL(n).",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, _) in HANDLERS.items():
-        sub.add_parser(name, help=help_text)
-    if command not in HANDLERS:
+    alone = command in HANDLERS
+    # built alone, a subcommand keeps all eight names in the usage line of a parse error through
+    # the metavar; unset, the errors of the full parser name the positional "command"
+    metavar = "{" + ",".join(HANDLERS) + "}" if alone else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in (command,) if alone else HANDLERS:
+        sub.add_parser(name, help=HANDLERS[name][1])
+    if not alone:
         return parser
     p = sub.choices[command]
     p.add_argument("--format", choices=("table", "json", "csv"), default="table")

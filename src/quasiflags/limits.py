@@ -11,32 +11,53 @@ writes every value class of the package.
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 
 class CapExceededError(Exception):
     """An input lies beyond the configured enumeration limits."""
 
 
-# the code record writes per class, in one exec; "own" is the field tuple's items, "self.a, self.b, ".
-# The maker fills a value of the unfrozen slots base _base with plain stores, then gives it the
-# frozen class _cls, which CPython allows as _cls adds nothing to _base's layout; __init__ runs on
-# a value of _cls, so it sets each slot through the slot's descriptor
+# the code record compiles per class, in one exec: the two functions whose signatures name the
+# fields. The maker fills a value of the unfrozen slots base _base with plain stores, then gives it
+# the frozen class _cls, which CPython allows as _cls adds nothing to _base's layout; __init__ runs
+# on a value of _cls, so it sets each slot through the slot's descriptor
 _RECORD = """
 def _unchecked({params}):
     obj = _new(_base){set_obj}
     obj.__class__ = _cls
     return obj
 def __init__(self, {params}):{set_self}{check}
-def __eq__(self, other):
-    if other.__class__ is self.__class__:
-        return ({own}) == ({other})
-    return NotImplemented
-def __hash__(self):
-    return hash(({own}))
-def __repr__(self):
-    return f"{{self.__class__.__qualname__}}({shown})"
-def __reduce__(self):
-    return _unchecked, ({own})
 """
+
+
+def _field_methods(names: tuple, unchecked) -> dict:
+    """__eq__, __hash__, __repr__ and __reduce__ of the fields names, as closures, not compiled."""
+    get = attrgetter(*names)
+    if len(names) == 1:
+        # attrgetter of one name gives the value, not a tuple; hash, == and the maker take tuples
+        one = get
+
+        def get(obj):
+            return (one(obj),)
+
+    shown = ", ".join(f"{f}={{!r}}" for f in names)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return get(self) == get(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(get(self))
+
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}({shown.format(*get(self))})"
+
+    def __reduce__(self):
+        return unchecked, get(self)
+
+    return {"__eq__": __eq__, "__hash__": __hash__, "__repr__": __repr__, "__reduce__": __reduce__}
 
 
 def _frozen_setattr(self, name, value):
@@ -67,25 +88,28 @@ def record(cls: type) -> type:
     store and then sets the value's __class__ to cls, so no check runs; it
     is only for values valid by construction. __reduce__ goes through it,
     so pickling does not rerun the checks either.
+
+    Only the maker and __init__ are compiled, in one exec per class, as
+    their signatures must name the fields; __eq__, __hash__, __repr__ and
+    __reduce__ are closures over operator.attrgetter of the field names,
+    which cost a class no compile.
     """
     names = tuple(cls.__annotations__)
     # the fields become slots, so their defaults and the instance dict leave the class body
     body = {k: v for k, v in cls.__dict__.items() if k not in (*names, "__dict__", "__weakref__")}
     env = {"__name__": cls.__module__, "_new": object.__new__}
     env.update({f"_default_{f}": cls.__dict__[f] for f in names if f in cls.__dict__})
-    own = "".join(f"self.{f}, " for f in names)
     exec(_RECORD.format(
         params=", ".join(f"{f}=_default_{f}" if f"_default_{f}" in env else f for f in names),
         set_obj="".join(f"\n    obj.{f} = {f}" for f in names),
         set_self="".join(f"\n    _set_{f}(self, {f})" for f in names),
         check="\n    self.__post_init__()" if "__post_init__" in body else "",
-        own=own,
-        other=own.replace("self.", "other."),
-        shown=", ".join(f"{f}={{self.{f}!r}}" for f in names),
     ), env)
-    for name in ("_unchecked", "__init__", "__eq__", "__hash__", "__repr__", "__reduce__"):
-        env[name].__qualname__ = f"{cls.__qualname__}.{name}"
-        body[name] = env[name]
+    methods = {"_unchecked": env["_unchecked"], "__init__": env["__init__"]}
+    methods.update(_field_methods(names, env["_unchecked"]))
+    for name, func in methods.items():
+        func.__module__, func.__qualname__ = cls.__module__, f"{cls.__qualname__}.{name}"
+        body[name] = func
     # a static method, by whose qualified name pickle finds the maker that __reduce__ returns
     body["_unchecked"] = staticmethod(env["_unchecked"])
     body.update(__slots__=(), __match_args__=names)

@@ -124,6 +124,21 @@ for n, coeffs in ((5, (2, 2, 2, 2)), (4, (3, 3, 3)), (3, (5, 5))):
         count += 1
 print(count, h.hexdigest())
 """
+# the least of 15 runs of a tiny command-line process and of a bare interpreter, taken in turn, with
+# byte-code caches written and reused, as an installed package's are
+COST = """
+import os, subprocess, sys, time
+env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+runs = {"python -m quasiflags roots --n 2": ["-m", "quasiflags", "roots", "--n", "2"], "python -c pass": ["-c", "pass"]}
+best = dict.fromkeys(runs, float("inf"))
+for _ in range(15):
+    for name, argv in runs.items():
+        start = time.perf_counter()
+        subprocess.run([sys.executable, *argv], env=env, check=True, stdout=subprocess.DEVNULL)
+        best[name] = min(best[name], time.perf_counter() - start)
+cli, bare = (t * 1e3 for t in best.values())
+print(f"{' and '.join(runs)}, least of 15: {cli:.1f} and {bare:.1f} ms, difference {cli - bare:.1f} ms")
+"""
 ANCHOR = "--q 3 --verify --cap-oracle-rank 8 --cap-oracle-length 12"
 GATES = [
     # the installed entry point on an answer, four verdicts, a usage error and a cap
@@ -138,6 +153,7 @@ GATES = [
     Gate("console_cap_exceeded", cli("roots --n 9"), UNTIMED, "exit", 3),
     Gate("importtime", [PY, "-S", "-X", "importtime", "-c", "import quasiflags.cli"], UNTIMED,
          "print", "imported package|quasiflags"),
+    Gate("cli_process_cost", [PY, "-c", COST], UNTIMED, "print", ""),
     Gate("oracle_anchor_5_3333", cli("fiber-count --n 5 --gamma 3,3,3,3 --q 3 --verify --cap-oracle-rank 5 "
                                      "--cap-oracle-length 12"), 10, "first_line", "PASS, total 82432"),
     Gate("oracle_anchor_8_1222221", cli(f"fiber-count --n 8 --gamma 1,2,2,2,2,2,1 {ANCHOR}"), 5,

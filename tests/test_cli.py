@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -353,6 +354,82 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "1 + t\n"
+
+
+def test_process_entry_answers_as_main_does_in_process(capsys):
+    # an answer, a usage error from the handler and one from the parser, and a cap
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    codes = []
+    for argv in (
+        ("kostant", "--n", "3", "--gamma", "1,1"),
+        ("kostant", "--n", "3", "--gamma", "1,x"),
+        ("roots", "--n", "3", "extra"),
+        ("roots", "--n", "9"),
+    ):
+        proc = subprocess.run([sys.executable, "-m", "quasiflags", *argv], env=env, capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(capsys, *argv), argv
+        codes.append(proc.returncode)
+    assert codes == [0, 2, 2, 3]
+
+
+def test_process_entry_freezes_the_heap_and_still_runs_atexit():
+    # run() freezes the heap once main returns; the atexit handlers run after it
+    code = (
+        "import atexit, gc, runpy, sys\n"
+        "atexit.register(lambda: print('atexit', gc.get_freeze_count() > 0, gc.isenabled(), file=sys.stderr))\n"
+        "runpy.run_module('quasiflags', run_name='__main__', alter_sys=True)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for argv, status, out in ((("kostant", "--n", "3", "--gamma", "1,1"), 0, "1 + t\n"), (("roots", "--n", "9"), 3, "")):
+        proc = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (status, out), argv
+        assert proc.stderr.endswith("atexit True True\n"), argv
+
+
+def test_entry_module_import_and_main_leave_the_collector_alone(capsys):
+    # the entry module freezes only when run as __main__; tests and the benchmark call main in-process
+    code = (
+        "import gc\n"
+        "state = lambda: (gc.get_freeze_count(), gc.isenabled())\n"
+        "before = state()\n"
+        "import quasiflags.__main__\n"
+        "imported = state()\n"
+        "quasiflags.__main__.main(['kostant', '--n', '3', '--gamma', '1,1'])\n"
+        "print(before == imported == state(), before)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "1 + t\nTrue (0, True)\n"), proc.stderr
+    before = gc.get_freeze_count(), gc.isenabled()
+    import quasiflags.__main__  # noqa: F401
+
+    assert run_cli(capsys, "kostant", "--n", "3", "--gamma", "1,1")[:2] == (0, "1 + t\n")
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+
+# the parser's usage line names all eight subcommands, though only the one in argv is built;
+# Python 3.13 keeps the "..." of the subcommand's arguments on the line of the names
+PARSE_ERROR_USAGES = (
+    "usage: quasiflags [-h]\n"
+    "                  {roots,kpartitions,kostant,gamma-partitions,strata,smallness,ic-stalks,fiber-count}\n"
+    "                  ...\n",
+    "usage: quasiflags [-h]\n"
+    "                  {roots,kpartitions,kostant,gamma-partitions,strata,smallness,ic-stalks,fiber-count} ...\n",
+)
+
+
+def test_parse_error_usage_names_every_subcommand(capsys):
+    for argv, message in (
+        (("roots", "--n", "3", "extra"), "quasiflags: error: unrecognized arguments: extra\n"),
+        (("strata", "--n", "3", "--alpha", "1,1", "--bogus"), "quasiflags: error: unrecognized arguments: --bogus\n"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err in [usage + message for usage in PARSE_ERROR_USAGES], argv
+    # the full parser's errors still name the positional by its dest
+    for argv, message in ((["bogus"], "argument command: invalid choice: 'bogus'"), ([], "required: command\n")):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "") and err.startswith("usage: quasiflags [-h]\n") and message in err, argv
 
 
 def test_oracle_q_outside_allowed_primes_is_classified_quickly(capsys):

@@ -284,6 +284,33 @@ def test_every_value_class_behaves_as_its_dataclass_twin():
             assert value != twin
 
 
+def _fields(value):
+    return tuple(getattr(value, name) for name in type(value).__match_args__)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.sampled_from(_library_values()), st.sampled_from(_library_values()))
+def test_value_methods_read_the_field_tuple(value, other):
+    # hash, ==, repr and pickling of every value class, stated on the field tuple alone
+    cls, fields = type(value), _fields(value)
+    # FiberCount holds a dict, so it and its field tuple both refuse to hash
+    assert _hash_or_error(value) == _hash_or_error(fields)
+    assert (value == other) is (type(other) is cls and fields == _fields(other))
+    assert (value != other) is not (value == other)
+    assert repr(value) == f"{cls.__qualname__}({', '.join(f'{n}={v!r}' for n, v in zip(cls.__match_args__, fields))})"
+    assert value.__reduce__() == (cls._unchecked, fields)
+    restored = pickle.loads(pickle.dumps(value))
+    assert type(restored) is cls and _fields(restored) == fields
+    # the constructor's own argument errors, as a dataclass words them
+    init = f"{cls.__qualname__}.__init__()"
+    with pytest.raises(TypeError) as error:
+        cls(*fields, bogus=None)
+    assert str(error.value) == f"{init} got an unexpected keyword argument 'bogus'"
+    with pytest.raises(TypeError) as error:
+        cls(*fields, None)
+    assert str(error.value) == f"{init} takes {len(fields) + 1} positional arguments but {len(fields) + 2} were given"
+
+
 def test_every_value_class_adopts_its_values_from_an_unbound_slots_base():
     # the maker fills a value of the unfrozen base with plain stores, then assigns __class__,
     # which CPython allows only when the class adds nothing to the base's layout
