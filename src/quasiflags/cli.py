@@ -11,9 +11,11 @@ arrays [a11, a21, a22, a31, ...], and coroot partitions as [p, q, m] triples
 HANDLERS is the one subcommand table (handler, help text, degree-vector
 flags). `main` builds the flags of the subcommand its argv names, parses them,
 passes them to the handler, and renders its Output; params are n, the vectors,
-then the handler's extras. A handler builds its rows once, as dicts from
-column name to library value, and its result holds that list. `_render`
-writes it a chunk of rows at a time and formats each value once per call.
+then the handler's extras. A handler builds its rows once, as tuples of
+library values in the order of its headers; where its JSON result lists
+the rows as objects, it holds that same list, and the JSON writer writes
+each row through one % template built from the headers. `_render` writes
+the rows a chunk at a time and formats each value once per call.
 
 Exit codes: 0 success (and verification PASS), 1 verification FAIL, 2 usage
 error, 3 cap exceeded.
@@ -158,7 +160,8 @@ class Output:
 
     result: dict
     headers: tuple[str, ...]
-    # the dicts the result holds, values in header order, or tuples for a table of its own shape
+    # tuples of library values in header order; where result lists the rows as objects from
+    # header to value, it holds this same list, which the JSON writer writes through headers
     rows: list
     # table format only: lines above the table, or the whole output when not aligned
     prefix: tuple[str, ...] = ()
@@ -172,28 +175,40 @@ class Output:
 _CHUNK = 256
 
 
-def _write_json(obj, indent: str, write) -> None:
+def _write_json(obj, indent: str, write, rows=None, headers=()) -> None:
     """Write json.dumps(obj, indent=2), byte for byte, through write.
 
     Takes dicts, lists, str, int, bool and None, and a library value in
     _SCHEMA as the sequence it maps to. Types are matched exactly, so True
-    stays true and any other type raises TypeError. The stdlib runs its
-    pure-Python encoder whenever indent is set; this one keeps, for the call,
-    the encoded keys and the text of each degree vector and polynomial, by
-    indent and coefficients. Dicts go out key by key and longer lists _CHUNK
-    items at a time.
+    stays true and any other type raises TypeError. The one exception is
+    the list rows, where obj holds it within dicts: its items are tuples of
+    values in the order of headers, and each goes out as the object from
+    header to value, through one % template per call and indent built from
+    the headers. The stdlib runs its pure-Python encoder whenever indent is
+    set; this one keeps, for the call, the encoded keys and, per indent, the
+    text of each degree vector and polynomial by coefficients, and writes a
+    partition as its parts' kept texts joined. Dicts go out key by key and
+    the rows, and any other list longer than _CHUNK, _CHUNK items at a time.
     """
     from json.encoder import encode_basestring_ascii
 
+    # indent -> {JSON form: its text}, for degree vectors and polynomials, whose form is their
+    # coefficient tuple
     memo, keys = {}, {}
+
+    def key(k: str) -> str:
+        return keys.get(k) or keys.setdefault(k, encode_basestring_ascii(k))
+
+    def vectors(indent: str) -> dict:
+        return memo.get(indent) or memo.setdefault(indent, {})
 
     def text(obj, indent: str) -> str:
         kind = type(obj)
         if kind is int:
             return int.__repr__(obj)
         if kind is GammaVec or kind is IntPolynomial:
-            key = indent, _SCHEMA[kind](obj)
-            return memo.get(key) or memo.setdefault(key, text(list(key[1]), indent))
+            texts, form = vectors(indent), _SCHEMA[kind](obj)
+            return texts.get(form) or texts.setdefault(form, text(list(form), indent))
         if kind in _SCHEMA:
             return text(list(_SCHEMA[kind](obj)), indent)
         if kind is str:
@@ -207,24 +222,46 @@ def _write_json(obj, indent: str, write) -> None:
             return f"[\n{inner}{sep.join(body)}\n{indent}]" if obj else "[]"
         if kind is dict:
             body = [
-                f"{keys.get(k) or keys.setdefault(k, encode_basestring_ascii(k))}: "
-                f"{int.__repr__(v) if type(v) is int else text(v, inner)}"
+                f"{key(k)}: {int.__repr__(v) if type(v) is int else text(v, inner)}"
                 for k, v in obj.items()
             ]
             return f"{{\n{inner}{sep.join(body)}\n{indent}}}" if obj else "{}"
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
+    def row_text(indent: str):
+        """The text of a row tuple as an object at indent, one field after another into the template."""
+        at, inner = indent + "  ", indent + "    "
+        fields = [key(h).replace("%", "%%") + ": %s" for h in headers]
+        template = "{\n" + at + (",\n" + at).join(fields) + "\n" + indent + "}"
+        texts, part_texts = vectors(at), vectors(inner)
+        opening, sep, closing = "[\n" + inner, ",\n" + inner, "\n" + at + "]"
+
+        def field(v) -> str:
+            kind = type(v)
+            if kind is int:
+                return int.__repr__(v)
+            # text() keeps the text of a degree vector or polynomial in texts or part_texts
+            if kind is GammaVec or kind is IntPolynomial:
+                return texts.get(v.coeffs) or text(v, at)
+            if kind is GammaPartition and v.parts:
+                body = [part_texts.get(p.coeffs) or text(p, inner) for p in v.parts]
+                return opening + sep.join(body) + closing
+            return text(v, at)
+
+        return lambda row: template % tuple(map(field, row))
+
     def stream(obj, indent: str) -> None:
         kind, inner = type(obj), indent + "  "
         if kind is dict and obj:
             for i, (k, v) in enumerate(obj.items()):
-                write(("," if i else "{") + "\n" + inner + encode_basestring_ascii(k) + ": ")
+                write(("," if i else "{") + "\n" + inner + key(k) + ": ")
                 stream(v, inner)
             write(f"\n{indent}}}")
-        elif kind is list and len(obj) > _CHUNK:
+        elif kind is list and obj and (obj is rows or len(obj) > _CHUNK):
+            item = row_text(inner) if obj is rows else lambda v: text(v, inner)
             sep = ",\n" + inner
             for start in range(0, len(obj), _CHUNK):
-                chunk = sep.join([text(v, inner) for v in obj[start : start + _CHUNK]])
+                chunk = sep.join(map(item, obj[start : start + _CHUNK]))
                 write((sep if start else "[\n" + inner) + chunk)
             write(f"\n{indent}]")
         else:
@@ -236,22 +273,31 @@ def _write_json(obj, indent: str, write) -> None:
 def _render(fmt: str, command: str, params: dict, out: Output, file) -> None:
     """Write the output in fmt to the text stream file, a chunk of rows at a time."""
     if fmt == "json":
-        _write_json({"command": command, "params": params, "result": out.result}, "", file.write)
+        payload = {"command": command, "params": params, "result": out.result}
+        _write_json(payload, "", file.write, out.rows, out.headers)
         file.write("\n")
         return
     # the one cell formatter: None as "-", a bool as "yes" or "NO", a partition from its parts'
-    # text, anything else through str. Each text is kept for the call, by type and value; a
-    # degree vector's and a polynomial's by type and coefficients, which hash faster.
+    # text, anything else through str. Each text is kept for the call, so that equal cells of
+    # a table share one string: an int's by value, a degree vector's and a polynomial's by
+    # coefficients, which hash faster, any other by type and value.
     memo = {(type(None), None): "-", (bool, True): "yes", (bool, False): "NO"}
+    ints, vecs, polys = {}, {}, {}
 
     def cell(value) -> str:
         kind = type(value)
+        if kind is int:
+            return ints.get(value) or ints.setdefault(value, int.__repr__(value))
         if kind is GammaPartition:
-            return "+".join(map(cell, value.parts)) if value.parts else "-"
-        key = kind, value.coeffs if kind is GammaVec or kind is IntPolynomial else value
+            parts = value.parts
+            return "+".join([vecs.get(p.coeffs) or vecs.setdefault(p.coeffs, str(p)) for p in parts]) if parts else "-"
+        if kind is GammaVec or kind is IntPolynomial:
+            texts, coeffs = vecs if kind is GammaVec else polys, value.coeffs
+            return texts.get(coeffs) or texts.setdefault(coeffs, str(value))
+        key = kind, value
         return memo.get(key) or memo.setdefault(key, str(value))
 
-    rows = (map(cell, row.values() if type(row) is dict else row) for row in out.rows)
+    rows = (map(cell, row) for row in out.rows)
     if fmt == "csv":
         import csv
 
@@ -312,26 +358,18 @@ def _cmd_gamma_partitions(args, caps, n, alpha) -> Output:
     return Output(result, ("partition", "num_parts"), [(p, p.m) for p in partitions])
 
 
-def _stratum(r) -> dict:
-    """The row of a StratumRecord."""
-    return {
-        "beta": r.beta,
-        "parts": r.parts,
-        "m": r.m,
-        "stratum_dim": r.stratum_dim,
-        "codim": r.codim,
-        "fiber_dim": r.fiber_dim,
-        "fiber_poincare": r.fiber_poincare,
-    }
+# the columns of a strata row, each a StratumRecord field or property of that name
+_STRATA_HEADERS = ("beta", "parts", "m", "stratum_dim", "codim", "fiber_dim", "fiber_poincare")
+# the row of a StratumRecord: the tuple of its values of those columns
+_stratum = attrgetter(*_STRATA_HEADERS)
 
 
 def _cmd_strata(args, caps, n, alpha) -> Output:
     from .strata import enumerate_strata, moduli_dim
 
-    rows = [_stratum(r) for r in enumerate_strata(n, alpha, caps=caps)]
+    rows = list(map(_stratum, enumerate_strata(n, alpha, caps=caps)))
     result = {"moduli_dim": moduli_dim(n, alpha), "count": len(rows), "strata": rows}
-    headers = ("beta", "parts", "m", "stratum_dim", "codim", "fiber_dim", "fiber_poincare")
-    return Output(result, headers, rows)
+    return Output(result, _STRATA_HEADERS, rows)
 
 
 def _cmd_smallness(args, caps, n, alpha) -> Output:
@@ -340,26 +378,22 @@ def _cmd_smallness(args, caps, n, alpha) -> Output:
     report = smallness_report(n, alpha, caps=caps)
     # each number is a property of the row's record, so each is read once per row; margin is
     # codim - 2 * fiber_dim where fiber_dim > 0, so only a row of fiber_dim 0 reads codim
-    rows = []
+    rows, margins = [], []
     for row in report.rows:
         rec, margin = row.record, row.margin
         f = rec.fiber_dim
-        rows.append({
-            "beta": rec.beta,
-            "parts": rec.parts,
-            "codim": rec.codim if margin is None else margin + 2 * f,
-            "fiber_dim": f,
-            "margin": margin,
-            # SmallnessRow.ok, on the margin read above
-            "ok": _margin_ok(margin),
-        })
-    # the five summaries come from one pass over the rows
-    min_margin, witness, passed, vacuous, aggregate = report._summaries()
+        margins.append(margin)
+        # SmallnessRow.ok, on the margin read above
+        rows.append((
+            rec.beta, rec.parts, rec.codim if margin is None else margin + 2 * f, f, margin, _margin_ok(margin)
+        ))
+    # the five summaries come from one pass over the margins read above
+    min_margin, witness, passed, vacuous, aggregate = report._summaries(margins)
     result = {
         "passed": passed,
         "vacuous": vacuous,
         "min_margin": min_margin,
-        "witness": _stratum(witness) if witness else None,
+        "witness": dict(zip(_STRATA_HEADERS, _stratum(witness))) if witness else None,
         "rows": rows,
         "aggregate": [
             {"fiber_dim": f, "min_codim": c, "ok": ok} for f, c, ok in aggregate
@@ -377,10 +411,7 @@ def _cmd_ic_stalks(args, caps, n, alpha, beta) -> Output:
     parts = _parse_parts(args.parts, n)
     table = ic_stalk_table(n, alpha, beta, parts, caps=caps)
     parity_ok = parity_check(table)
-    rows = [
-        {"degree": e.degree, "twist": e.twist, "multiplicity": e.multiplicity}
-        for e in table.entries
-    ]
+    rows = [(e.degree, e.twist, e.multiplicity) for e in table.entries]
     return Output(
         {"entries": rows, "parity_ok": parity_ok}, ("degree", "twist", "multiplicity"), rows,
         prefix=(f"parity {'ok' if parity_ok else 'VIOLATED'}",), code=0 if parity_ok else 1,
@@ -395,10 +426,7 @@ def _cmd_fiber_count(args, caps, n, gamma) -> Output:
     if args.verify:
         report = verify_against_kostant(n, gamma, args.q, caps=caps)
         verdict = "PASS" if report.passed else "FAIL"
-        rows = [
-            {"mu": b.mu, "expected": b.expected, "actual": b.actual, "ok": b.ok}
-            for b in report.buckets
-        ]
+        rows = [(b.mu, b.expected, b.actual, b.ok) for b in report.buckets]
         result = {
             "total": report.total_actual,
             "verify": {
@@ -415,7 +443,7 @@ def _cmd_fiber_count(args, caps, n, gamma) -> Output:
             code=0 if report.passed else 1, params=params,
         )
     count = fiber_point_count(n, gamma, args.q, caps=caps)
-    rows = [{"mu": mu, "count": c} for mu, c in count.buckets.items()]
+    rows = list(count.buckets.items())
     result = {"total": count.total, "buckets": rows}
     return Output(result, ("mu", "count"), rows, prefix=(f"total {count.total}",), params=params)
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Iterable
-from itertools import accumulate, compress, product
+from itertools import accumulate, compress
 from operator import add, sub
 
 from .limits import Caps, DEFAULT_CAPS, record, require_int, require_rank, require_type
@@ -383,23 +383,28 @@ def _defect_segments(box: list[tuple[int, ...]], strides: list[int]):
     vectors, each lex <= v, while every partition of d has a part nonzero
     at i, lex above any v that is zero there. So each segment prepends v to
     at least one partition, and no bisection is spent on a v that leads none.
+
+    The indices of those v are built coordinate by coordinate, one nested
+    comprehension per nonzero coordinate of d, each value of a coordinate
+    from the largest down; the test reference walks itertools.product.
     """
     # per defect index: the keys, minus v of the run of its list led by v for each segment's v
     # (0 for the empty partition of 0), then 0; and the starts of those runs, then its length
     keys, starts = [[0, 0]], [[0, 1]]
     for d in range(1, len(box)):
-        segments, d_keys, d_starts, size = [], [], [], 0
-        ranges = [range(x * s, -1, -s) for x, s in zip(box[d], strides)]
-        # v is nonzero at d's first nonzero coordinate
-        i = next(i for i, x in enumerate(box[d]) if x)
-        ranges[i] = ranges[i][:-1]
-        for v in map(sum, product(*ranges)):
-            tail_starts = starts[d - v]
-            start = tail_starts[bisect_left(keys[d - v], -v)]
+        vs = [0]
+        for x, s in zip(box[d], strides):
+            if x:
+                # vs is [0] until d's first nonzero coordinate, where v may not be 0
+                vs = [a + b for a in vs for b in range(x * s, -1 if vs[0] else 0, -s)]
+        segments, d_starts, size = [], [0], 0
+        for v in vs:
+            t = d - v
+            tail_starts = starts[t]
+            start = tail_starts[bisect_left(keys[t], -v)]
             segments.append((v, start))
-            d_keys.append(-v)
-            d_starts.append(size)
             size += tail_starts[-1] - start
-        keys.append(d_keys + [0])
-        starts.append(d_starts + [size])
+            d_starts.append(size)
+        keys.append([-v for v in vs] + [0])
+        starts.append(d_starts)
         yield d, segments

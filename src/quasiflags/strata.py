@@ -19,7 +19,7 @@ summand in cohomological degree -2|alpha| - dim B + 2j with Tate twist j.
 
 from __future__ import annotations
 
-from operator import sub
+from operator import attrgetter, sub
 
 # before `from . import kostant`, so that kostant loads by a path -X importtime logs
 from .kostant import ONE, IntPolynomial, fiber_poincare
@@ -103,6 +103,9 @@ class SmallnessRow:
         return _margin_ok(self.margin)
 
 
+_margin = attrgetter("margin")
+
+
 @record
 class SmallnessReport:
     """The smallness rows of (n, alpha), one per stratum, and the summaries read from them.
@@ -127,16 +130,22 @@ class SmallnessReport:
         for row in self.rows:
             require_type("row", row, SmallnessRow)
 
-    def _summaries(self) -> tuple:
-        """(min_margin, witness, passed, vacuous, aggregate), from one pass over the rows."""
+    def _summaries(self, margins=None) -> tuple:
+        """(min_margin, witness, passed, vacuous, aggregate), from one pass over the rows.
+
+        margins are the rows' margins in row order, when the caller has read
+        them already, as the smallness command does for its own rows; so no
+        margin is read twice. Without them the pass reads each row's margin
+        once, as each summary property does.
+        """
         # cutting the last simple coroot off a coroot of length >= 2 in a part's fewest-coroot
         # cover lowers codim by 2 and fiber_dim by 0 or 1, so over all strata of an alpha the
         # least codim at fiber_dim exactly f rises strictly with f: it is the least over
         # fiber_dim >= f
         tight = least = None
         min_codim: dict[int, int] = {}
-        for row in self.rows:
-            margin = row.margin
+        rows = self.rows
+        for row, margin in zip(rows, map(_margin, rows) if margins is None else margins):
             if margin is not None:
                 if least is None or margin < least:
                     tight, least = row, margin

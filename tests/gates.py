@@ -139,6 +139,32 @@ for _ in range(15):
 cli, bare = (t * 1e3 for t in best.values())
 print(f"{' and '.join(runs)}, least of 15: {cli:.1f} and {bare:.1f} ms, difference {cli - bare:.1f} ms")
 """
+# per format, the least of 3 fresh `python -m quasiflags strata` processes on (5, (3,3,3,3)) against
+# the least of 3 cold enumerate_strata calls, each in a fresh process, and the peak RSS of every run
+PACE = """
+import os, subprocess, sys, tempfile, time
+listing = "import time; from quasiflags import GammaVec; from quasiflags.strata import enumerate_strata; " \\
+    "t = time.perf_counter(); enumerate_strata(5, GammaVec((3, 3, 3, 3))); print(time.perf_counter() - t)"
+# wait4 gives each run's own peak RSS; the output goes to a file, so that this process stays small
+def run(argv, out):
+    start = time.perf_counter()
+    proc = subprocess.Popen([sys.executable, *argv], stdout=out)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0, argv
+    return time.perf_counter() - start, usage.ru_maxrss // 1024
+with tempfile.TemporaryFile("w+") as out:
+    runs = [run(["-c", listing], out) for _ in range(3)]
+    out.seek(0)
+    cold = min(map(float, out.read().split()))
+print(f"cold enumerate_strata(5, (3,3,3,3)) in a fresh process: {cold:.3f} s, peak RSS", *(f"{r} MB" for _, r in runs))
+for fmt in ("table", "json", "csv"):
+    argv = ["-m", "quasiflags", "strata", "--n", "5", "--alpha", "3,3,3,3", "--format", fmt]
+    runs = [run(argv, subprocess.DEVNULL) for _ in range(3)]
+    best = min(t for t, _ in runs)
+    print(f"strata --format {fmt}: least of 3 processes {best:.3f} s, {best / cold:.2f}x the listing, peak RSS",
+          *(f"{r} MB" for _, r in runs))
+"""
 ANCHOR = "--q 3 --verify --cap-oracle-rank 8 --cap-oracle-length 12"
 GATES = [
     # the installed entry point on an answer, four verdicts, a usage error and a cap
@@ -167,6 +193,7 @@ GATES = [
          "925771 afa647207f074d38bf99301855cdcdceee0bde3788329c518eea257d547a570b"),
     # the least of 20 cold listings, then of 20 cold in-process smallness runs; printed, not gated
     Gate("cold_atlas_times", [PY, "-c", COLD], UNTIMED, "print", ""),
+    Gate("atlas_output_pace", [PY, "-c", PACE], UNTIMED, "print", ""),
     # the 154,436 strata of (5, (3,3,3,3)) and their smallness rows, in each form
     *(Gate(f"big_atlas_{command}_{form or 'table'}",
            cli(f"{command} --n 5 --alpha 3,3,3,3{form and ' --format ' + form}"), 30, "sha256", digest)

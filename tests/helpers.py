@@ -12,6 +12,7 @@ import dataclasses
 import io
 import json
 import pickle
+from bisect import bisect_left
 from functools import cache
 from itertools import combinations, product
 
@@ -22,7 +23,7 @@ import quasiflags.gfpoly as gf
 import quasiflags.oracle as oracle
 from quasiflags.kostant import IntPolynomial
 from quasiflags.oracle import Lattice, contains, enumerate_lattices
-from quasiflags.partitions import GammaPartition, KappaPartition, NotInMError, mu_triangles, stratum_dim
+from quasiflags.partitions import GammaPartition, KappaPartition, NotInMError, Triangle, mu_triangles, stratum_dim
 from quasiflags.roots import GammaVec, Interval, interval_to_gamma, positive_coroots
 
 
@@ -264,6 +265,32 @@ def gamma_partitions_reference(coeffs):
     d - v whose parts are lex <= v.
     """
     return _partitions_below(tuple(coeffs), tuple(coeffs))
+
+
+def defect_segments_reference(box, strides):
+    """partitions._defect_segments' (d, segments) sequence, with each defect's v from itertools.product.
+
+    The second route of the walk: the v <= d nonzero at d's first nonzero
+    coordinate, by box index in decreasing lex order, from the product of
+    each coordinate's descending range of indices, that coordinate's range
+    cut before 0.
+    """
+    keys, starts = [[0, 0]], [[0, 1]]
+    for d in range(1, len(box)):
+        segments, d_keys, d_starts, size = [], [], [], 0
+        ranges = [range(x * s, -1, -s) for x, s in zip(box[d], strides)]
+        i = next(i for i, x in enumerate(box[d]) if x)
+        ranges[i] = ranges[i][:-1]
+        for v in map(sum, product(*ranges)):
+            tail_starts = starts[d - v]
+            start = tail_starts[bisect_left(keys[d - v], -v)]
+            segments.append((v, start))
+            d_keys.append(-v)
+            d_starts.append(size)
+            size += tail_starts[-1] - start
+        keys.append(d_keys + [0])
+        starts.append(d_starts + [size])
+        yield d, segments
 
 
 @cache
@@ -548,28 +575,38 @@ def assert_like_checked(value):
 
 
 def _json_form(value):
-    """The JSON form of the library values that strata and smallness print."""
+    """The JSON form of the library values that the row commands print."""
     if type(value) is GammaPartition:
         return value.parts
     if type(value) in (GammaVec, IntPolynomial):
         return value.coeffs
+    if type(value) is Triangle:
+        # row-major, row p holding a_p1 .. a_pp
+        return [a for row in value.rows for a in row]
     raise TypeError(f"no JSON form for {type(value).__name__}")
 
 
 def reference_output(fmt, command, params, out):
     """A subcommand's whole output in fmt, built as one string from its cli Output.
 
-    JSON through json.dumps(payload, indent=2); table and CSV cells through
-    str(), with None as "-" and a bool as "yes" or "NO". The command line
-    streams its rows and keeps each value's text, and must match this route
-    byte for byte.
+    JSON through json.dumps(payload, indent=2), with the row tuples that
+    the result holds expanded into dicts keyed by the headers; table and CSV
+    cells through str(), with None as "-" and a bool as "yes" or "NO". The
+    command line streams its rows and keeps each value's text, and must
+    match this route byte for byte.
     """
     if fmt == "json":
-        payload = {"command": command, "params": params, "result": out.result}
+
+        def expand(obj):
+            if obj is out.rows:
+                return [dict(zip(out.headers, row, strict=True)) for row in obj]
+            return {k: expand(v) for k, v in obj.items()} if type(obj) is dict else obj
+
+        payload = {"command": command, "params": params, "result": expand(out.result)}
         return json.dumps(payload, indent=2, default=_json_form) + "\n"
     cells = [
         ["-" if c is None else ("yes" if c else "NO") if type(c) is bool else str(c) for c in row]
-        for row in (r.values() if type(r) is dict else r for r in out.rows)
+        for row in out.rows
     ]
     if fmt == "csv":
         buf = io.StringIO()

@@ -386,6 +386,34 @@ def test_process_entry_freezes_the_heap_and_still_runs_atexit():
         assert proc.stderr.endswith("atexit True True\n"), argv
 
 
+def test_process_entry_runs_no_collection_inside_main():
+    # gc.callbacks sees each collection start: none while cli.main runs under run(), though
+    # this listing of 249 strata starts young collections with the collector on; at exit the
+    # collector is on again and the heap frozen
+    code = (
+        "import atexit, gc, runpy, sys\n"
+        "import quasiflags.cli as cli\n"
+        "starts = []\n"
+        "gc.callbacks.append(lambda phase, info: phase == 'start' and starts.append(info['generation']))\n"
+        "real = cli.main\n"
+        "def main(argv=None):\n"
+        "    before = len(starts)\n"
+        "    try:\n"
+        "        return real(argv)\n"
+        "    finally:\n"
+        "        print('inside', len(starts) - before, gc.isenabled(), file=sys.stderr)\n"
+        "cli.main = main\n"
+        "atexit.register(lambda: print('atexit', gc.get_freeze_count() > 0, gc.isenabled(), file=sys.stderr))\n"
+        "runpy.run_module('quasiflags', run_name='__main__', alter_sys=True)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    argv = ("strata", "--n", "4", "--alpha", "2,2,2", "--format", "json")
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["result"]["count"] == len(enumerate_strata(4, GammaVec((2, 2, 2))))
+    assert proc.stderr == "inside 0 False\natexit True True\n"
+
+
 def test_entry_module_import_and_main_leave_the_collector_alone(capsys):
     # the entry module freezes only when run as __main__; tests and the benchmark call main in-process
     code = (
@@ -594,6 +622,29 @@ def test_streamed_atlas_matches_the_one_string_reference(alpha, chunk):
             with mock.patch.object(cli, "_CHUNK", chunk), contextlib.redirect_stdout(buf):
                 main([command, *argv, "--format", fmt])
             assert buf.getvalue() == want, (command, fmt)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, cli._CHUNK])
+def test_streamed_stalks_and_counts_match_the_one_string_reference(chunk):
+    # the other commands whose JSON lists their rows as objects: ic-stalks, and fiber-count
+    # with its buckets as the result's or, under --verify, inside "verify"
+    for command, argv in (
+        ("ic-stalks", "--n 4 --alpha 2,2,1 --beta 0,1,0 --parts 1,1,1;1,0,0"),
+        ("ic-stalks", "--n 3 --alpha 1,1 --beta 1,1"),
+        ("fiber-count", "--n 3 --gamma 2,1 --q 2"),
+        ("fiber-count", "--n 3 --gamma 2,1 --q 2 --verify"),
+    ):
+        args = cli.build_parser(command).parse_args([command, *argv.split()])
+        handler, _, flags = HANDLERS[command]
+        vectors = [cli._parse_vector(getattr(args, flag), args.n, flag) for flag in flags]
+        out = handler(args, DEFAULT_CAPS, args.n, *vectors)
+        params = {"n": args.n, **dict(zip(flags, vectors)), **out.params}
+        for fmt in ("table", "json", "csv"):
+            want = helpers.reference_output(fmt, command, params, out)
+            buf = io.StringIO()
+            with mock.patch.object(cli, "_CHUNK", chunk), contextlib.redirect_stdout(buf):
+                main([command, *argv.split(), "--format", fmt])
+            assert buf.getvalue() == want, (command, argv, fmt)
 
 
 def test_json_writer_writes_each_library_value_as_its_schema_says():

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
@@ -333,6 +333,17 @@ def test_defect_segments_walk_exactly_the_leading_parts(alpha):
             tails = helpers.gamma_partitions_reference(box[d - v])
             assert start < len(tails)
             assert start == sum(1 for tail in tails if tail and tail[0] > box[v])
+
+
+@settings(derandomize=True, deadline=None)
+@given(helpers.small_alphas())
+@example(GammaVec((0, 2, 0, 1)))
+@example(GammaVec((3, 0)))
+@example(GammaVec((0, 0, 3)))
+@example(GammaVec((3, 3, 3, 3)))
+def test_defect_segments_match_the_product_walk(alpha):
+    box, strides = _box(alpha.coeffs)
+    assert list(_defect_segments(box, strides)) == list(helpers.defect_segments_reference(box, strides))
 
 
 def test_gamma_partitions_share_equal_parts():
