@@ -6,7 +6,8 @@ table, JSON, CSV). JSON payloads follow one schema: {"command": ...,
 polynomials as coefficient arrays (index = exponent), degree-vector
 partitions as lists of those, triangles as flat row-major lower-triangular
 arrays [a11, a21, a22, a31, ...], and coroot partitions as [p, q, m] triples
-(the table _SCHEMA). Output is a pure function of the arguments, byte for byte.
+(_SCHEMA, and _write_json's value_text for partitions). Output is a pure
+function of the arguments, byte for byte.
 
 HANDLERS is the one subcommand table (handler, help text, degree-vector
 flags). `main` builds the flags of the subcommand its argv names, parses them,
@@ -14,8 +15,9 @@ passes them to the handler, and renders its Output; params are n, the vectors,
 then the handler's extras. A handler builds its rows once, as tuples of
 library values in the order of its headers; where its JSON result lists
 the rows as objects, it holds that same list, and the JSON writer writes
-each row through one % template built from the headers. `_render` writes
-the rows a chunk at a time and formats each value once per call.
+each row through one % template built from the headers. `smallness` takes
+its rows, headers and summaries from strata, with no arithmetic of its own.
+`_render` writes the rows a chunk at a time and formats each value once per call.
 
 Exit codes: 0 success (and verification PASS), 1 verification FAIL, 2 usage
 error, 3 cap exceeded.
@@ -99,8 +101,6 @@ def _int_list(text: str) -> tuple[int, ...]:
 _SCHEMA = {
     GammaVec: attrgetter("coeffs"),
     IntPolynomial: attrgetter("coeffs"),
-    # its parts, each a GammaVec
-    GammaPartition: attrgetter("parts"),
     Triangle: Triangle.flat,
     KappaPartition: lambda kappa: [[c.p, c.q, m] for c, m in kappa.mult],
 }
@@ -178,23 +178,24 @@ _CHUNK = 256
 def _write_json(obj, indent: str, write, rows=None, headers=()) -> None:
     """Write json.dumps(obj, indent=2), byte for byte, through write.
 
-    Takes dicts, lists, str, int, bool and None, and a library value in
-    _SCHEMA as the sequence it maps to. Types are matched exactly, so True
-    stays true and any other type raises TypeError. The one exception is
-    the list rows, where obj holds it within dicts: its items are tuples of
-    values in the order of headers, and each goes out as the object from
-    header to value, through one % template per call and indent built from
-    the headers. The stdlib runs its pure-Python encoder whenever indent is
-    set; this one keeps, for the call, the encoded keys and, per indent, the
-    text of each degree vector and polynomial by coefficients, and writes a
-    partition as its parts' kept texts joined. Dicts go out key by key and
-    the rows, and any other list longer than _CHUNK, _CHUNK items at a time.
+    Takes dicts, lists, str, int, bool and None, a partition as its parts,
+    and a library value in _SCHEMA as the sequence it maps to. Types are
+    matched exactly, so True stays true and any other type raises TypeError.
+    The one exception is the list rows, where obj holds it within dicts: its
+    items are tuples of values in the order of headers, and each goes out
+    as the object from header to value, through one % template per call and
+    indent built from the headers. The stdlib runs its pure-Python encoder
+    whenever indent is set; this one keeps, for the call, the encoded keys
+    and, per indent, the text of each degree vector and polynomial by
+    coefficients, and value_text alone writes a partition, as its parts'
+    kept texts joined. Dicts go out key by key and the rows, and any other
+    list longer than _CHUNK, _CHUNK items at a time.
     """
     from json.encoder import encode_basestring_ascii
 
     # indent -> {JSON form: its text}, for degree vectors and polynomials, whose form is their
-    # coefficient tuple
-    memo, keys = {}, {}
+    # coefficient tuple; indent -> its value_text
+    memo, keys, writers = {}, {}, {}
 
     def key(k: str) -> str:
         return keys.get(k) or keys.setdefault(k, encode_basestring_ascii(k))
@@ -209,6 +210,8 @@ def _write_json(obj, indent: str, write, rows=None, headers=()) -> None:
         if kind is GammaVec or kind is IntPolynomial:
             texts, form = vectors(indent), _SCHEMA[kind](obj)
             return texts.get(form) or texts.setdefault(form, text(list(form), indent))
+        if kind is GammaPartition:
+            return value_text(indent)(obj)
         if kind in _SCHEMA:
             return text(list(_SCHEMA[kind](obj)), indent)
         if kind is str:
@@ -228,26 +231,35 @@ def _write_json(obj, indent: str, write, rows=None, headers=()) -> None:
             return f"{{\n{inner}{sep.join(body)}\n{indent}}}" if obj else "{}"
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
-    def row_text(indent: str):
-        """The text of a row tuple as an object at indent, one field after another into the template."""
-        at, inner = indent + "  ", indent + "    "
-        fields = [key(h).replace("%", "%%") + ": %s" for h in headers]
-        template = "{\n" + at + (",\n" + at).join(fields) + "\n" + indent + "}"
-        texts, part_texts = vectors(at), vectors(inner)
-        opening, sep, closing = "[\n" + inner, ",\n" + inner, "\n" + at + "]"
+    def value_text(indent: str):
+        """The writer of one value's text at indent, made once per indent: the one partition join."""
+        writer = writers.get(indent)
+        if writer is not None:
+            return writer
+        inner = indent + "  "
+        texts, part_texts = vectors(indent), vectors(inner)
+        opening, sep, closing = "[\n" + inner, ",\n" + inner, "\n" + indent + "]"
 
-        def field(v) -> str:
+        def writer(v) -> str:
             kind = type(v)
             if kind is int:
                 return int.__repr__(v)
             # text() keeps the text of a degree vector or polynomial in texts or part_texts
             if kind is GammaVec or kind is IntPolynomial:
-                return texts.get(v.coeffs) or text(v, at)
-            if kind is GammaPartition and v.parts:
+                return texts.get(v.coeffs) or text(v, indent)
+            if kind is GammaPartition:
                 body = [part_texts.get(p.coeffs) or text(p, inner) for p in v.parts]
-                return opening + sep.join(body) + closing
-            return text(v, at)
+                return opening + sep.join(body) + closing if body else "[]"
+            return text(v, indent)
 
+        return writers.setdefault(indent, writer)
+
+    def row_text(indent: str):
+        """The text of a row tuple as an object at indent, one field after another into the template."""
+        at = indent + "  "
+        fields = [key(h).replace("%", "%%") + ": %s" for h in headers]
+        template = "{\n" + at + (",\n" + at).join(fields) + "\n" + indent + "}"
+        field = value_text(at)
         return lambda row: template % tuple(map(field, row))
 
     def stream(obj, indent: str) -> None:
@@ -258,7 +270,7 @@ def _write_json(obj, indent: str, write, rows=None, headers=()) -> None:
                 stream(v, inner)
             write(f"\n{indent}}}")
         elif kind is list and obj and (obj is rows or len(obj) > _CHUNK):
-            item = row_text(inner) if obj is rows else lambda v: text(v, inner)
+            item = row_text(inner) if obj is rows else value_text(inner)
             sep = ",\n" + inner
             for start in range(0, len(obj), _CHUNK):
                 chunk = sep.join(map(item, obj[start : start + _CHUNK]))
@@ -373,22 +385,10 @@ def _cmd_strata(args, caps, n, alpha) -> Output:
 
 
 def _cmd_smallness(args, caps, n, alpha) -> Output:
-    from .strata import _margin_ok, smallness_report
+    from .strata import _SMALLNESS_COLUMNS, smallness_report
 
     report = smallness_report(n, alpha, caps=caps)
-    # each number is a property of the row's record, so each is read once per row; margin is
-    # codim - 2 * fiber_dim where fiber_dim > 0, so only a row of fiber_dim 0 reads codim
-    rows, margins = [], []
-    for row in report.rows:
-        rec, margin = row.record, row.margin
-        f = rec.fiber_dim
-        margins.append(margin)
-        # SmallnessRow.ok, on the margin read above
-        rows.append((
-            rec.beta, rec.parts, rec.codim if margin is None else margin + 2 * f, f, margin, _margin_ok(margin)
-        ))
-    # the five summaries come from one pass over the margins read above
-    min_margin, witness, passed, vacuous, aggregate = report._summaries(margins)
+    rows, (min_margin, witness, passed, vacuous, aggregate) = report._tabulate()
     result = {
         "passed": passed,
         "vacuous": vacuous,
@@ -401,8 +401,7 @@ def _cmd_smallness(args, caps, n, alpha) -> Output:
     }
     outcome = "PASS" if passed else "FAIL"
     verdict = "PASS (vacuous)" if vacuous else f"{outcome} (min margin {min_margin})"
-    headers = ("beta", "parts", "codim", "fiber_dim", "margin", "ok")
-    return Output(result, headers, rows, prefix=(verdict,), code=0 if passed else 1)
+    return Output(result, _SMALLNESS_COLUMNS, rows, prefix=(verdict,), code=0 if passed else 1)
 
 
 def _cmd_ic_stalks(args, caps, n, alpha, beta) -> Output:

@@ -19,7 +19,7 @@ summand in cohomological degree -2|alpha| - dim B + 2j with Tate twist j.
 
 from __future__ import annotations
 
-from operator import attrgetter, sub
+from operator import sub
 
 # before `from . import kostant`, so that kostant loads by a path -X importtime logs
 from .kostant import ONE, IntPolynomial, fiber_poincare
@@ -73,9 +73,16 @@ class StratumRecord:
         return len(self.fiber_poincare.coeffs) - 1
 
 
-def _margin_ok(margin: int | None) -> bool:
-    """The verdict on a smallness margin: vacuous (None) or positive."""
-    return margin is None or margin > 0
+# the columns of a smallness table row, in order
+_SMALLNESS_COLUMNS = ("beta", "parts", "codim", "fiber_dim", "margin", "ok")
+
+
+def _smallness_row(rec: StratumRecord) -> tuple:
+    """A record's values of _SMALLNESS_COLUMNS: margin is codim - 2 * fiber_dim
+    where fiber_dim > 0 and None elsewhere, and ok says it is None or positive."""
+    codim, f = rec.codim, rec.fiber_dim
+    margin = codim - 2 * f if f else None
+    return rec.beta, rec.parts, codim, f, margin, margin is None or margin > 0
 
 
 @record
@@ -83,8 +90,8 @@ class SmallnessRow:
     """One stratum's row of the smallness inequality codim > 2 * fiber_dim.
 
     margin, codim - 2 * fiber_dim where fiber_dim > 0 and None elsewhere,
-    and the verdict ok are read-only properties of the record, so a failing
-    row is stated by a record whose polynomial has too high a degree.
+    and the verdict ok are read-only properties of the record (_smallness_row),
+    so a failing row is stated by a record whose polynomial has too high a degree.
     """
 
     record: StratumRecord
@@ -92,18 +99,8 @@ class SmallnessRow:
     def __post_init__(self) -> None:
         require_type("record", self.record, StratumRecord)
 
-    @property
-    def margin(self) -> int | None:
-        rec = self.record
-        f = rec.fiber_dim
-        return rec.codim - 2 * f if f else None
-
-    @property
-    def ok(self) -> bool:
-        return _margin_ok(self.margin)
-
-
-_margin = attrgetter("margin")
+    margin = property(lambda self: _smallness_row(self.record)[4])
+    ok = property(lambda self: _smallness_row(self.record)[5])
 
 
 @record
@@ -130,39 +127,37 @@ class SmallnessReport:
         for row in self.rows:
             require_type("row", row, SmallnessRow)
 
-    def _summaries(self, margins=None) -> tuple:
-        """(min_margin, witness, passed, vacuous, aggregate), from one pass over the rows.
+    def _tabulate(self) -> tuple:
+        """The table, one _smallness_row per row, and (min_margin, witness, passed, vacuous, aggregate).
 
-        margins are the rows' margins in row order, when the caller has read
-        them already, as the smallness command does for its own rows; so no
-        margin is read twice. Without them the pass reads each row's margin
-        once, as each summary property does.
+        One pass reads each row's record once. The first row of least margin gives
+        min_margin, witness and passed, and the row of least codim at fiber_dim f, whose
+        margin is the least at f, gives aggregate's (f, codim, ok).
         """
         # cutting the last simple coroot off a coroot of length >= 2 in a part's fewest-coroot
         # cover lowers codim by 2 and fiber_dim by 0 or 1, so over all strata of an alpha the
         # least codim at fiber_dim exactly f rises strictly with f: it is the least over
         # fiber_dim >= f
-        tight = least = None
-        min_codim: dict[int, int] = {}
-        rows = self.rows
-        for row, margin in zip(rows, map(_margin, rows) if margins is None else margins):
+        table, lowest, witness, tight = [], {}, None, None
+        for row in self.rows:
+            _, _, codim, f, margin, _ = entry = _smallness_row(row.record)
+            table.append(entry)
             if margin is not None:
-                if least is None or margin < least:
-                    tight, least = row, margin
-                # margin is codim - 2 * f on a row with f > 0, so codim is not read again
-                f = row.record.fiber_dim
-                codim = margin + 2 * f
-                min_codim[f] = min(min_codim.get(f, codim), codim)
-        aggregate = tuple((f, c, c > 2 * f) for f, c in sorted(min_codim.items()))
+                if tight is None or margin < tight[4]:
+                    witness, tight = row.record, entry
+                low = lowest.get(f)
+                if low is None or codim < low[2]:
+                    lowest[f] = entry
+        aggregate = tuple((f, low[2], low[5]) for f, low in sorted(lowest.items()))
         if tight is None:
-            return None, None, True, True, aggregate
-        return least, tight.record, _margin_ok(least), False, aggregate
+            return table, (None, None, True, True, aggregate)
+        return table, (tight[4], witness, tight[5], False, aggregate)
 
-    min_margin = property(lambda self: self._summaries()[0])
-    witness = property(lambda self: self._summaries()[1])
-    passed = property(lambda self: self._summaries()[2])
-    vacuous = property(lambda self: self._summaries()[3])
-    aggregate = property(lambda self: self._summaries()[4])
+    min_margin = property(lambda self: self._tabulate()[1][0])
+    witness = property(lambda self: self._tabulate()[1][1])
+    passed = property(lambda self: self._tabulate()[1][2])
+    vacuous = property(lambda self: self._tabulate()[1][3])
+    aggregate = property(lambda self: self._tabulate()[1][4])
 
 
 @record

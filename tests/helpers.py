@@ -583,6 +583,8 @@ def _json_form(value):
     if type(value) is Triangle:
         # row-major, row p holding a_p1 .. a_pp
         return [a for row in value.rows for a in row]
+    if type(value) is KappaPartition:
+        return [[coroot.p, coroot.q, mult] for coroot, mult in value.mult]
     raise TypeError(f"no JSON form for {type(value).__name__}")
 
 

@@ -613,11 +613,14 @@ def test_json_writer_matches_json_dumps_indent_2(obj):
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(helpers.small_alphas(), st.sampled_from([1, 2, cli._CHUNK]))
 def test_streamed_atlas_matches_the_one_string_reference(alpha, chunk):
-    argv = ["--n", str(alpha.n), "--alpha", ",".join(map(str, alpha.coeffs))]
-    for command in ("strata", "smallness"):
-        out = HANDLERS[command][0](None, DEFAULT_CAPS, alpha.n, alpha)
+    # gamma-partitions and kpartitions list library values outside rows, so that a chunk of 1 or
+    # 2 streams them through the JSON writer's long-list path
+    for command in ("strata", "smallness", "gamma-partitions", "kpartitions"):
+        handler, _, (flag,) = HANDLERS[command]
+        argv = ["--n", str(alpha.n), f"--{flag}", ",".join(map(str, alpha.coeffs))]
+        out = handler(None, DEFAULT_CAPS, alpha.n, alpha)
         for fmt in ("table", "json", "csv"):
-            want = helpers.reference_output(fmt, command, {"n": alpha.n, "alpha": alpha}, out)
+            want = helpers.reference_output(fmt, command, {"n": alpha.n, flag: alpha}, out)
             buf = io.StringIO()
             with mock.patch.object(cli, "_CHUNK", chunk), contextlib.redirect_stdout(buf):
                 main([command, *argv, "--format", fmt])

@@ -443,6 +443,18 @@ def test_a_gate_row_fails_on_a_wrong_value_or_past_its_timeout():
         gates.test_gate(row._replace(argv=[sys.executable, "-c", "import time; time.sleep(30)"], timeout=0.5))
 
 
+def test_a_console_row_without_its_script_fails_naming_it_and_the_fix():
+    # a fake console script that no PATH holds: the row fails, not skips, with no traceback
+    row = gates.Gate("console_row", ["quasiflags-not-on-path", "kostant", "--n", "3", "--gamma", "1,1"], 60,
+                     "stdout", "1 + t")
+    with pytest.raises(pytest.fail.Exception) as failed:
+        gates.test_gate(row)
+    message = str(failed.value)
+    assert message.startswith("console_row: no console script 'quasiflags-not-on-path' on PATH")
+    assert "pip install -e ." in message and 'exec python3 -m quasiflags "$@"' in message
+    assert not failed.value.pytrace
+
+
 def test_gate_names_are_unique_and_each_picks_its_row_alone():
     names = [gate.name for gate in gates.GATES]
     assert len(set(names)) == len(names)

@@ -431,16 +431,25 @@ def test_a_hand_built_report_reads_its_summaries_from_its_rows(alpha, data):
             rec = helpers.replace(rec, fiber_poincare=IntPolynomial((1,) * (degree + 1)))
             row = SmallnessRow(rec)
         codim = 2 * (alpha.length - rec.beta.length) - len(rec.parts.parts)
-        pairs.append((row, codim - 2 * degree if degree else None))
+        margin = codim - 2 * degree if degree else None
+        pairs.append((row, (rec.beta, rec.parts, codim, degree, margin, margin is None or margin > 0)))
     pairs = data.draw(st.permutations(pairs))
     report = SmallnessReport(alpha.n, alpha, tuple(row for row, _ in pairs))
     least = witness = None
-    for row, margin in pairs:
+    lowest = {}
+    for row, (_, _, codim, degree, margin, _) in pairs:
         if margin is not None and (least is None or margin < least):
             least, witness = margin, row.record
+        if degree:
+            lowest[degree] = min(lowest.get(degree, codim), codim)
     assert (report.min_margin, report.witness) == (least, witness)
-    assert report.passed is all(margin is None or margin > 0 for _, margin in pairs)
+    assert report.passed is all(want[5] for _, want in pairs)
     assert report.vacuous is (least is None)
+    assert report.aggregate == tuple((f, c, c > 2 * f) for f, c in sorted(lowest.items()))
+    # the one pass: the command's table rows, and the five summaries that the properties read
+    table, summaries = report._tabulate()
+    assert table == [want for _, want in pairs]
+    assert summaries == (report.min_margin, report.witness, report.passed, report.vacuous, report.aggregate)
 
 
 @settings(derandomize=True, deadline=None)
