@@ -6,8 +6,8 @@ table, JSON, CSV). JSON payloads follow one schema: {"command": ...,
 polynomials as coefficient arrays (index = exponent), degree-vector
 partitions as lists of those, triangles as flat row-major lower-triangular
 arrays [a11, a21, a22, a31, ...], and coroot partitions as [p, q, m] triples
-(_SCHEMA, and _write_json's value_text for partitions). Output is a pure
-function of the arguments, byte for byte.
+(_SCHEMA holds the last two). Output is a pure function of the arguments,
+byte for byte.
 
 HANDLERS is the one subcommand table (handler, help text, degree-vector
 flags). `main` builds the flags of the subcommand its argv names, parses them,
@@ -15,7 +15,8 @@ passes them to the handler, and renders its Output; params are n, the vectors,
 then the handler's extras. A handler builds its rows once, as tuples of
 library values in the order of its headers; where its JSON result lists
 the rows as objects, it holds that same list, and the JSON writer writes
-each row through one % template built from the headers. `smallness` takes
+each row through one % template built from the headers, each field by the
+one writer of its indent, which writes every kind of value. `smallness` takes
 its rows, headers and summaries from strata, with no arithmetic of its own.
 `_render` writes the rows a chunk at a time and formats each value once per call.
 
@@ -97,10 +98,9 @@ def _int_list(text: str) -> tuple[int, ...]:
 # JSON serialization (the schema other tools consume)
 
 
-# the JSON form of each library value: a sequence, which _write_json writes as a list
+# the JSON form of each library value other than a degree vector, a polynomial or a partition:
+# a sequence, which _write_json writes as a list
 _SCHEMA = {
-    GammaVec: attrgetter("coeffs"),
-    IntPolynomial: attrgetter("coeffs"),
     Triangle: Triangle.flat,
     KappaPartition: lambda kappa: [[c.p, c.q, m] for c, m in kappa.mult],
 }
@@ -178,79 +178,65 @@ _CHUNK = 256
 def _write_json(obj, indent: str, write, rows=None, headers=()) -> None:
     """Write json.dumps(obj, indent=2), byte for byte, through write.
 
-    Takes dicts, lists, str, int, bool and None, a partition as its parts,
-    and a library value in _SCHEMA as the sequence it maps to. Types are
-    matched exactly, so True stays true and any other type raises TypeError.
-    The one exception is the list rows, where obj holds it within dicts: its
-    items are tuples of values in the order of headers, and each goes out
-    as the object from header to value, through one % template per call and
-    indent built from the headers. The stdlib runs its pure-Python encoder
-    whenever indent is set; this one keeps, for the call, the encoded keys
-    and, per indent, the text of each degree vector and polynomial by
-    coefficients, and value_text alone writes a partition, as its parts'
-    kept texts joined. Dicts go out key by key and the rows, and any other
-    list longer than _CHUNK, _CHUNK items at a time.
+    Takes dicts, lists, str, int, bool and None, a degree vector or
+    polynomial as its coefficients, a partition as its parts, and a library
+    value in _SCHEMA as the sequence it maps to. Types are matched exactly,
+    so True stays true and any other type raises TypeError. The one
+    exception is the list rows, where obj holds it within dicts: its items
+    are tuples of values in the order of headers, and each goes out as the
+    object from header to value, through one % template per call and indent
+    built from the headers. The stdlib runs its pure-Python encoder whenever
+    indent is set; here one writer per indent, value_text, made once per
+    call, writes every kind, and the call keeps the encoded keys and, per
+    indent, the text of each degree vector and polynomial by coefficients.
+    Dicts go out key by key and the rows, and any other list longer than
+    _CHUNK, _CHUNK items at a time.
     """
     from json.encoder import encode_basestring_ascii
 
-    # indent -> {JSON form: its text}, for degree vectors and polynomials, whose form is their
-    # coefficient tuple; indent -> its value_text
-    memo, keys, writers = {}, {}, {}
+    # indent -> {coefficients: text} of the degree vectors and polynomials written at indent;
+    # key -> its text; indent -> its value_text
+    kept, keys, writers = {}, {}, {}
 
     def key(k: str) -> str:
         return keys.get(k) or keys.setdefault(k, encode_basestring_ascii(k))
 
-    def vectors(indent: str) -> dict:
-        return memo.get(indent) or memo.setdefault(indent, {})
-
-    def text(obj, indent: str) -> str:
-        kind = type(obj)
-        if kind is int:
-            return int.__repr__(obj)
-        if kind is GammaVec or kind is IntPolynomial:
-            texts, form = vectors(indent), _SCHEMA[kind](obj)
-            return texts.get(form) or texts.setdefault(form, text(list(form), indent))
-        if kind is GammaPartition:
-            return value_text(indent)(obj)
-        if kind in _SCHEMA:
-            return text(list(_SCHEMA[kind](obj)), indent)
-        if kind is str:
-            return encode_basestring_ascii(obj)
-        if kind is bool or obj is None:
-            return "null" if obj is None else "true" if obj else "false"
-        inner = indent + "  "
-        sep = ",\n" + inner
-        if kind is list:
-            body = [text(v, inner) for v in obj]
-            return f"[\n{inner}{sep.join(body)}\n{indent}]" if obj else "[]"
-        if kind is dict:
-            body = [
-                f"{key(k)}: {int.__repr__(v) if type(v) is int else text(v, inner)}"
-                for k, v in obj.items()
-            ]
-            return f"{{\n{inner}{sep.join(body)}\n{indent}}}" if obj else "{}"
-        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
-
     def value_text(indent: str):
-        """The writer of one value's text at indent, made once per indent: the one partition join."""
+        """The writer of a value's text at indent, made once per indent."""
         writer = writers.get(indent)
         if writer is not None:
             return writer
         inner = indent + "  "
-        texts, part_texts = vectors(indent), vectors(inner)
+        texts, part_texts = kept.setdefault(indent, {}), kept.setdefault(inner, {})
         opening, sep, closing = "[\n" + inner, ",\n" + inner, "\n" + indent + "]"
+
+        def items(values) -> str:
+            return opening + sep.join(map(value_text(inner), values)) + closing if values else "[]"
 
         def writer(v) -> str:
             kind = type(v)
             if kind is int:
                 return int.__repr__(v)
-            # text() keeps the text of a degree vector or polynomial in texts or part_texts
             if kind is GammaVec or kind is IntPolynomial:
-                return texts.get(v.coeffs) or text(v, indent)
+                coeffs = v.coeffs
+                return texts.get(coeffs) or texts.setdefault(coeffs, items(coeffs))
             if kind is GammaPartition:
-                body = [part_texts.get(p.coeffs) or text(p, inner) for p in v.parts]
+                # the parts' kept texts read inline, as a call per part costs the rows
+                body = [part_texts.get(p.coeffs) or value_text(inner)(p) for p in v.parts]
                 return opening + sep.join(body) + closing if body else "[]"
-            return text(v, indent)
+            if kind in _SCHEMA:
+                return items(_SCHEMA[kind](v))
+            if kind is str:
+                return encode_basestring_ascii(v)
+            if kind is bool or v is None:
+                return "null" if v is None else "true" if v else "false"
+            if kind is list:
+                return items(v)
+            if kind is dict:
+                field = value_text(inner)
+                body = [f"{key(k)}: {field(x)}" for k, x in v.items()]
+                return "{\n" + inner + sep.join(body) + "\n" + indent + "}" if body else "{}"
+            raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
         return writers.setdefault(indent, writer)
 
@@ -277,7 +263,7 @@ def _write_json(obj, indent: str, write, rows=None, headers=()) -> None:
                 write((sep if start else "[\n" + inner) + chunk)
             write(f"\n{indent}]")
         else:
-            write(text(obj, indent))
+            write(value_text(indent)(obj))
 
     stream(obj, indent)
 

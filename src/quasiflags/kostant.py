@@ -165,9 +165,8 @@ def _box_count(coeffs: tuple[int, ...]) -> list[tuple[tuple[int, ...], IntPolyno
 def fiber_poincare(parts: GammaPartition, *, caps: Caps = DEFAULT_CAPS) -> IntPolynomial:
     """Product of K over the parts of a degree-vector partition (1 when empty)."""
     require_type("parts", parts, GammaPartition)
-    # the test inline, as in check_rank: an empty partition reads no K
-    if not isinstance(caps, Caps):
-        require_type("caps", caps, Caps)
+    # checked here too: an empty partition reads no K, so runs no check_rank
+    require_type("caps", caps, Caps)
     poly = ONE
     for part in parts.parts:
         poly = poly * kostant_poly(part, caps=caps)

@@ -4,9 +4,9 @@ Everything in this package is exponential in some input parameter, so each
 entry point checks its arguments against a Caps value and refuses work that
 would blow up, raising CapExceededError instead of hanging. The defaults are
 sized for desk-scale exploration; pass a custom Caps to go further. The
-module also holds the four argument rules that every entry point shares:
-require_int, require_rank, require_type and check_rank, and record, which
-writes every value class of the package.
+module also holds the three argument rules that every entry point shares:
+require_int, require_type and check_rank, and record, which writes every
+value class of the package.
 """
 
 from __future__ import annotations
@@ -166,20 +166,11 @@ def require_type(name: str, value: object, cls: type) -> None:
         raise TypeError(f"{name} must be {article} {cls.__name__}, got {type(value).__name__} {value!r}")
 
 
-def require_rank(n: int) -> None:
-    """Refuse a rank parameter n that is not an integer >= 2; no cap is checked."""
-    # require_int's rule, written out because every query runs it; a bool is below 2
-    if not isinstance(n, int) or n < 2:
-        raise ValueError(f"rank parameter n must be an integer >= 2, got {n!r}")
-
-
 DEFAULT_CAPS = Caps()
 
 
 def check_rank(n: int, caps: Caps = DEFAULT_CAPS) -> None:
-    require_rank(n)
-    # the test inline, not a require_type call: every kostant_poly call runs check_rank
-    if not isinstance(caps, Caps):
-        require_type("caps", caps, Caps)
+    require_int("rank parameter n", n, 2)
+    require_type("caps", caps, Caps)
     if n > caps.max_rank:
         raise CapExceededError(f"n = {n} exceeds the rank cap {caps.max_rank}")

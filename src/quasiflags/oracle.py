@@ -90,7 +90,7 @@ from itertools import accumulate, product
 from .gfpoly import Poly
 from . import gfpoly as gf
 from .kostant import kostant_poly
-from .limits import Caps, DEFAULT_CAPS, CapExceededError, record, require_int, require_rank, require_type
+from .limits import Caps, DEFAULT_CAPS, CapExceededError, record, require_int, require_type
 from .partitions import Triangle, _triangle, mu_triangles, stratum_dim
 from .roots import GammaVec
 
@@ -300,12 +300,17 @@ def _check_volume(colengths: tuple[int, ...], q: int, caps: Caps) -> None:
     cap = caps.max_lattice_volume
     bits = max(_EXACT_BITS, cap.bit_length())
     bound = 1 << bits
-    counts = [1] * (max(colengths) + 1)  # rank 1: z^c R is the one lattice of colength c
+    # rank 1: z^c R is the one lattice of colength c. A step's count at c is at least 2^(c+1) - 1,
+    # so it reads no count past c = cap.bit_length(), and rank 1 lists no more
+    counts = [1] * (min(max(colengths), cap.bit_length()) + 1)
     for k, colength in enumerate(colengths, start=1):
-        at = min(colength, len(counts) - 1)
-        if counts[at] > cap:
+        # a grown list ends at the largest colength or at its first count past the cap, which the
+        # error then names; rank 1's counts are all 1, past the end of its list too
+        at = colength if k == 1 else min(colength, len(counts) - 1)
+        count = counts[min(at, len(counts) - 1)]
+        if count > cap:
             big = 1 << _EXACT_BITS
-            shown = counts[at] if counts[at] < big else f"at least 2^{counts[at].bit_length() - 1}"
+            shown = count if count < big else f"at least 2^{count.bit_length() - 1}"
             limit = cap if cap < big else f"of {cap.bit_length()} bits"
             raise CapExceededError(
                 f"{shown} lattices of rank {k} and colength {at} exceed the volume cap {limit}"
@@ -385,7 +390,7 @@ class FlagChain:
     lattices: tuple[Lattice, ...]
 
     def __post_init__(self) -> None:
-        require_rank(self.n)
+        require_int("rank parameter n", self.n, 2)
         _require_prime(self.q)
         require_type("gamma", self.gamma, GammaVec)
         require_type("lattices", self.lattices, tuple)
@@ -414,7 +419,7 @@ _lattice, _chain = Lattice._unchecked, FlagChain._unchecked
 def _check_oracle_caps(n: int, gamma: GammaVec, q: int, caps: Caps) -> None:
     require_type("gamma", gamma, GammaVec)
     _require_prime(q)
-    require_rank(n)
+    require_int("rank parameter n", n, 2)
     require_type("caps", caps, Caps)
     if gamma.n != n:
         raise ValueError("gamma rank context does not match n")
@@ -601,7 +606,7 @@ class OracleReport:
     buckets: tuple[BucketCheck, ...]
 
     def __post_init__(self) -> None:
-        require_rank(self.n)
+        require_int("rank parameter n", self.n, 2)
         require_type("gamma", self.gamma, GammaVec)
         if self.gamma.n != self.n:
             raise ValueError("gamma rank context does not match n")

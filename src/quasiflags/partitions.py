@@ -34,7 +34,7 @@ from collections.abc import Iterable
 from itertools import accumulate, compress
 from operator import add, sub
 
-from .limits import Caps, DEFAULT_CAPS, record, require_int, require_rank, require_type
+from .limits import Caps, DEFAULT_CAPS, record, require_int, require_type
 from .roots import GammaVec, Interval, _box, _coroots, _require_vector, interval_to_gamma
 
 
@@ -55,7 +55,7 @@ class KappaPartition:
     mult: tuple[tuple[Interval, int], ...]
 
     def __post_init__(self) -> None:
-        require_rank(self.n)
+        require_int("rank parameter n", self.n, 2)
         require_type("mult", self.mult, tuple)
         keys = []
         for entry in self.mult:
@@ -125,7 +125,7 @@ class Triangle:
     def __post_init__(self) -> None:
         if self.kind not in ("mu", "nu"):
             raise ValueError(f'kind must be "mu" or "nu", got {self.kind!r}')
-        require_rank(self.n)
+        require_int("rank parameter n", self.n, 2)
         require_type("rows", self.rows, Iterable)
         rows = tuple(self.rows)
         for row in rows:
@@ -154,7 +154,7 @@ class Triangle:
 
     @classmethod
     def from_flat(cls, n: int, kind: str, values) -> "Triangle":
-        require_rank(n)
+        require_int("rank parameter n", n, 2)
         require_type("values", values, Iterable)
         values = list(values)
         if len(values) != n * (n - 1) // 2:
@@ -182,7 +182,7 @@ class GammaPartition:
     parts: tuple[GammaVec, ...]
 
     def __post_init__(self) -> None:
-        require_rank(self.n)
+        require_int("rank parameter n", self.n, 2)
         require_type("parts", self.parts, tuple)
         for part in self.parts:
             require_type("part", part, GammaVec)

@@ -12,9 +12,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from itertools import product
 
-from .limits import (
-    Caps, DEFAULT_CAPS, CapExceededError, check_rank, record, require_int, require_rank, require_type,
-)
+from .limits import Caps, DEFAULT_CAPS, CapExceededError, check_rank, record, require_int, require_type
 
 
 @record
@@ -56,7 +54,7 @@ class GammaVec:
 
     @classmethod
     def zero(cls, n: int) -> "GammaVec":
-        require_rank(n)
+        require_int("rank parameter n", n, 2)
         return cls((0,) * (n - 1))
 
     @property
@@ -150,7 +148,7 @@ def pairing(k: int, c: Interval) -> int:
 
 def interval_to_gamma(c: Interval, n: int) -> GammaVec:
     """Expand the coroot [p, q] on the simple basis of SL(n)."""
-    require_rank(n)
+    require_int("rank parameter n", n, 2)
     require_type("coroot", c, Interval)
     if c.p > n - 1:
         raise ValueError(f"coroot {c} does not fit in rank n={n}")
@@ -175,5 +173,5 @@ def gamma_as_coroot(gamma: GammaVec) -> Interval | None:
 
 def flag_dim(n: int) -> int:
     """Dimension n(n-1)/2 of the full flag variety of SL(n)."""
-    require_rank(n)
+    require_int("rank parameter n", n, 2)
     return n * (n - 1) // 2

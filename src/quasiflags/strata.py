@@ -24,7 +24,7 @@ from operator import sub
 # before `from . import kostant`, so that kostant loads by a path -X importtime logs
 from .kostant import ONE, IntPolynomial, fiber_poincare
 from . import kostant
-from .limits import Caps, DEFAULT_CAPS, record, require_int, require_rank, require_type
+from .limits import Caps, DEFAULT_CAPS, record, require_int, require_type
 from .partitions import GammaPartition, _defect_segments, _gamma_partition, _gamma_vec
 from .roots import GammaVec, _box, _require_vector, flag_dim
 
@@ -119,7 +119,7 @@ class SmallnessReport:
     rows: tuple[SmallnessRow, ...]
 
     def __post_init__(self) -> None:
-        require_rank(self.n)
+        require_int("rank parameter n", self.n, 2)
         require_type("alpha", self.alpha, GammaVec)
         if self.alpha.n != self.n:
             raise ValueError("alpha rank context does not match n")
@@ -184,7 +184,7 @@ class ICStalkTable:
 
     def __post_init__(self) -> None:
         # the kinds of the fields only: parity_check judges the degrees
-        require_rank(self.n)
+        require_int("rank parameter n", self.n, 2)
         require_type("alpha", self.alpha, GammaVec)
         require_type("beta", self.beta, GammaVec)
         require_type("parts", self.parts, GammaPartition)

@@ -19,7 +19,7 @@ from quasiflags import cli, oracle, strata
 from quasiflags.cli import HANDLERS, ic_stalk_table_from_json, main, stratum_records_from_json
 from quasiflags.kostant import IntPolynomial
 from quasiflags.limits import DEFAULT_CAPS
-from quasiflags.partitions import GammaPartition, kappa_partitions, kappa_to_nu, nu_to_mu
+from quasiflags.partitions import GammaPartition, gamma_partitions, kappa_partitions, kappa_to_nu, mu_triangles, nu_to_mu
 from quasiflags.roots import GammaVec, Interval
 from quasiflags.strata import enumerate_strata, ic_stalk_table, smallness_report
 
@@ -554,6 +554,27 @@ def test_volume_cap_fires_before_any_enumeration(capsys):
     assert time.perf_counter() - start < 1.0
 
 
+def test_a_huge_colength_passes_the_volume_cap_in_little_memory():
+    # the volume check keeps only the counts its recurrence reads, not one per unit of colength
+    resource = pytest.importorskip("resource")
+    limit = 1 << 30
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, resource.getrlimit(resource.RLIMIT_AS)[1]))
+
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    argv = [sys.executable, "-m", "quasiflags", "fiber-count", "--n", "2", "--gamma", "1000000000", "--q", "2",
+            "--cap-oracle-length", "1000000000"]
+    runs = [
+        subprocess.run(cmd, env=env, capture_output=True, text=True, preexec_fn=cap_address_space)
+        for cmd in (argv, [*argv, "--verify"])
+    ]
+    plain, verify = ((p.returncode, p.stdout.split("\n", 1)[0], p.stderr) for p in runs)
+    assert plain == (0, "total 1", "")
+    # the calculus's length cap refuses it, after the oracle's caps pass
+    assert verify == (3, "", "error: total degree 1000000000 exceeds the length cap 12\n")
+
+
 def test_output_matches_recorded_digests(capsys):
     differ = []
     for key, want in sorted(RECORDED.items()):
@@ -582,8 +603,17 @@ _JSON_INTS = st.integers(-10**40, 10**40)
 _JSON_TEXT = st.text(
     st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\xe9\u2028\U0001d11e'), st.characters())
 )
+# library values, few enough that one recurs at several depths of a drawn value: the writer keeps
+# the text of a degree vector or polynomial per indent, and a partition reads its parts' kept texts
+_LIBRARY_VALUES = st.sampled_from([
+    GammaVec((1, 0)), GammaVec((0, 1)), GammaVec((1,)), GammaVec((2, 0, 1)),
+    IntPolynomial(()), IntPolynomial((1,)), IntPolynomial((1, 0, 2)),
+    GammaPartition.of(3, []), *gamma_partitions(GammaVec((1, 1))), *gamma_partitions(GammaVec((2, 0, 1))),
+    *kappa_partitions(GammaVec((1, 1))), *mu_triangles(GammaVec((2, 1))),
+])
+_JSON_LEAVES = st.one_of(_JSON_INTS, st.booleans(), _LIBRARY_VALUES)
 _JSON_VALUES = st.recursive(
-    st.one_of(st.none(), st.booleans(), _JSON_INTS, _JSON_TEXT, st.lists(st.one_of(_JSON_INTS, st.booleans()))),
+    st.one_of(st.none(), _JSON_TEXT, _JSON_LEAVES, st.lists(_JSON_LEAVES)),
     lambda inner: st.one_of(st.lists(inner, max_size=4), st.dictionaries(_JSON_TEXT, inner, max_size=4)),
     max_leaves=24,
 )
@@ -600,8 +630,9 @@ def _json(obj):
 @given(_JSON_VALUES)
 @example({"ints": [1, -2, 10**39], "flags": [1, True, 0, False], "empty": [[], {}], "none": None})
 @example({"caf\xe9 \"q\"\n": ["\U0001d11e\t\\"]})
+@example([GammaVec((1, 0)), [GammaVec((1, 0)), gamma_partitions(GammaVec((1, 1)))], {"p": IntPolynomial(())}])
 def test_json_writer_matches_json_dumps_indent_2(obj):
-    want = json.dumps(obj, indent=2)
+    want = json.dumps(obj, indent=2, default=helpers._json_form)
     assert _json(obj) == want
     # streamed into a text stream, in chunks small enough to split the lists drawn
     buf = io.StringIO()
