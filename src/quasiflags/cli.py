@@ -14,11 +14,23 @@ flags). `main` builds the flags of the subcommand its argv names, parses them,
 passes them to the handler, and renders its Output; params are n, the vectors,
 then the handler's extras. A handler builds its rows once, as tuples of
 library values in the order of its headers; where its JSON result lists
-the rows as objects, it holds that same list, and the JSON writer writes
+the rows as objects, it holds those same rows, and the JSON writer writes
 each row through one % template built from the headers, each field by the
-one writer of its indent, which writes every kind of value. `smallness` takes
-its rows, headers and summaries from strata, with no arithmetic of its own.
-`_render` writes the rows a chunk at a time and formats each value once per call.
+one writer of its indent, which writes every kind of value. `_render` writes
+the rows a chunk at a time and formats each value once per call.
+
+`strata` and `smallness` build no row, record or partition per stratum. Their
+rows are the listing's prefix tree, strata._rows, in which each stratum is a
+part v prepended to a stratum listed before it. Every value of a row but beta
+and the partition is a function of |beta| and the stratum's group, (m, fiber
+polynomial), so each format puts the values of a group at a |beta| once into
+a row template, reading them as `_stratum` or `strata._smallness_row` gives
+them from the group's first record there, with %s for beta and the
+partition. A row is its template filled with the text of its defect's beta
+and of its partition, which one translate reads off the stratum's key, its
+parts' box indices as code points. `smallness` reads its summaries through
+`strata._summaries` of those first records, as SmallnessReport reads them of
+every record, with no arithmetic of its own.
 
 Exit codes: 0 success (and verification PASS), 1 verification FAIL, 2 usage
 error, 3 cap exceeded.
@@ -29,7 +41,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from operator import attrgetter
+from itertools import chain, islice, repeat, starmap
+from operator import attrgetter, itemgetter, mod
 
 from .kostant import IntPolynomial, kostant_poly
 from .limits import Caps, CapExceededError, record
@@ -160,9 +173,10 @@ class Output:
 
     result: dict
     headers: tuple[str, ...]
-    # tuples of library values in header order; where result lists the rows as objects from
-    # header to value, it holds this same list, which the JSON writer writes through headers
-    rows: list
+    # tuples of library values in header order, or a strata listing (see _listing_texts); where
+    # result lists the rows as objects from header to value, it holds these same rows, which the
+    # JSON writer writes through headers
+    rows: list | tuple
     # table format only: lines above the table, or the whole output when not aligned
     prefix: tuple[str, ...] = ()
     aligned: bool = True
@@ -173,6 +187,47 @@ class Output:
 
 # list items formatted and written at a time
 _CHUNK = 256
+
+
+def _chunks(items):
+    """The lists of _CHUNK items, and the last of fewer, that the iterator items yields in turn."""
+    while chunk := list(islice(items, _CHUNK)):
+        yield chunk
+
+
+def _partition_texts(vecs: list, keys: list, part_text, sep: str):
+    """The texts of a strata listing's partitions after the open stratum's, in listing order.
+
+    vecs and keys are those of strata._rows. A partition's text is each
+    part's part_text(vec) after sep, all read off the stratum's key in one
+    translate, then the first character cut.
+    """
+    table = [sep + part_text(vec) for vec in vecs]
+    return map(itemgetter(slice(1, None)), map(str.translate, islice(keys, 1, None), repeat(table)))
+
+
+def _listing_texts(rows: tuple, template, beta_text, texts):
+    """The texts of a strata listing's rows after the open stratum's, in listing order.
+
+    rows is (row_of, vecs, keys, groups, defects): a row's values as row_of
+    gives them from its record, then strata._rows of the listing, and texts
+    the partitions' texts of _partition_texts. A row's values but beta and
+    the partition are a function of its group and |beta|, so its text is the
+    template of its group at its |beta|, template(values) of the values of
+    the group's first record there, filled with the text of the defect's
+    beta, beta_text(beta), and of its partition.
+    """
+    row_of, _, _, groups, defects = rows
+    # per |beta|: group -> its template
+    templates: dict = {}
+
+    def defect(lo, hi, beta, firsts):
+        group = templates.setdefault(beta.length, {})
+        group.update({g: template(row_of(rec)) for g, rec in firsts.items()})
+        filled = zip(repeat(beta_text(beta)), islice(texts, hi - lo))
+        return map(mod, map(group.__getitem__, groups[lo:hi]), filled)
+
+    return chain.from_iterable(starmap(defect, defects[1:]))
 
 
 def _write_json(obj, indent: str, write, rows=None, headers=()) -> None:
@@ -240,13 +295,25 @@ def _write_json(obj, indent: str, write, rows=None, headers=()) -> None:
 
         return writers.setdefault(indent, writer)
 
-    def row_text(indent: str):
-        """The text of a row tuple as an object at indent, one field after another into the template."""
+    def row_texts(indent: str):
+        """The texts of the rows as objects at indent, each field's text put into one template."""
         at = indent + "  "
         fields = [key(h).replace("%", "%%") + ": %s" for h in headers]
         template = "{\n" + at + (",\n" + at).join(fields) + "\n" + indent + "}"
         field = value_text(at)
-        return lambda row: template % tuple(map(field, row))
+        if type(rows) is list:
+            return (template % tuple(map(field, row)) for row in rows)
+
+        def group(values):
+            # the partition's text is its parts' texts at the next indent, each after sep
+            return template % ("%s", "[%s\n" + at + "]", *(field(x).replace("%", "%%") for x in values[2:]))
+
+        row_of, vecs, keys, _, defects = rows
+        # the open stratum's record: group 0's, of the zero defect
+        open_stratum = template % tuple(map(field, row_of(defects[0][3][0])))
+        inner = at + "  "
+        texts = _partition_texts(vecs, keys, value_text(inner), ",\n" + inner)
+        return chain((open_stratum,), _listing_texts(rows, group, field, texts))
 
     def stream(obj, indent: str) -> None:
         kind, inner = type(obj), indent + "  "
@@ -255,12 +322,11 @@ def _write_json(obj, indent: str, write, rows=None, headers=()) -> None:
                 write(("," if i else "{") + "\n" + inner + key(k) + ": ")
                 stream(v, inner)
             write(f"\n{indent}}}")
-        elif kind is list and obj and (obj is rows or len(obj) > _CHUNK):
-            item = row_text(inner) if obj is rows else value_text(inner)
+        elif (obj is rows and obj) or (kind is list and len(obj) > _CHUNK):
+            items = row_texts(inner) if obj is rows else map(value_text(inner), obj)
             sep = ",\n" + inner
-            for start in range(0, len(obj), _CHUNK):
-                chunk = sep.join(map(item, obj[start : start + _CHUNK]))
-                write((sep if start else "[\n" + inner) + chunk)
+            for i, chunk in enumerate(_chunks(items)):
+                write((sep if i else "[\n" + inner) + sep.join(chunk))
             write(f"\n{indent}]")
         else:
             write(value_text(indent)(obj))
@@ -295,6 +361,9 @@ def _render(fmt: str, command: str, params: dict, out: Output, file) -> None:
         key = kind, value
         return memo.get(key) or memo.setdefault(key, str(value))
 
+    if type(out.rows) is tuple:
+        _render_listing(fmt, out, cell, file)
+        return
     rows = (map(cell, row) for row in out.rows)
     if fmt == "csv":
         import csv
@@ -313,6 +382,58 @@ def _render(fmt: str, command: str, params: dict, out: Output, file) -> None:
         for start in range(0, len(cells), _CHUNK):
             chunk = cells[start : start + _CHUNK]
             file.write("".join((line % row).rstrip() + "\n" for row in chunk))
+
+
+def _render_listing(fmt: str, out: Output, cell, file) -> None:
+    """Write a strata listing's table or CSV lines, the values of each group put in its template once."""
+    row_of, vecs, keys, _, defects = out.rows
+    values = [row_of(rec) for _, _, _, firsts in defects for rec in firsts.values()]
+    if fmt == "csv":
+        import csv
+        import io
+
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+
+        def line(cells) -> str:
+            buf.seek(0)
+            buf.truncate()
+            writer.writerow(cells)
+            return buf.getvalue()
+
+        # a partition's text is quoted as the csv module quotes alpha's: its parts' texts, like
+        # alpha's, hold a comma exactly where n > 2
+        sample = str(vecs[-1])
+        parts = line([sample])[:-1].replace(sample, "%s")
+
+        def group(values):
+            return "%s," + parts + "," + line([cell(x).replace("%", "%%") for x in values[2:]])
+
+        def beta_text(beta):
+            return line([cell(beta)])[:-1]
+
+        heads = [line(out.headers), line(map(cell, values[0]))]
+    else:
+        # the widths of every defect's beta, every partition's text and each group's other cells
+        root = list(map(cell, values[0]))
+        columns = [
+            [out.headers[0], *(cell(beta) for _, _, beta, _ in defects)],
+            chain((out.headers[1], root[1]), _partition_texts(vecs, keys, str, "+")),
+            *zip(out.headers[2:], *(map(cell, row[2:]) for row in values)),
+        ]
+        widths = [max(map(len, column)) for column in columns]
+
+        def group(values):
+            padded = [cell(x).ljust(w).replace("%", "%%") for x, w in zip(values[2:], widths[2:])]
+            return "  ".join([f"%-{widths[0]}s", f"%-{widths[1]}s", *padded]).rstrip() + "\n"
+
+        beta_text = cell
+        line = "  ".join(f"%-{w}s" for w in widths)
+        lines = [(line % tuple(c)).rstrip() for c in (out.headers, ["-" * w for w in widths], root)]
+        heads = [head + "\n" for head in (*out.prefix, *lines)]
+    texts = _partition_texts(vecs, keys, str, "+")
+    for chunk in _chunks(chain(heads, _listing_texts(out.rows, group, beta_text, texts))):
+        file.write("".join(chunk))
 
 
 # ---------------------------------------------------------------------------
@@ -363,31 +484,34 @@ _stratum = attrgetter(*_STRATA_HEADERS)
 
 
 def _cmd_strata(args, caps, n, alpha) -> Output:
-    from .strata import enumerate_strata, moduli_dim
+    from .strata import _rows, moduli_dim
 
-    rows = list(map(_stratum, enumerate_strata(n, alpha, caps=caps)))
-    result = {"moduli_dim": moduli_dim(n, alpha), "count": len(rows), "strata": rows}
-    return Output(result, _STRATA_HEADERS, rows)
+    listing = (_stratum, *_rows(n, alpha, caps))
+    result = {"moduli_dim": moduli_dim(n, alpha), "count": len(listing[2]), "strata": listing}
+    return Output(result, _STRATA_HEADERS, listing)
 
 
 def _cmd_smallness(args, caps, n, alpha) -> Output:
-    from .strata import _SMALLNESS_COLUMNS, smallness_report
+    from .strata import _SMALLNESS_COLUMNS, _rows, _smallness_row, _summaries
 
-    report = smallness_report(n, alpha, caps=caps)
-    rows, (min_margin, witness, passed, vacuous, aggregate) = report._tabulate()
+    listing = (_smallness_row, *_rows(n, alpha, caps))
+    # each group's first record stands for the group's rows, whose margins, codims and
+    # fiber_dims are its own
+    firsts = [rec for _, _, _, group_firsts in listing[4] for rec in group_firsts.values()]
+    min_margin, witness, passed, vacuous, aggregate = _summaries(firsts)
     result = {
         "passed": passed,
         "vacuous": vacuous,
         "min_margin": min_margin,
         "witness": dict(zip(_STRATA_HEADERS, _stratum(witness))) if witness else None,
-        "rows": rows,
+        "rows": listing,
         "aggregate": [
             {"fiber_dim": f, "min_codim": c, "ok": ok} for f, c, ok in aggregate
         ],
     }
     outcome = "PASS" if passed else "FAIL"
     verdict = "PASS (vacuous)" if vacuous else f"{outcome} (min margin {min_margin})"
-    return Output(result, _SMALLNESS_COLUMNS, rows, prefix=(verdict,), code=0 if passed else 1)
+    return Output(result, _SMALLNESS_COLUMNS, listing, prefix=(verdict,), code=0 if passed else 1)
 
 
 def _cmd_ic_stalks(args, caps, n, alpha, beta) -> Output:

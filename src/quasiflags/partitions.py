@@ -364,47 +364,53 @@ def gamma_partitions(alpha: GammaVec, *, caps: Caps = DEFAULT_CAPS) -> list[Gamm
     _require_vector("alpha", alpha, caps)
     box, strides = _box(alpha.coeffs)
     vecs = [_gamma_vec(v) for v in box]
-    seqs = [[()]]  # per defect index, the part tuples of its partitions
-    for d, segments in _defect_segments(box, strides):
-        seqs.append([(vecs[v],) + tail for v, start in segments for tail in seqs[d - v][start:]])
-    return [_gamma_partition(alpha.n, parts) for parts in seqs[-1]]
+    # the part tuples of the partitions of every defect, numbered as _defect_segments numbers them
+    flat, lo = [()], 0
+    for _, segments in _defect_segments(box, strides):
+        lo = len(flat)
+        flat += [(vecs[v],) + tail for v, tail_lo, tail_hi in segments for tail in flat[tail_lo:tail_hi]]
+    return [_gamma_partition(alpha.n, parts) for parts in flat[lo:]]
 
 
 def _defect_segments(box: list[tuple[int, ...]], strides: list[int]):
     """(d, segments) per nonzero defect d in the box of roots._box, in increasing lex order.
 
-    Vectors are named by box index. The partitions of d in canonical order
-    are, for each (v, start) in segments, part v prepended to those of d - v
-    from position start on, whose leading parts are lex <= v; as the leading
-    parts along a list do not increase, start is found by bisection. The v
-    walked, in decreasing lex order, are the v <= d that are nonzero at d's
-    first nonzero coordinate i, and these are exactly the leading parts of
-    d's partitions: such a v leads v followed by d - v cut into unit
-    vectors, each lex <= v, while every partition of d has a part nonzero
-    at i, lex above any v that is zero there. So each segment prepends v to
-    at least one partition, and no bisection is spent on a v that leads none.
+    Vectors are named by box index, and the partitions of all the defects by
+    one numbering: those of each defect in canonical order, the defects in
+    increasing order, so that 0 is the empty partition of 0. The partitions
+    of d are, for each (v, lo, hi) in segments, part v prepended to each of
+    partitions lo to hi - 1: those of d - v from the first whose leading part
+    is lex <= v on. As the leading parts along a defect's list do not
+    increase, lo is found by bisection. The v walked, in decreasing lex
+    order, are the v <= d that are nonzero at d's first nonzero coordinate
+    i, and these are exactly the leading parts of d's partitions: such a v
+    leads v followed by d - v cut into unit vectors, each lex <= v, while
+    every partition of d has a part nonzero at i, lex above any v that is
+    zero there. So each segment prepends v to at least one partition, and no
+    bisection is spent on a v that leads none.
 
     The indices of those v are built coordinate by coordinate, one nested
     comprehension per nonzero coordinate of d, each value of a coordinate
     from the largest down; the test reference walks itertools.product.
     """
     # per defect index: the keys, minus v of the run of its list led by v for each segment's v
-    # (0 for the empty partition of 0), then 0; and the starts of those runs, then its length
-    keys, starts = [[0, 0]], [[0, 1]]
+    # (0 for the empty partition of 0), then 0; and the numbers where those runs start, then
+    # the number past its list; end is the number past the last defect's list
+    keys, starts, end = [[0, 0]], [[0, 1]], 1
     for d in range(1, len(box)):
         vs = [0]
         for x, s in zip(box[d], strides):
             if x:
                 # vs is [0] until d's first nonzero coordinate, where v may not be 0
                 vs = [a + b for a in vs for b in range(x * s, -1 if vs[0] else 0, -s)]
-        segments, d_starts, size = [], [0], 0
+        segments, d_starts = [], [end]
         for v in vs:
             t = d - v
             tail_starts = starts[t]
-            start = tail_starts[bisect_left(keys[t], -v)]
-            segments.append((v, start))
-            size += tail_starts[-1] - start
-            d_starts.append(size)
+            lo, hi = tail_starts[bisect_left(keys[t], -v)], tail_starts[-1]
+            segments.append((v, lo, hi))
+            end += hi - lo
+            d_starts.append(end)
         keys.append([-v for v in vs] + [0])
         starts.append(d_starts)
         yield d, segments

@@ -22,7 +22,7 @@ from __future__ import annotations
 from operator import sub
 
 # before `from . import kostant`, so that kostant loads by a path -X importtime logs
-from .kostant import ONE, IntPolynomial, fiber_poincare
+from .kostant import ONE, IntPolynomial, _int_polynomial, fiber_poincare
 from . import kostant
 from .limits import Caps, DEFAULT_CAPS, record, require_int, require_type
 from .partitions import GammaPartition, _defect_segments, _gamma_partition, _gamma_vec
@@ -127,37 +127,38 @@ class SmallnessReport:
         for row in self.rows:
             require_type("row", row, SmallnessRow)
 
-    def _tabulate(self) -> tuple:
-        """The table, one _smallness_row per row, and (min_margin, witness, passed, vacuous, aggregate).
+    # each reads one pass of _summaries over the rows' records
+    min_margin, witness, passed, vacuous, aggregate = (
+        property(lambda self, i=i: _summaries([row.record for row in self.rows])[i]) for i in range(5)
+    )
 
-        One pass reads each row's record once. The first row of least margin gives
-        min_margin, witness and passed, and the row of least codim at fiber_dim f, whose
-        margin is the least at f, gives aggregate's (f, codim, ok).
-        """
-        # cutting the last simple coroot off a coroot of length >= 2 in a part's fewest-coroot
-        # cover lowers codim by 2 and fiber_dim by 0 or 1, so over all strata of an alpha the
-        # least codim at fiber_dim exactly f rises strictly with f: it is the least over
-        # fiber_dim >= f
-        table, lowest, witness, tight = [], {}, None, None
-        for row in self.rows:
-            _, _, codim, f, margin, _ = entry = _smallness_row(row.record)
-            table.append(entry)
-            if margin is not None:
-                if tight is None or margin < tight[4]:
-                    witness, tight = row.record, entry
-                low = lowest.get(f)
-                if low is None or codim < low[2]:
-                    lowest[f] = entry
-        aggregate = tuple((f, low[2], low[5]) for f, low in sorted(lowest.items()))
-        if tight is None:
-            return table, (None, None, True, True, aggregate)
-        return table, (tight[4], witness, tight[5], False, aggregate)
 
-    min_margin = property(lambda self: self._tabulate()[1][0])
-    witness = property(lambda self: self._tabulate()[1][1])
-    passed = property(lambda self: self._tabulate()[1][2])
-    vacuous = property(lambda self: self._tabulate()[1][3])
-    aggregate = property(lambda self: self._tabulate()[1][4])
+def _summaries(records) -> tuple:
+    """(min_margin, witness, passed, vacuous, aggregate) of the records, in order, as SmallnessReport states them.
+
+    One pass reads each record's _smallness_row once. The first record of least margin gives
+    min_margin, witness and passed, and the record of least codim at fiber_dim f, whose margin
+    is the least at f, gives aggregate's (f, codim, ok). Each summary is a function of the
+    margins, codims and fiber_dims in order, so records that repeat an earlier record's three
+    values may be left out.
+    """
+    # cutting the last simple coroot off a coroot of length >= 2 in a part's fewest-coroot
+    # cover lowers codim by 2 and fiber_dim by 0 or 1, so over all strata of an alpha the
+    # least codim at fiber_dim exactly f rises strictly with f: it is the least over
+    # fiber_dim >= f
+    lowest, witness, tight = {}, None, None
+    for rec in records:
+        _, _, codim, f, margin, _ = entry = _smallness_row(rec)
+        if margin is not None:
+            if tight is None or margin < tight[4]:
+                witness, tight = rec, entry
+            low = lowest.get(f)
+            if low is None or codim < low[2]:
+                lowest[f] = entry
+    aggregate = tuple((f, low[2], low[5]) for f, low in sorted(lowest.items()))
+    if tight is None:
+        return None, None, True, True, aggregate
+    return tight[4], witness, tight[5], False, aggregate
 
 
 @record
@@ -201,8 +202,9 @@ _record, _row, _report = StratumRecord._unchecked, SmallnessRow._unchecked, Smal
 _entry, _table = StalkEntry._unchecked, ICStalkTable._unchecked
 
 
-# at least 566, the strata of the largest alpha in the benchmark's atlas pool, and 3,274,
-# the strata of the largest listing among its command-line outputs
+# at least 566, the strata of the largest alpha in the benchmark's atlas pool, whose
+# smallness_report reads the listing that its enumerate_strata kept; the command line lists
+# through _rows, which neither reads nor keeps a listing
 PARTITION_CACHE_SIZE = 8192
 # None, or the last listing of at most PARTITION_CACHE_SIZE strata besides the open one, with
 # what it is a function of: (alpha's coefficients, the K_v(t) it read by box index, its
@@ -219,6 +221,55 @@ def moduli_dim(n: int, alpha: GammaVec) -> int:
     return 2 * alpha.length + flag_dim(n)
 
 
+class _Products(dict):
+    """K_v(t) * tail by the tail's coefficients, for one listing: each product is multiplied once."""
+
+    __slots__ = ("k",)
+
+    def __missing__(self, coeffs: tuple) -> IntPolynomial:
+        product = self[coeffs] = self.k * _int_polynomial(coeffs=coeffs)
+        return product
+
+
+def _tree(n: int, alpha: GammaVec, caps: Caps) -> tuple:
+    """The listing of (n, alpha) as a prefix tree, once the caps are checked and each K_v(t) read.
+
+    Returns (vecs, kpolys, defects). vecs holds the box vectors v <= alpha
+    and kpolys their K_v(t), by box index. defects yields (beta, segments)
+    per nonzero defect d = alpha - beta, in increasing order: each segment
+    (v, lo, hi) gives the next hi - lo strata of the listing, of defect d, as
+    the strata at positions lo to hi - 1, of defect d - v, each with part v
+    prepended and its fiber polynomial times K_v(t), which _products gives.
+    Position 0 holds the open stratum: beta = alpha, no parts, polynomial 1.
+    """
+    _require_vector("alpha", alpha, caps, n)
+    box, strides = _box(alpha.coeffs)
+    vecs = [_gamma_vec(v) for v in box]
+    kpolys = [ONE] * len(vecs)
+    for i in range(len(vecs) - 1, 0, -1):
+        kpolys[i] = kostant.kostant_poly(vecs[i], caps=caps)
+    # alpha - defect sits at the index of alpha minus that of defect; the defects increase, so
+    # beta decreases
+    defects = ((vecs[-1 - d], segments) for d, segments in _defect_segments(box, strides))
+    return vecs, kpolys, defects
+
+
+def _products(kpolys: list) -> list:
+    """Per box index v, the memo of K_v(t) * tail for one listing (one per distinct K_v(t)).
+
+    It is None where K_v(t) = 1 leaves every tail as it is.
+    """
+    memos: dict = {}
+    products = [None] * len(kpolys)
+    for v, k in enumerate(kpolys):
+        if k.coeffs != (1,):
+            memo = products[v] = memos.get(k.coeffs)
+            if memo is None:
+                memo = products[v] = memos[k.coeffs] = _Products()
+                memo.k = k
+    return products
+
+
 def enumerate_strata(n: int, alpha: GammaVec, *, caps: Caps = DEFAULT_CAPS) -> list[StratumRecord]:
     """All strata for (n, alpha), one record per (beta, Gamma) pair.
 
@@ -233,51 +284,87 @@ def enumerate_strata(n: int, alpha: GammaVec, *, caps: Caps = DEFAULT_CAPS) -> l
     listing of at most PARTITION_CACHE_SIZE strata besides the open one is
     kept with both, and a call that reads the same K for the same alpha,
     such as smallness_report's after enumerate_strata's, returns a new list
-    of the kept records. Any other call lists, and builds each stratum of
-    defect d = alpha - beta from a stratum it has listed already: for each
-    segment (v, start) of partitions._defect_segments, every stratum of
-    defect d - v from position start on gives one of defect d, with part v
-    prepended to its partition and K_v(t) times its fiber polynomial, each
-    of the few distinct products multiplied once.
+    of the kept records. Any other call lists along the prefix tree of
+    _tree, which the command line writes its strata and smallness rows
+    from without records: each stratum of defect d = alpha - beta is a
+    stratum of defect d - v listed already, with part v prepended and K_v(t)
+    times its fiber polynomial, each of the few distinct products
+    multiplied once.
     """
     global _LAST
-    _require_vector("alpha", alpha, caps, n)
-    box, strides = _box(alpha.coeffs)
-    vecs = [_gamma_vec(v) for v in box]
-    kpolys = [ONE] * len(vecs)
-    for i in range(len(vecs) - 1, 0, -1):
-        kpolys[i] = kostant.kostant_poly(vecs[i], caps=caps)
+    vecs, kpolys, defects = _tree(n, alpha, caps)
     last = _LAST
     if last is not None and last[0] == alpha.coeffs and last[1] == kpolys:
         return list(last[2])
+    products = _products(kpolys)
     out = [_record(beta=alpha, parts=_gamma_partition(n, ()), fiber_poincare=ONE)]
-    # per defect index, the slice (lo, hi) of out that holds its strata; the open stratum is
-    # the zero defect's one partition, the empty one, with fiber polynomial 1
-    spans = [(0, 1)]
-    # per K_v(t), by coefficients: tail coefficients -> K_v(t) * tail, for this call only;
-    # per box index v, the memo of K_v(t), or None where K_v(t) = 1 leaves every tail as it is
-    products: dict = {}
-    memos = [None if k.coeffs == (1,) else products.setdefault(k.coeffs, {}) for k in kpolys]
-    for d, segments in _defect_segments(box, strides):
-        # alpha - defect sits at the index of alpha minus that of defect; the defects
-        # increase, so beta decreases
-        beta = vecs[-1 - d]
-        lo = len(out)
-        for v, start in segments:
-            memo, head = memos[v], (vecs[v],)
-            tail_lo, tail_hi = spans[d - v]
+    for beta, segments in defects:
+        for v, lo, hi in segments:
+            memo, head = products[v], (vecs[v],)
             # a slice, not an iterator: out grows in this loop
-            for tail in out[tail_lo + start:tail_hi]:
+            for tail in out[lo:hi]:
                 poly = tail.fiber_poincare
                 if memo is not None:
-                    poly = memo.get(poly.coeffs) or memo.setdefault(poly.coeffs, kpolys[v] * poly)
+                    poly = memo[poly.coeffs]
                 parts = _gamma_partition(n, head + tail.parts.parts)
                 out.append(_record(beta=beta, parts=parts, fiber_poincare=poly))
-        spans.append((lo, len(out)))
     # a listing of more strata than the bound is not kept; the caller gets its own list
     if len(out) - 1 <= PARTITION_CACHE_SIZE:
         _LAST = (alpha.coeffs, kpolys, tuple(out))
     return out
+
+
+def _rows(n: int, alpha: GammaVec, caps: Caps) -> tuple:
+    """The listing of (n, alpha) for writing its rows, with no record per stratum: (vecs, keys, groups, defects).
+
+    vecs holds the box vectors by box index. keys[i] is stratum i's parts as
+    the string of their box indices' code points, head first, so that a
+    stratum's key is chr(v) + its parent's, and groups[i] numbers its (m,
+    fiber polynomial). Every number of a row is a function of its group and
+    |beta|: stratum_dim = 2|beta| + dim B + m and codim = 2(|alpha| - |beta|)
+    - m. So defects holds, per defect in increasing order from the zero
+    defect, (lo, hi, beta, firsts): its strata are those at positions lo to
+    hi - 1, and firsts maps each of their groups that no earlier defect of
+    the same |beta| holds, in order of first occurrence, to the record of its
+    first stratum. The open stratum is the zero defect's one stratum, whose
+    group is 0.
+    """
+    vecs, kpolys, defects = _tree(n, alpha, caps)
+    products = _products(kpolys)
+    root = _record(beta=alpha, parts=_gamma_partition(n, ()), fiber_poincare=ONE)
+    keys, groups, out = [""], [0], [(0, 1, alpha, {0: root})]
+    # group -> (m, fiber polynomial), and back by (m, coefficients)
+    pairs, ids = [(0, ONE)], {(0, ONE.coeffs): 0}
+    # per box index v: group -> the group of its strata with part v prepended
+    steps = [{} for _ in vecs]
+    # per |beta|: the groups that the defects of that |beta| listed so far hold
+    held: dict = {}
+    for beta, segments in defects:
+        lo = len(keys)
+        for v, tail_lo, tail_hi in segments:
+            step, tails = steps[v], groups[tail_lo:tail_hi]
+            for g in set(tails).difference(step):
+                m, poly = pairs[g]
+                if products[v] is not None:
+                    poly = products[v][poly.coeffs]
+                child = m + 1, poly.coeffs
+                if child not in ids:
+                    ids[child] = len(pairs)
+                    pairs.append((m + 1, poly))
+                step[g] = ids[child]
+            groups.extend(map(step.__getitem__, tails))
+            keys.extend(map(chr(v).__add__, keys[tail_lo:tail_hi]))
+        hi = len(keys)
+        # each group's first position, as the last that a walk from the end stores
+        first = dict(zip(reversed(groups[lo:hi]), range(hi - 1, lo - 1, -1)))
+        seen = held.setdefault(beta.length, set())
+        new = sorted(first.keys() - seen, key=first.__getitem__)
+        seen.update(new)
+        parts = [_gamma_partition(n, tuple(map(vecs.__getitem__, map(ord, keys[first[g]])))) for g in new]
+        out.append((lo, hi, beta, {
+            g: _record(beta=beta, parts=p, fiber_poincare=pairs[g][1]) for g, p in zip(new, parts)
+        }))
+    return vecs, keys, groups, out
 
 
 def smallness_report(n: int, alpha: GammaVec, *, caps: Caps = DEFAULT_CAPS) -> SmallnessReport:

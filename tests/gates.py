@@ -150,8 +150,9 @@ for _ in range(15):
 cli, bare = (t * 1e3 for t in best.values())
 print(f"{' and '.join(runs)}, least of 15: {cli:.1f} and {bare:.1f} ms, difference {cli - bare:.1f} ms")
 """
-# per format, the least of 3 fresh `python -m quasiflags strata` processes on (5, (3,3,3,3)) against
-# the least of 3 cold enumerate_strata calls, each in a fresh process, and the peak RSS of every run
+# per command and format, the least of 3 fresh `python -m quasiflags strata` or `smallness` processes on
+# (5, (3,3,3,3)) against the least of 3 cold enumerate_strata calls, each in a fresh process, and the
+# peak RSS of every run
 PACE = """
 import os, subprocess, sys, tempfile, time
 listing = "import time; from quasiflags import GammaVec; from quasiflags.strata import enumerate_strata; " \\
@@ -169,12 +170,13 @@ with tempfile.TemporaryFile("w+") as out:
     out.seek(0)
     cold = min(map(float, out.read().split()))
 print(f"cold enumerate_strata(5, (3,3,3,3)) in a fresh process: {cold:.3f} s, peak RSS", *(f"{r} MB" for _, r in runs))
-for fmt in ("table", "json", "csv"):
-    argv = ["-m", "quasiflags", "strata", "--n", "5", "--alpha", "3,3,3,3", "--format", fmt]
-    runs = [run(argv, subprocess.DEVNULL) for _ in range(3)]
-    best = min(t for t, _ in runs)
-    print(f"strata --format {fmt}: least of 3 processes {best:.3f} s, {best / cold:.2f}x the listing, peak RSS",
-          *(f"{r} MB" for _, r in runs))
+for command in ("strata", "smallness"):
+    for fmt in ("table", "json", "csv"):
+        argv = ["-m", "quasiflags", command, "--n", "5", "--alpha", "3,3,3,3", "--format", fmt]
+        runs = [run(argv, subprocess.DEVNULL) for _ in range(3)]
+        best = min(t for t, _ in runs)
+        print(f"{command} --format {fmt}: least of 3 processes {best:.3f} s, {best / cold:.2f}x the listing, "
+              "peak RSS", *(f"{r} MB" for _, r in runs))
 """
 ANCHOR = "--q 3 --verify --cap-oracle-rank 8 --cap-oracle-length 12"
 GATES = [
@@ -216,7 +218,8 @@ GATES = [
           ("smallness", "json", "eed9b3ca32b90784c54716ba14d2fcd3149a2d3ebd1f65b723d7320e67987a03"),
           ("smallness", "csv", "38c037c2b3e9cc14341f7e0858e6706c6fe3b7029a359cc9c97c0d41d89d0e38"),
       )),
-    # a listing of more than strata.PARTITION_CACHE_SIZE strata is not kept, and a later one displaces it
+    # commands in turn in one process: they write their rows from strata._rows, which reads and keeps no
+    # listing in strata._LAST, so the last smallness output is a fresh process's, whatever listed before it
     *(Gate(f"warm_atlas_{name}", [PY, "-c", WARM, *args.split()], 30, "sha256", digest)
       for name, args, digest in (
           ("not_kept", "5 3,3,3,3", "c894cdedbef5743cdc9e8a609a5bbffc8ba7afdf0ae2adfce80c3b6c0d1c18cc"),

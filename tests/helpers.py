@@ -273,23 +273,24 @@ def defect_segments_reference(box, strides):
     The second route of the walk: the v <= d nonzero at d's first nonzero
     coordinate, by box index in decreasing lex order, from the product of
     each coordinate's descending range of indices, that coordinate's range
-    cut before 0.
+    cut before 0. The partitions of all defects are numbered in one
+    sequence, each defect's after those of the defects below it.
     """
-    keys, starts = [[0, 0]], [[0, 1]]
+    keys, starts, end = [[0, 0]], [[0, 1]], 1
     for d in range(1, len(box)):
-        segments, d_keys, d_starts, size = [], [], [], 0
+        segments, d_keys, d_starts = [], [], []
         ranges = [range(x * s, -1, -s) for x, s in zip(box[d], strides)]
         i = next(i for i, x in enumerate(box[d]) if x)
         ranges[i] = ranges[i][:-1]
         for v in map(sum, product(*ranges)):
             tail_starts = starts[d - v]
-            start = tail_starts[bisect_left(keys[d - v], -v)]
-            segments.append((v, start))
+            lo = tail_starts[bisect_left(keys[d - v], -v)]
+            segments.append((v, lo, tail_starts[-1]))
             d_keys.append(-v)
-            d_starts.append(size)
-            size += tail_starts[-1] - start
+            d_starts.append(end)
+            end += tail_starts[-1] - lo
         keys.append(d_keys + [0])
-        starts.append(d_starts + [size])
+        starts.append(d_starts + [end])
         yield d, segments
 
 
@@ -586,6 +587,37 @@ def _json_form(value):
     if type(value) is KappaPartition:
         return [[coroot.p, coroot.q, mult] for coroot, mult in value.mult]
     raise TypeError(f"no JSON form for {type(value).__name__}")
+
+
+def listing_output(command, alpha):
+    """The cli Output of `strata` or `smallness` on alpha, its rows the tuples of the library's records.
+
+    The second route of those commands, which write their rows from the
+    listing's prefix tree: each row is cli._stratum or strata._smallness_row
+    of its enumerate_strata record, and the smallness summaries are the
+    SmallnessReport properties.
+    """
+    from quasiflags import cli, strata
+
+    n = alpha.n
+    if command == "strata":
+        rows = [cli._stratum(rec) for rec in strata.enumerate_strata(n, alpha)]
+        result = {"moduli_dim": strata.moduli_dim(n, alpha), "count": len(rows), "strata": rows}
+        return cli.Output(result, cli._STRATA_HEADERS, rows)
+    report = strata.smallness_report(n, alpha)
+    rows = [strata._smallness_row(row.record) for row in report.rows]
+    witness = report.witness
+    result = {
+        "passed": report.passed,
+        "vacuous": report.vacuous,
+        "min_margin": report.min_margin,
+        "witness": dict(zip(cli._STRATA_HEADERS, cli._stratum(witness))) if witness else None,
+        "rows": rows,
+        "aggregate": [{"fiber_dim": f, "min_codim": c, "ok": ok} for f, c, ok in report.aggregate],
+    }
+    outcome = "PASS" if report.passed else "FAIL"
+    verdict = "PASS (vacuous)" if report.vacuous else f"{outcome} (min margin {report.min_margin})"
+    return cli.Output(result, strata._SMALLNESS_COLUMNS, rows, prefix=(verdict,))
 
 
 def reference_output(fmt, command, params, out):

@@ -7,6 +7,8 @@ import os
 import subprocess
 import sys
 import time
+from itertools import accumulate, groupby
+from operator import attrgetter
 from pathlib import Path
 from unittest import mock
 
@@ -15,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
-from quasiflags import cli, oracle, strata
+from quasiflags import cli, kostant, oracle, strata
 from quasiflags.cli import HANDLERS, ic_stalk_table_from_json, main, stratum_records_from_json
 from quasiflags.kostant import IntPolynomial
 from quasiflags.limits import DEFAULT_CAPS
@@ -645,17 +647,85 @@ def test_json_writer_matches_json_dumps_indent_2(obj):
 @given(helpers.small_alphas(), st.sampled_from([1, 2, cli._CHUNK]))
 def test_streamed_atlas_matches_the_one_string_reference(alpha, chunk):
     # gamma-partitions and kpartitions list library values outside rows, so that a chunk of 1 or
-    # 2 streams them through the JSON writer's long-list path
+    # 2 streams them through the JSON writer's long-list path; strata and smallness are checked
+    # against their records' rows, as the commands write no row tuples
     for command in ("strata", "smallness", "gamma-partitions", "kpartitions"):
         handler, _, (flag,) = HANDLERS[command]
         argv = ["--n", str(alpha.n), f"--{flag}", ",".join(map(str, alpha.coeffs))]
-        out = handler(None, DEFAULT_CAPS, alpha.n, alpha)
+        if command in ("strata", "smallness"):
+            out = helpers.listing_output(command, alpha)
+        else:
+            out = handler(None, DEFAULT_CAPS, alpha.n, alpha)
         for fmt in ("table", "json", "csv"):
             want = helpers.reference_output(fmt, command, {"n": alpha.n, flag: alpha}, out)
             buf = io.StringIO()
             with mock.patch.object(cli, "_CHUNK", chunk), contextlib.redirect_stdout(buf):
                 main([command, *argv, "--format", fmt])
             assert buf.getvalue() == want, (command, fmt)
+
+
+_LISTING_EXAMPLES = (GammaVec((0, 2, 0, 1)), GammaVec((3, 0)), GammaVec((0, 0, 3)), GammaVec((4,)))
+
+
+def _listing_examples(test):
+    for alpha in _LISTING_EXAMPLES:
+        test = example(alpha)(test)
+    return test
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(helpers.small_alphas())
+@_listing_examples
+def test_the_tree_walk_gives_each_records_row(alpha):
+    # every row value that the commands write from the prefix tree is that of the stratum's record:
+    # beta the defect's, the partition read from the stratum's key, and the rest from the first
+    # record of the stratum's group at its |beta|
+    records = enumerate_strata(alpha.n, alpha)
+    vecs, keys, groups, defects = strata._rows(alpha.n, alpha, DEFAULT_CAPS)
+    assert len(keys) == len(groups) == len(records)
+    # one defect per run of records of one beta
+    runs = list(accumulate(len(list(run)) for _, run in groupby(records, attrgetter("beta"))))
+    assert [(lo, hi) for lo, hi, _, _ in defects] == list(zip([0, *runs], runs))
+    held = {}
+    for lo, hi, beta, firsts in defects:
+        group = held.setdefault(beta.length, {})
+        # each group new at this |beta| maps to its first stratum's record, in order of first occurrence
+        new = [g for g in dict.fromkeys(groups[lo:hi]) if g not in group]
+        assert list(firsts.items()) == [(g, records[groups.index(g, lo)]) for g in new]
+        group.update(firsts)
+        for i in range(lo, hi):
+            parts = GammaPartition.of(alpha.n, [vecs[ord(c)] for c in keys[i]])
+            for row_of in (cli._stratum, strata._smallness_row):
+                values = row_of(group[groups[i]])
+                assert (beta, parts) + values[2:] == row_of(records[i]), (i, row_of)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(helpers.small_alphas())
+@_listing_examples
+def test_streamed_listings_match_their_records_rows(alpha):
+    # strata and smallness in each format and at three chunk sizes, against the one-string
+    # reference of their records' row tuples; the five smallness summaries are the report's
+    argv = ["--n", str(alpha.n), "--alpha", ",".join(map(str, alpha.coeffs))]
+    for command in ("strata", "smallness"):
+        out = helpers.listing_output(command, alpha)
+        for fmt in ("table", "json", "csv"):
+            want = helpers.reference_output(fmt, command, {"n": alpha.n, "alpha": alpha}, out)
+            for chunk in (1, 2, cli._CHUNK):
+                buf = io.StringIO()
+                with mock.patch.object(cli, "_CHUNK", chunk), contextlib.redirect_stdout(buf):
+                    main([command, *argv, "--format", fmt])
+                assert buf.getvalue() == want, (command, fmt, chunk)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        main(["smallness", *argv, "--format", "json"])
+    result = json.loads(buf.getvalue())["result"]
+    report = smallness_report(alpha.n, alpha)
+    witness = result["witness"] and stratum_records_from_json({"result": {"strata": [result["witness"]]}})[0]
+    assert (result["passed"], result["vacuous"], result["min_margin"], witness) == (
+        report.passed, report.vacuous, report.min_margin, report.witness
+    )
+    assert [tuple(a.values()) for a in result["aggregate"]] == list(report.aggregate)
 
 
 @pytest.mark.parametrize("chunk", [1, 2, cli._CHUNK])
@@ -772,19 +842,14 @@ def test_failed_verification_exits_1_in_every_format(capsys, monkeypatch):
 
 
 def test_failed_smallness_exits_1_in_every_format(capsys, monkeypatch):
-    def failing_report(n, alpha, *, caps):
-        # the tight row's record with a fiber polynomial of degree 2: codim 3, margin -1
-        report = smallness_report(n, alpha, caps=caps)
-        too_big = IntPolynomial((1, 1, 1))
-        rows = tuple(
-            strata.SmallnessRow(helpers.replace(row.record, fiber_poincare=too_big))
-            if row.record == report.witness else row
-            for row in report.rows
-        )
-        return helpers.replace(report, rows=rows)
+    original = kostant.kostant_poly
 
-    # the handler imports the strata names when it runs
-    monkeypatch.setattr(strata, "smallness_report", failing_report)
+    def too_big(gamma, *, caps):
+        # K of the tight row's one part with degree 2: fiber_dim 2 at codim 3, margin -1
+        return IntPolynomial((1, 1, 1)) if gamma == GammaVec((1, 1)) else original(gamma, caps=caps)
+
+    # the listing reads each K_v(t) through the public kostant_poly
+    monkeypatch.setattr(kostant, "kostant_poly", too_big)
     argv = ("smallness", "--n", "3", "--alpha", "1,1")
     assert run_cli(capsys, *argv) == (1, (
         "FAIL (min margin -1)\n"

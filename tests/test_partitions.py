@@ -323,16 +323,20 @@ def test_gamma_partitions_count_and_order(alpha):
 def test_defect_segments_walk_exactly_the_leading_parts(alpha):
     # per defect d, the segments' v are the leading parts of d's reference partitions in
     # decreasing lex order, and each prepends v to at least one partition of d - v: those
-    # from start on, past the ones led by a part lex above v
+    # from lo on, past the ones led by a part lex above v, to the last, where the numbering
+    # lists each defect's reference partitions after those of the defects below it
     box, strides = _box(alpha.coeffs)
     assert len(helpers.gamma_partitions_reference(alpha.coeffs)) == helpers.vector_partition_count(alpha.coeffs)
+    firsts = [0]
+    for vec in box:
+        firsts.append(firsts[-1] + len(helpers.gamma_partitions_reference(vec)))
     for d, segments in _defect_segments(box, strides):
         leads = {parts[0] for parts in helpers.gamma_partitions_reference(box[d])}
-        assert [box[v] for v, _ in segments] == sorted(leads, reverse=True)
-        for v, start in segments:
+        assert [box[v] for v, _, _ in segments] == sorted(leads, reverse=True)
+        for v, lo, hi in segments:
             tails = helpers.gamma_partitions_reference(box[d - v])
-            assert start < len(tails)
-            assert start == sum(1 for tail in tails if tail and tail[0] > box[v])
+            assert lo < hi == firsts[d - v + 1]
+            assert lo - firsts[d - v] == sum(1 for tail in tails if tail and tail[0] > box[v])
 
 
 @settings(derandomize=True, deadline=None)

@@ -446,9 +446,10 @@ def test_a_hand_built_report_reads_its_summaries_from_its_rows(alpha, data):
     assert report.passed is all(want[5] for _, want in pairs)
     assert report.vacuous is (least is None)
     assert report.aggregate == tuple((f, c, c > 2 * f) for f, c in sorted(lowest.items()))
-    # the one pass: the command's table rows, and the five summaries that the properties read
-    table, summaries = report._tabulate()
-    assert table == [want for _, want in pairs]
+    # the margin rule, row by row, and the one summaries pass that the properties and the
+    # command read
+    assert [strata._smallness_row(row.record) for row, _ in pairs] == [want for _, want in pairs]
+    summaries = strata._summaries([row.record for row, _ in pairs])
     assert summaries == (report.min_margin, report.witness, report.passed, report.vacuous, report.aggregate)
 
 
