@@ -14,21 +14,24 @@ flags). `main` builds the flags of the subcommand its argv names, parses them,
 passes them to the handler, and renders its Output; params are n, the vectors,
 then the handler's extras. A handler builds its rows once, as tuples of
 library values in the order of its headers; where its JSON result lists
-the rows as objects, it holds those same rows, and the JSON writer writes
-each row through one % template built from the headers, each field by the
-one writer of its indent, which writes every kind of value. `_render` writes
-the rows a chunk at a time and formats each value once per call.
+the rows as objects, it holds those same rows. Every command's output goes
+one row path: each format's writer writes the rows, then the Output's tail,
+if any, after them. The JSON writer writes each row through one % template
+built from the headers, each field by the one writer of its indent, which
+writes every kind of value. `_render` writes the rows a chunk at a time and
+formats each value once per call.
 
 `strata` and `smallness` build no row, record or partition per stratum. Their
-rows are the listing's prefix tree, strata._rows, in which each stratum is a
-part v prepended to a stratum listed before it. Every value of a row but beta
-and the partition is a function of |beta| and the stratum's group, (m, fiber
+one row is the open stratum's, and their tail the rest of the listing's
+prefix tree, strata._rows, in which each stratum is a part v prepended to a
+stratum listed before it. Every value of a tail row but beta and the
+partition is a function of |beta| and the stratum's group, (m, fiber
 polynomial), so each format puts the values of a group at a |beta| once into
 a row template, reading them as `_stratum` or `strata._smallness_row` gives
 them from the group's first record there, with %s for beta and the
-partition. A row is its template filled with the text of its defect's beta
-and of its partition, which one translate reads off the stratum's key, its
-parts' box indices as code points. `smallness` reads its summaries through
+partition. A tail row is its template filled with the text of its defect's
+beta and of its partition, which one translate reads off the stratum's key,
+its parts' box indices as code points. `smallness` reads its summaries through
 `strata._summaries` of those first records, as SmallnessReport reads them of
 every record, with no arithmetic of its own.
 
@@ -173,16 +176,19 @@ class Output:
 
     result: dict
     headers: tuple[str, ...]
-    # tuples of library values in header order, or a strata listing (see _listing_texts); where
-    # result lists the rows as objects from header to value, it holds these same rows, which the
-    # JSON writer writes through headers
-    rows: list | tuple
+    # tuples of library values in header order; where result lists the rows as objects from
+    # header to value, it holds this same list, which the JSON writer writes through headers and
+    # follows with the tail's rows, as every writer does
+    rows: list
     # table format only: lines above the table, or the whole output when not aligned
     prefix: tuple[str, ...] = ()
     aligned: bool = True
     code: int = 0
     # params after n and the degree vectors, in flag order; read, never mutated
     params: dict = {}
+    # the rest of a strata listing after the rows, (row_of, *strata._rows), row_of giving a row
+    # of a record; () for none (see _listing_texts)
+    tail: tuple = ()
 
 
 # list items formatted and written at a time
@@ -206,52 +212,53 @@ def _partition_texts(vecs: list, keys: list, part_text, sep: str):
     return map(itemgetter(slice(1, None)), map(str.translate, islice(keys, 1, None), repeat(table)))
 
 
-def _listing_texts(rows: tuple, template, beta_text, texts):
-    """The texts of a strata listing's rows after the open stratum's, in listing order.
+def _listing_texts(tail: tuple, template, beta_text, part_text, sep: str):
+    """The texts of an Output's tail rows, the strata after the open stratum's, in listing order.
 
-    rows is (row_of, vecs, keys, groups, defects): a row's values as row_of
-    gives them from its record, then strata._rows of the listing, and texts
-    the partitions' texts of _partition_texts. A row's values but beta and
-    the partition are a function of its group and |beta|, so its text is the
-    template of its group at its |beta|, template(values) of the values of
-    the group's first record there, filled with the text of the defect's
-    beta, beta_text(beta), and of its partition.
+    A row's values but beta and the partition are a function of its group
+    and |beta|, so its text is the template of its group at its |beta|,
+    template(values) of the values that row_of gives of the group's first
+    record there, filled with the text of the defect's beta, beta_text(beta),
+    and of its partition, as _partition_texts gives it of part_text and sep.
     """
-    row_of, _, _, groups, defects = rows
+    row_of, vecs, keys, groups, spans, firsts = tail
     # per |beta|: group -> its template
     templates: dict = {}
+    for g, rec in firsts:
+        templates.setdefault(rec.beta.length, {})[g] = template(row_of(rec))
+    texts = _partition_texts(vecs, keys, part_text, sep)
 
-    def defect(lo, hi, beta, firsts):
-        group = templates.setdefault(beta.length, {})
-        group.update({g: template(row_of(rec)) for g, rec in firsts.items()})
+    def defect(lo, hi, beta):
         filled = zip(repeat(beta_text(beta)), islice(texts, hi - lo))
-        return map(mod, map(group.__getitem__, groups[lo:hi]), filled)
+        return map(mod, map(templates[beta.length].__getitem__, groups[lo:hi]), filled)
 
-    return chain.from_iterable(starmap(defect, defects[1:]))
+    return chain.from_iterable(starmap(defect, spans[1:]))
 
 
-def _write_json(obj, indent: str, write, rows=None, headers=()) -> None:
+def _write_json(obj, indent: str, write, out=None) -> None:
     """Write json.dumps(obj, indent=2), byte for byte, through write.
 
     Takes dicts, lists, str, int, bool and None, a degree vector or
     polynomial as its coefficients, a partition as its parts, and a library
     value in _SCHEMA as the sequence it maps to. Types are matched exactly,
     so True stays true and any other type raises TypeError. The one
-    exception is the list rows, where obj holds it within dicts: its items
-    are tuples of values in the order of headers, and each goes out as the
+    exception is the Output out's rows, where obj holds them within dicts:
+    each row, a tuple of values in the order of the headers, goes out as the
     object from header to value, through one % template per call and indent
-    built from the headers. The stdlib runs its pure-Python encoder whenever
-    indent is set; here one writer per indent, value_text, made once per
-    call, writes every kind, and the call keeps the encoded keys and, per
-    indent, the text of each degree vector and polynomial by coefficients.
-    Dicts go out key by key and the rows, and any other list longer than
-    _CHUNK, _CHUNK items at a time.
+    built from the headers, and the rows of out's tail follow them in that
+    list. The stdlib runs its pure-Python encoder whenever indent is set;
+    here one writer per indent, value_text, made once per call, writes every
+    kind, and the call keeps the encoded keys and, per indent, the text of
+    each degree vector and polynomial by coefficients. Dicts go out key by
+    key and the rows, and any other list longer than _CHUNK, _CHUNK items at
+    a time.
     """
     from json.encoder import encode_basestring_ascii
 
     # indent -> {coefficients: text} of the degree vectors and polynomials written at indent;
     # key -> its text; indent -> its value_text
     kept, keys, writers = {}, {}, {}
+    rows = out and out.rows
 
     def key(k: str) -> str:
         return keys.get(k) or keys.setdefault(k, encode_basestring_ascii(k))
@@ -296,24 +303,21 @@ def _write_json(obj, indent: str, write, rows=None, headers=()) -> None:
         return writers.setdefault(indent, writer)
 
     def row_texts(indent: str):
-        """The texts of the rows as objects at indent, each field's text put into one template."""
+        """The texts of the rows, then the tail's, as objects at indent, each field's text put into one template."""
         at = indent + "  "
-        fields = [key(h).replace("%", "%%") + ": %s" for h in headers]
+        fields = [key(h).replace("%", "%%") + ": %s" for h in out.headers]
         template = "{\n" + at + (",\n" + at).join(fields) + "\n" + indent + "}"
         field = value_text(at)
-        if type(rows) is list:
-            return (template % tuple(map(field, row)) for row in rows)
+        heads = (template % tuple(map(field, row)) for row in rows)
+        if not out.tail:
+            return heads
 
         def group(values):
             # the partition's text is its parts' texts at the next indent, each after sep
             return template % ("%s", "[%s\n" + at + "]", *(field(x).replace("%", "%%") for x in values[2:]))
 
-        row_of, vecs, keys, _, defects = rows
-        # the open stratum's record: group 0's, of the zero defect
-        open_stratum = template % tuple(map(field, row_of(defects[0][3][0])))
         inner = at + "  "
-        texts = _partition_texts(vecs, keys, value_text(inner), ",\n" + inner)
-        return chain((open_stratum,), _listing_texts(rows, group, field, texts))
+        return chain(heads, _listing_texts(out.tail, group, field, value_text(inner), ",\n" + inner))
 
     def stream(obj, indent: str) -> None:
         kind, inner = type(obj), indent + "  "
@@ -338,7 +342,7 @@ def _render(fmt: str, command: str, params: dict, out: Output, file) -> None:
     """Write the output in fmt to the text stream file, a chunk of rows at a time."""
     if fmt == "json":
         payload = {"command": command, "params": params, "result": out.result}
-        _write_json(payload, "", file.write, out.rows, out.headers)
+        _write_json(payload, "", file.write, out)
         file.write("\n")
         return
     # the one cell formatter: None as "-", a bool as "yes" or "NO", a partition from its parts'
@@ -361,33 +365,7 @@ def _render(fmt: str, command: str, params: dict, out: Output, file) -> None:
         key = kind, value
         return memo.get(key) or memo.setdefault(key, str(value))
 
-    if type(out.rows) is tuple:
-        _render_listing(fmt, out, cell, file)
-        return
-    rows = (map(cell, row) for row in out.rows)
-    if fmt == "csv":
-        import csv
-
-        writer = csv.writer(file, lineterminator="\n")
-        writer.writerow(out.headers)
-        writer.writerows(rows)
-        return
-    file.write("".join(line + "\n" for line in out.prefix))
-    if out.aligned:
-        # two passes: the column widths, then the lines
-        cells = [tuple(out.headers), *map(tuple, rows)]
-        widths = [max(map(len, column)) for column in zip(*cells)]
-        cells.insert(1, tuple("-" * w for w in widths))
-        line = "  ".join(f"%-{w}s" for w in widths)
-        for start in range(0, len(cells), _CHUNK):
-            chunk = cells[start : start + _CHUNK]
-            file.write("".join((line % row).rstrip() + "\n" for row in chunk))
-
-
-def _render_listing(fmt: str, out: Output, cell, file) -> None:
-    """Write a strata listing's table or CSV lines, the values of each group put in its template once."""
-    row_of, vecs, keys, _, defects = out.rows
-    values = [row_of(rec) for _, _, _, firsts in defects for rec in firsts.values()]
+    rows, tail, heads = (map(cell, row) for row in out.rows), out.tail, ()
     if fmt == "csv":
         import csv
         import io
@@ -401,10 +379,12 @@ def _render_listing(fmt: str, out: Output, cell, file) -> None:
             writer.writerow(cells)
             return buf.getvalue()
 
-        # a partition's text is quoted as the csv module quotes alpha's: its parts' texts, like
-        # alpha's, hold a comma exactly where n > 2
-        sample = str(vecs[-1])
-        parts = line([sample])[:-1].replace(sample, "%s")
+        heads = map(line, chain([out.headers], rows))
+        if tail:
+            # a partition's text is quoted as the csv module quotes alpha's: its parts' texts,
+            # like alpha's, hold a comma exactly where n > 2
+            sample = str(tail[1][-1])
+            parts = line([sample])[:-1].replace(sample, "%s")
 
         def group(values):
             return "%s," + parts + "," + line([cell(x).replace("%", "%%") for x in values[2:]])
@@ -412,27 +392,32 @@ def _render_listing(fmt: str, out: Output, cell, file) -> None:
         def beta_text(beta):
             return line([cell(beta)])[:-1]
 
-        heads = [line(out.headers), line(map(cell, values[0]))]
     else:
-        # the widths of every defect's beta, every partition's text and each group's other cells
-        root = list(map(cell, values[0]))
-        columns = [
-            [out.headers[0], *(cell(beta) for _, _, beta, _ in defects)],
-            chain((out.headers[1], root[1]), _partition_texts(vecs, keys, str, "+")),
-            *zip(out.headers[2:], *(map(cell, row[2:]) for row in values)),
-        ]
-        widths = [max(map(len, column)) for column in columns]
+        file.write("".join(line + "\n" for line in out.prefix))
+        if out.aligned:
+            # two passes: the column widths, then the lines; the tail adds the widths of each
+            # defect's beta, each partition's text and each group's other cells
+            cells = [tuple(out.headers), *map(tuple, rows)]
+            columns = zip(*cells)
+            if tail:
+                row_of, box, keys, _, spans, firsts = tail
+                columns = map(chain, columns, [
+                    [cell(beta) for _, _, beta in spans],
+                    _partition_texts(box, keys, str, "+"),
+                    *zip(*(map(cell, row_of(rec)[2:]) for _, rec in firsts)),
+                ])
+            widths = [max(map(len, column)) for column in columns]
+            cells.insert(1, tuple("-" * w for w in widths))
+            line = "  ".join(f"%-{w}s" for w in widths)
+            heads = ((line % row).rstrip() + "\n" for row in cells)
 
         def group(values):
             padded = [cell(x).ljust(w).replace("%", "%%") for x, w in zip(values[2:], widths[2:])]
             return "  ".join([f"%-{widths[0]}s", f"%-{widths[1]}s", *padded]).rstrip() + "\n"
 
         beta_text = cell
-        line = "  ".join(f"%-{w}s" for w in widths)
-        lines = [(line % tuple(c)).rstrip() for c in (out.headers, ["-" * w for w in widths], root)]
-        heads = [head + "\n" for head in (*out.prefix, *lines)]
-    texts = _partition_texts(vecs, keys, str, "+")
-    for chunk in _chunks(chain(heads, _listing_texts(out.rows, group, beta_text, texts))):
+    texts = _listing_texts(tail, group, beta_text, str, "+") if tail else ()
+    for chunk in _chunks(chain(heads, texts)):
         file.write("".join(chunk))
 
 
@@ -486,32 +471,38 @@ _stratum = attrgetter(*_STRATA_HEADERS)
 def _cmd_strata(args, caps, n, alpha) -> Output:
     from .strata import _rows, moduli_dim
 
-    listing = (_stratum, *_rows(n, alpha, caps))
-    result = {"moduli_dim": moduli_dim(n, alpha), "count": len(listing[2]), "strata": listing}
-    return Output(result, _STRATA_HEADERS, listing)
+    _, keys, _, _, firsts = listing = _rows(n, alpha, caps)
+    # the open stratum's row, the first record's; the tail holds the rest
+    rows = [_stratum(firsts[0][1])]
+    result = {"moduli_dim": moduli_dim(n, alpha), "count": len(keys), "strata": rows}
+    return Output(result, _STRATA_HEADERS, rows, tail=(_stratum, *listing))
 
 
 def _cmd_smallness(args, caps, n, alpha) -> Output:
     from .strata import _SMALLNESS_COLUMNS, _rows, _smallness_row, _summaries
 
-    listing = (_smallness_row, *_rows(n, alpha, caps))
-    # each group's first record stands for the group's rows, whose margins, codims and
-    # fiber_dims are its own
-    firsts = [rec for _, _, _, group_firsts in listing[4] for rec in group_firsts.values()]
-    min_margin, witness, passed, vacuous, aggregate = _summaries(firsts)
+    *_, firsts = listing = _rows(n, alpha, caps)
+    # each group's first record at a |beta| stands for the group's rows there, whose margins,
+    # codims and fiber_dims are its own; the open stratum's, the first, gives the one row
+    records = [rec for _, rec in firsts]
+    min_margin, witness, passed, vacuous, aggregate = _summaries(records)
+    rows = [_smallness_row(records[0])]
     result = {
         "passed": passed,
         "vacuous": vacuous,
         "min_margin": min_margin,
         "witness": dict(zip(_STRATA_HEADERS, _stratum(witness))) if witness else None,
-        "rows": listing,
+        "rows": rows,
         "aggregate": [
             {"fiber_dim": f, "min_codim": c, "ok": ok} for f, c, ok in aggregate
         ],
     }
     outcome = "PASS" if passed else "FAIL"
     verdict = "PASS (vacuous)" if vacuous else f"{outcome} (min margin {min_margin})"
-    return Output(result, _SMALLNESS_COLUMNS, listing, prefix=(verdict,), code=0 if passed else 1)
+    return Output(
+        result, _SMALLNESS_COLUMNS, rows, prefix=(verdict,), code=0 if passed else 1,
+        tail=(_smallness_row, *listing),
+    )
 
 
 def _cmd_ic_stalks(args, caps, n, alpha, beta) -> Output:

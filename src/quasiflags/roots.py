@@ -9,8 +9,10 @@ nonnegative coefficients on i_1 .. i_{n-1}. All combinatorial indices are
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterable
 from itertools import product
+from math import prod
 
 from .limits import Caps, DEFAULT_CAPS, CapExceededError, check_rank, record, require_int, require_type
 
@@ -129,14 +131,19 @@ def _box(coeffs: tuple[int, ...]) -> tuple[list[tuple[int, ...]], list[int]]:
     """The vectors 0 <= v <= coeffs in increasing lex order, and their strides.
 
     v sits at index sum(v[k] * strides[k]) of the list, so the index order
-    is the lex order, and v - w sits at the index of v minus that of w.
+    is the lex order, and v - w sits at the index of v minus that of w. A
+    box of more vectors than an index reaches, sys.maxsize, is refused with
+    CapExceededError before it is built.
     """
-    vecs = list(product(*(range(a + 1) for a in coeffs)))
-    strides, size = [], len(vecs)
+    size = prod(a + 1 for a in coeffs)
+    if size > sys.maxsize:
+        box = "(" + ",".join(map(str, coeffs)) + ")"
+        raise CapExceededError(f"the box 0 <= v <= {box} holds {size} vectors, more than an index reaches")
+    strides = []
     for a in coeffs:
         size //= a + 1
         strides.append(size)
-    return vecs, strides
+    return list(product(*(range(a + 1) for a in coeffs))), strides
 
 
 def pairing(k: int, c: Interval) -> int:

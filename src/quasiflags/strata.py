@@ -315,24 +315,22 @@ def enumerate_strata(n: int, alpha: GammaVec, *, caps: Caps = DEFAULT_CAPS) -> l
 
 
 def _rows(n: int, alpha: GammaVec, caps: Caps) -> tuple:
-    """The listing of (n, alpha) for writing its rows, with no record per stratum: (vecs, keys, groups, defects).
+    """The listing of (n, alpha) for writing its rows, with no record per stratum: (vecs, keys, groups, spans, firsts).
 
     vecs holds the box vectors by box index. keys[i] is stratum i's parts as
     the string of their box indices' code points, head first, so that a
     stratum's key is chr(v) + its parent's, and groups[i] numbers its (m,
     fiber polynomial). Every number of a row is a function of its group and
     |beta|: stratum_dim = 2|beta| + dim B + m and codim = 2(|alpha| - |beta|)
-    - m. So defects holds, per defect in increasing order from the zero
-    defect, (lo, hi, beta, firsts): its strata are those at positions lo to
-    hi - 1, and firsts maps each of their groups that no earlier defect of
-    the same |beta| holds, in order of first occurrence, to the record of its
-    first stratum. The open stratum is the zero defect's one stratum, whose
-    group is 0.
+    - m. So spans holds (lo, hi, beta) per defect in increasing order from
+    the zero defect, its strata those at positions lo to hi - 1, and firsts
+    holds (group, record) of the first stratum of each (|beta|, group), in
+    listing order. The open stratum, of group 0, is the first of both.
     """
     vecs, kpolys, defects = _tree(n, alpha, caps)
     products = _products(kpolys)
-    root = _record(beta=alpha, parts=_gamma_partition(n, ()), fiber_poincare=ONE)
-    keys, groups, out = [""], [0], [(0, 1, alpha, {0: root})]
+    keys, groups, spans = [""], [0], [(0, 1, alpha)]
+    firsts = [(0, _record(beta=alpha, parts=_gamma_partition(n, ()), fiber_poincare=ONE))]
     # group -> (m, fiber polynomial), and back by (m, coefficients)
     pairs, ids = [(0, ONE)], {(0, ONE.coeffs): 0}
     # per box index v: group -> the group of its strata with part v prepended
@@ -355,16 +353,15 @@ def _rows(n: int, alpha: GammaVec, caps: Caps) -> tuple:
             groups.extend(map(step.__getitem__, tails))
             keys.extend(map(chr(v).__add__, keys[tail_lo:tail_hi]))
         hi = len(keys)
+        spans.append((lo, hi, beta))
         # each group's first position, as the last that a walk from the end stores
         first = dict(zip(reversed(groups[lo:hi]), range(hi - 1, lo - 1, -1)))
         seen = held.setdefault(beta.length, set())
-        new = sorted(first.keys() - seen, key=first.__getitem__)
-        seen.update(new)
-        parts = [_gamma_partition(n, tuple(map(vecs.__getitem__, map(ord, keys[first[g]])))) for g in new]
-        out.append((lo, hi, beta, {
-            g: _record(beta=beta, parts=p, fiber_poincare=pairs[g][1]) for g, p in zip(new, parts)
-        }))
-    return vecs, keys, groups, out
+        for g in sorted(first.keys() - seen, key=first.__getitem__):
+            seen.add(g)
+            parts = _gamma_partition(n, tuple(map(vecs.__getitem__, map(ord, keys[first[g]]))))
+            firsts.append((g, _record(beta=beta, parts=parts, fiber_poincare=pairs[g][1])))
+    return vecs, keys, groups, spans, firsts
 
 
 def smallness_report(n: int, alpha: GammaVec, *, caps: Caps = DEFAULT_CAPS) -> SmallnessReport:

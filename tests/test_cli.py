@@ -20,7 +20,7 @@ import helpers
 from quasiflags import cli, kostant, oracle, strata
 from quasiflags.cli import HANDLERS, ic_stalk_table_from_json, main, stratum_records_from_json
 from quasiflags.kostant import IntPolynomial
-from quasiflags.limits import DEFAULT_CAPS
+from quasiflags.limits import DEFAULT_CAPS, CapExceededError, Caps
 from quasiflags.partitions import GammaPartition, gamma_partitions, kappa_partitions, kappa_to_nu, mu_triangles, nu_to_mu
 from quasiflags.roots import GammaVec, Interval
 from quasiflags.strata import enumerate_strata, ic_stalk_table, smallness_report
@@ -49,6 +49,29 @@ def test_long_gamma_under_raised_caps(capsys):
     # counted without recursion, so a length far past the default cap runs
     code, out, err = run_cli(capsys, "kostant", "--n", "2", "--gamma", "1000", "--cap-length", "1000")
     assert (code, out, err) == (0, "1\n", "")
+
+
+def test_a_box_too_large_to_index_exits_3(capsys):
+    # a box of more vectors than sys.maxsize is refused before it is built, not by an
+    # OverflowError from the list it would be
+    huge, cap = str(10**22), ("--cap-length", str(10**23))
+    for argv in (
+        ("kostant", "--n", "2", "--gamma", huge),
+        ("gamma-partitions", "--n", "2", "--alpha", huge),
+        ("strata", "--n", "2", "--alpha", huge),
+        ("smallness", "--n", "2", "--alpha", huge),
+        ("ic-stalks", "--n", "2", "--alpha", huge, "--beta", "0", "--parts", huge),
+    ):
+        code, out, err = run_cli(capsys, *argv, *cap)
+        assert (code, out) == (3, ""), argv
+        assert err.startswith("error: the box 0 <= v <= (") and "Traceback" not in err, argv
+    caps = Caps(max_length=10**23)
+    for call in (kostant.kostant_poly, gamma_partitions, lambda v, caps: enumerate_strata(2, v, caps=caps)):
+        with pytest.raises(CapExceededError, match="more than an index reaches"):
+            call(GammaVec((10**22,)), caps=caps)
+    # kpartitions lists coroot partitions without the box, and answers
+    code, out, _ = run_cli(capsys, "kpartitions", "--n", "2", "--gamma", huge, *cap)
+    assert (code, out.splitlines()[-1].split()[1:]) == (0, [huge, huge, "0"])
 
 
 def test_kostant_json(capsys):
@@ -664,7 +687,10 @@ def test_streamed_atlas_matches_the_one_string_reference(alpha, chunk):
             assert buf.getvalue() == want, (command, fmt)
 
 
-_LISTING_EXAMPLES = (GammaVec((0, 2, 0, 1)), GammaVec((3, 0)), GammaVec((0, 0, 3)), GammaVec((4,)))
+# the last, the open stratum alone, is a listing of one row and no tail
+_LISTING_EXAMPLES = (
+    GammaVec((0, 2, 0, 1)), GammaVec((3, 0)), GammaVec((0, 0, 3)), GammaVec((4,)), GammaVec((0, 0)),
+)
 
 
 def _listing_examples(test):
@@ -678,25 +704,26 @@ def _listing_examples(test):
 @_listing_examples
 def test_the_tree_walk_gives_each_records_row(alpha):
     # every row value that the commands write from the prefix tree is that of the stratum's record:
-    # beta the defect's, the partition read from the stratum's key, and the rest from the first
+    # beta the span's, the partition read from the stratum's key, and the rest from the first
     # record of the stratum's group at its |beta|
     records = enumerate_strata(alpha.n, alpha)
-    vecs, keys, groups, defects = strata._rows(alpha.n, alpha, DEFAULT_CAPS)
+    vecs, keys, groups, spans, firsts = strata._rows(alpha.n, alpha, DEFAULT_CAPS)
     assert len(keys) == len(groups) == len(records)
-    # one defect per run of records of one beta
+    # one span per run of records of one beta
     runs = list(accumulate(len(list(run)) for _, run in groupby(records, attrgetter("beta"))))
-    assert [(lo, hi) for lo, hi, _, _ in defects] == list(zip([0, *runs], runs))
-    held = {}
-    for lo, hi, beta, firsts in defects:
-        group = held.setdefault(beta.length, {})
-        # each group new at this |beta| maps to its first stratum's record, in order of first occurrence
-        new = [g for g in dict.fromkeys(groups[lo:hi]) if g not in group]
-        assert list(firsts.items()) == [(g, records[groups.index(g, lo)]) for g in new]
-        group.update(firsts)
+    assert [(lo, hi) for lo, hi, _ in spans] == list(zip([0, *runs], runs))
+    assert [beta for _, _, beta in spans] == [records[lo].beta for lo, _, _ in spans]
+    # one entry per (|beta|, group), the first stratum's, in listing order; no pair repeats
+    first = {}
+    for i, (rec, g) in enumerate(zip(records, groups)):
+        first.setdefault((rec.beta.length, g), i)
+    assert firsts == [(g, records[i]) for (_, g), i in first.items()]
+    held = {(rec.beta.length, g): rec for g, rec in firsts}
+    for lo, hi, beta in spans:
         for i in range(lo, hi):
             parts = GammaPartition.of(alpha.n, [vecs[ord(c)] for c in keys[i]])
             for row_of in (cli._stratum, strata._smallness_row):
-                values = row_of(group[groups[i]])
+                values = row_of(held[beta.length, groups[i]])
                 assert (beta, parts) + values[2:] == row_of(records[i]), (i, row_of)
 
 
